@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Desk-scale sweeps: difference-set classes for p <= 200, sumset
-decompositions and three-summand checks for p <= 61.  Prints every witness
+decompositions and three-summand checks for p <= 127.  Prints every witness
 class found and flags anything a theorem says should not exist."""
 
 import argparse
@@ -13,7 +13,7 @@ from mucrit.search import diffset_search, sumset_search, threefold_check
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--diffset-max-p", type=int, default=200)
-    ap.add_argument("--sumset-max-p", type=int, default=61)
+    ap.add_argument("--sumset-max-p", type=int, default=127)
     ap.add_argument("--threads", type=int, default=1)
     ns = ap.parse_args()
 

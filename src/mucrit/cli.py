@@ -13,6 +13,7 @@ byte-identical output at any parallelism level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -487,7 +488,9 @@ def _flatten(obj, prefix: str = "") -> Dict[str, object]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None, help="write the report to a file")
@@ -548,6 +551,8 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
+    if ns.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {ns.threads}")
     if ns.command == "verify-f41":
         cfg = RunConfig("verify-f41", {}, ns.threads, ns.seed, ns.format, ns.out)
         ok, report = run_verify_f41()

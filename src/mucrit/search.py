@@ -7,18 +7,20 @@ re-verified through the pair-criticality machinery before it is reported, and
 results are canonicalized under the documented symmetry group:
 
 * difference sets: translations composed with scalings by mu_d;
-* sumset pairs: scalings by mu_d and swapping the summands (translations do
-  not preserve A + B = mu_d);
+* sumset pairs: scalings by mu_d and swapping the summands.  The opposite
+  shift (A + t, B - t) also preserves A + B = mu_d; the search uses it to
+  run once with 0 in B, but the report does not quotient it: the shifts of
+  a pair are separate classes unless a scaling or the swap relates them;
 * the rat2 classification: the full affine group.
 
-Parallelism is a thread pool over independent anchor values with a final
-sort, so output is deterministic for any thread count.
+Every search runs in the calling thread.  The ``threads`` parameters are
+kept for interface stability and change neither the output nor the speed.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,15 +61,6 @@ class SearchResult:
     elapsed: float
 
 
-def _run_chunks(anchors: Sequence, worker, threads: int) -> list:
-    """Apply worker to each anchor, optionally on a thread pool; collate in
-    anchor order so the merged output never depends on the thread count."""
-    if threads <= 1 or len(anchors) <= 1:
-        return [worker(a) for a in anchors]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, anchors))
-
-
 def _validate_subgroup_order(p: int, d: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
@@ -82,6 +75,26 @@ def _alpha_for(d: int) -> Optional[int]:
             return a
         a += 1
     return None
+
+
+def _bits(x: int) -> List[int]:
+    """The positions of the set bits of x, least first."""
+    vals = []
+    while x:
+        vals.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return vals
+
+
+def _difference_masks(T: Sequence[int], p: int) -> Dict[int, int]:
+    """For each a in T, the bitmask of {z - a : z in T}: the b with a + b in T."""
+    out = {}
+    for a in T:
+        m = 0
+        for z in T:
+            m |= 1 << ((z - a) % p)
+        out[a] = m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -212,93 +225,6 @@ def diffset_search(p: int, d: int, threads: int = 1) -> SearchResult:
 # ---------------------------------------------------------------------------
 # sumset decompositions of mu_d
 
-def _sumset_anchor_worker(
-    p: int, d: int, mu: FpSet, alpha: int, beta: int, anchor_budget: int
-):
-    """Build the per-anchor search: all (A, B), |A| = alpha, |B| = beta,
-    A + B = mu_d with min(B) equal to the anchor.  Representations are unique
-    (|A||B| = d), so B-completion is an exact cover by the tiles A + b."""
-    muset = set(mu.elems)
-    mumask = mu.mask
-    cand_cache: Dict[int, int] = {}
-
-    def cand_mask(a: int) -> int:
-        m = cand_cache.get(a)
-        if m is None:
-            m = 0
-            for z in mu.elems:
-                m |= 1 << ((z - a) % p)
-            cand_cache[a] = m
-        return m
-
-    def run(b1: int):
-        nodes = 0
-        found: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        base = sorted((z - b1) % p for z in mu.elems)
-        ge_mask = ~((1 << b1) - 1)
-
-        def spend() -> None:
-            nonlocal nodes
-            nodes += 1
-            if nodes > anchor_budget:
-                raise SearchBudgetExceeded(
-                    f"anchor {b1} exceeded {anchor_budget} nodes"
-                )
-
-        def complete(A: Tuple[int, ...], cand: int) -> None:
-            tiles = {}
-            rest = cand
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                t = 0
-                for a in A:
-                    t |= 1 << ((a + b) % p)
-                if t & ~mumask == 0 and bin(t).count("1") == alpha:
-                    tiles[b] = t
-            if b1 not in tiles:
-                return
-
-            def cover(covered: int, chosen: Tuple[int, ...]) -> None:
-                spend()
-                if covered == mumask:
-                    if len(chosen) == beta:
-                        found.append((A, tuple(sorted(chosen))))
-                    return
-                if len(chosen) == beta:
-                    return
-                rem = mumask & ~covered
-                z = (rem & -rem).bit_length() - 1  # least uncovered element
-                # branching on the unique tile through z makes every exact
-                # cover reachable along exactly one path; no ordering needed
-                for b, t in tiles.items():
-                    if (t >> z) & 1 and not (t & covered):
-                        cover(covered | t, chosen + (b,))
-
-            cover(tiles[b1], (b1,))
-
-        def extend(A: List[int], cand: int, start: int) -> None:
-            spend()
-            if len(A) == alpha:
-                complete(tuple(A), cand)
-                return
-            need = alpha - len(A)
-            for i in range(start, len(base) - need + 1):
-                a = base[i]
-                nc = cand & cand_mask(a) & ge_mask
-                if bin(nc).count("1") < beta:
-                    continue
-                extend(A + [a], nc, i + 1)
-
-        try:
-            extend([], (1 << p) - 1, 0)
-        except SearchBudgetExceeded:
-            return found, nodes, True
-        return found, nodes, False
-
-    return run
-
-
 def sumset_search(
     p: int,
     d: int,
@@ -311,33 +237,99 @@ def sumset_search(
     exact sumset, and checked for the even-minimal-index consequence after
     recentering; any size-unbalanced witness is flagged as a violation.
 
-    An exceeded node budget is reported in the verdicts, never conflated
-    with "no decomposition exists"."""
+    Every pair has an opposite shift (A + t, B - t) with 0 in B, and then
+    A lies in mu_d, so a scaling by mu_d also puts 1 in A.  One search over
+    such pairs therefore meets every orbit; each pair it finds is expanded
+    over its p shifts before canonicalization.  Representations are unique
+    (|A||B| = d), so completing B is an exact cover by the tiles A + b.
+
+    ``node_budget`` bounds the whole search.  An exceeded budget is reported
+    in the verdicts, never conflated with "no decomposition exists"."""
     t0 = time.time()
     _validate_subgroup_order(p, d)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
     mu = roots_of_unity(p, d)
-    pairs = [
+    mumask = mu.mask
+    base = mu.elems  # sorted, so base[0] == 1
+    diff = _difference_masks(base, p)
+    splits = [
         (a, d // a)
         for a in range(2, d + 1)
         if d % a == 0 and a <= d // a and d // a > 1
     ]
-    raw: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    found: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
     nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(f"sumset search exceeded {node_budget} nodes")
+
+    def complete(A: Tuple[int, ...], cand: int, beta: int) -> None:
+        # cand holds every b with A + b inside mu_d, 0 among them
+        tiles = {}
+        for b in _bits(cand):
+            t = 0
+            for a in A:
+                t |= 1 << ((a + b) % p)
+            tiles[b] = t
+
+        def cover(covered: int, chosen: Tuple[int, ...]) -> None:
+            spend()
+            if covered == mumask:
+                if len(chosen) == beta:
+                    found.append((A, tuple(sorted(chosen))))
+                return
+            if len(chosen) == beta:
+                return
+            rem = mumask & ~covered
+            z = (rem & -rem).bit_length() - 1  # least uncovered element
+            # branching on the unique tile through z makes every exact
+            # cover reachable along exactly one path; no ordering needed
+            for b, t in tiles.items():
+                if (t >> z) & 1 and not (t & covered):
+                    cover(covered | t, chosen + (b,))
+
+        cover(tiles[0], (0,))
+
+    def extend(A: List[int], cand: int, start: int, alpha: int, beta: int) -> None:
+        spend()
+        if len(A) == alpha:
+            complete(tuple(A), cand, beta)
+            return
+        need = alpha - len(A)
+        for i in range(start, len(base) - need + 1):
+            a = base[i]
+            nc = cand & diff[a]
+            if nc.bit_count() < beta:
+                continue
+            extend(A + [a], nc, i + 1, alpha, beta)
+
     exhausted = False
-    anchor_budget = max(10, node_budget // max(p, 1))
-    for alpha, beta in pairs:
-        worker = _sumset_anchor_worker(p, d, mu, alpha, beta, anchor_budget)
-        for found, n, flag in _run_chunks(list(range(p)), worker, threads):
-            raw.extend(found)
-            nodes += n
-            exhausted = exhausted or flag
-    classes = sorted({canonical_pair(A, B, p, mu) for A, B in raw})
+    try:
+        for alpha, beta in splits:
+            extend([1], diff[1], 1, alpha, beta)
+    except SearchBudgetExceeded:
+        exhausted = True
+
+    # a pair whose class is already listed lies in the shift-and-scaling
+    # orbit of a pair expanded before it, so all its shifts are listed too
+    classes = set()
+    for A, B in found:
+        key = canonical_pair(A, B, p, mu)
+        if key in classes:
+            continue
+        classes.add(key)
+        for t in range(1, p):
+            classes.add(canonical_pair(
+                [(a + t) % p for a in A], [(b - t) % p for b in B], p, mu
+            ))
     witnesses = []
     violations: List[str] = []
-    sqrt_d = _isqrt(d)
-    for A, B in classes:
+    sqrt_d = math.isqrt(d)
+    for A, B in sorted(classes):
         SA, SB = FpSet(p, A), FpSet(p, B)
         rep = criticality(SA, SB, d)
         assert rep.critical and rep.exact == "mu_d", f"witness {(A, B)} failed re-verification"
@@ -358,15 +350,6 @@ def sumset_search(
         "sumset", p, d, {"threads": threads, "max_p": max_p},
         witnesses, {"nodes": nodes}, verdicts, tuple(violations), time.time() - t0,
     )
-
-
-def _isqrt(n: int) -> int:
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r
 
 
 def _recentered_index_violation(A: FpSet, B: FpSet) -> Optional[str]:
@@ -406,24 +389,7 @@ def decompose_two_summands(
         return []
     nodes = 0
     out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-    cand_cache: Dict[int, int] = {}
-
-    def cand_mask(a: int) -> int:
-        m = cand_cache.get(a)
-        if m is None:
-            m = 0
-            for z in T:
-                m |= 1 << ((z - a) % p)
-            cand_cache[a] = m
-        return m
-
-    def bits(x: int) -> List[int]:
-        vals = []
-        while x:
-            v = (x & -x).bit_length() - 1
-            vals.append(v)
-            x &= x - 1
-        return vals
+    diff = _difference_masks(T, p)
 
     def extend(A: List[int], cand: int, start: int) -> None:
         nonlocal nodes
@@ -432,14 +398,14 @@ def decompose_two_summands(
             raise SearchBudgetExceeded(f"two-summand scan exceeded {node_budget} nodes")
         if len(A) >= min_size and (cand >> 0) & 1:
             covered = 0
-            for b in bits(cand):
+            for b in _bits(cand):
                 for a in A:
                     covered |= 1 << ((a + b) % p)
             if covered == tmask and bin(cand).count("1") >= min_size:
-                out.append((tuple(A), tuple(bits(cand))))
+                out.append((tuple(A), tuple(_bits(cand))))
         for i in range(start, len(T)):
             a = T[i]
-            nc = cand & cand_mask(a)
+            nc = cand & diff[a]
             if bin(nc).count("1") < min_size:
                 continue
             extend(A + [a], nc, i + 1)
@@ -449,23 +415,41 @@ def decompose_two_summands(
     return out
 
 
-def _splits_further(S: FpSet) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+def _splits_further(
+    S: FpSet, node_budget: int
+) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """A two-summand decomposition of a small set with both sizes > 1, or None."""
-    found = decompose_two_summands(S, min_size=2)
+    found = decompose_two_summands(S, min_size=2, node_budget=node_budget)
     return found[0] if found else None
 
 
-def threefold_check(p: int, d: int, threads: int = 1, max_p: int = 128) -> SearchResult:
+def threefold_check(
+    p: int,
+    d: int,
+    threads: int = 1,
+    max_p: int = 128,
+    node_budget: int = 50_000_000,
+) -> SearchResult:
     """Reuses the pair decompositions of mu_d: a triple A+B+C = mu_d would
     force one summand of some witness pair to split further, so each witness
-    summand is tested for a second-level decomposition."""
+    summand is tested for a second-level decomposition.
+
+    ``node_budget`` bounds the pair search, and each second-level search may
+    spend what the pair search left of it.  An exceeded budget in either is
+    reported in the verdicts."""
     t0 = time.time()
-    base = sumset_search(p, d, threads=threads, max_p=max_p)
+    base = sumset_search(p, d, threads=threads, max_p=max_p, node_budget=node_budget)
+    split_budget = node_budget - base.counts["nodes"]
     witnesses = []
     violations = list(base.violations)
+    split_exhausted = False
     for A, B in base.witnesses:
         for first, second in ((A, B), (B, A)):
-            split = _splits_further(FpSet(p, second))
+            try:
+                split = _splits_further(FpSet(p, second), split_budget)
+            except SearchBudgetExceeded:
+                split_exhausted = True
+                continue
             if split:
                 BB, CC = split
                 trip = (tuple(first), BB, CC)
@@ -473,6 +457,8 @@ def threefold_check(p: int, d: int, threads: int = 1, max_p: int = 128) -> Searc
                 violations.append(f"three-summand decomposition {trip} of mu_{d}")
     if any("budget" in v for v in base.verdicts):
         verdicts: Tuple[str, ...] = base.verdicts
+    elif split_exhausted:
+        verdicts = ("node budget exhausted in a second-level split; results may be incomplete",)
     elif not witnesses:
         verdicts = ("no three-summand decomposition exists",)
     else:
@@ -512,7 +498,7 @@ def threefold_decompose_target(
             if covered != target.mask:
                 continue
             V = FpSet(p, [bm[i] for i in range(n) if (sub >> i) & 1])
-            split = _splits_further(V)
+            split = _splits_further(V, node_budget)
             if split:
                 return tuple(A), split[0], split[1]
     return None
@@ -556,7 +542,7 @@ def levson_scan(alpha_max: int, threads: int = 1) -> SearchResult:
                 hits.append(LevsonHit(p, alpha, n))
         return hits
 
-    results = _run_chunks(list(range(2, alpha_max + 1)), scan_one, threads)
+    results = [scan_one(alpha) for alpha in range(2, alpha_max + 1)]
     scanned = sum(1 for r in results if r is not None)
     hits = [h for r in results if r for h in r]
     hits.sort(key=lambda h: (h.p, h.alpha, h.n))

@@ -216,23 +216,23 @@ def test_criterion5_residue_suite():
 
 # -- criterion 6 -------------------------------------------------------------
 
-PRIMES_TO_61 = [7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+PRIMES_TO_127 = [p for p in range(7, 128) if is_prime(p)]
 
 
 def test_criterion6_half_group_never_decomposes():
     t0 = time.time()
-    for p in PRIMES_TO_61:
+    for p in PRIMES_TO_127:
         d = (p - 1) // 2
         if d <= 1 or d >= p - 1:
             continue
         res = sumset_search(p, d)
         assert res.witnesses == [], (p, d, res.witnesses)
-    _report("criterion 6 (no decomposition of the half group, 7..61)", t0)
+    _report("criterion 6 (no decomposition of the half group, 7..127)", t0)
 
 
 def test_criterion6_all_decompositions_balanced():
     t0 = time.time()
-    for p in PRIMES_TO_61:
+    for p in PRIMES_TO_127:
         for d in range(2, p - 1):
             if (p - 1) % d:
                 continue
@@ -242,7 +242,7 @@ def test_criterion6_all_decompositions_balanced():
                 root = int(d**0.5)
                 assert root * root == d
                 assert len(A) == len(B) == root, (p, d, A, B)
-    _report("criterion 6 (every witness balanced at sqrt(d), p <= 61)", t0)
+    _report("criterion 6 (every witness balanced at sqrt(d), p <= 127)", t0)
 
 
 def test_criterion6_exact_difference_sets_only_2_and_6():
@@ -268,13 +268,13 @@ def test_criterion6_exact_difference_sets_only_2_and_6():
 
 def test_criterion6_no_threefold():
     t0 = time.time()
-    for p in PRIMES_TO_61:
+    for p in PRIMES_TO_127:
         for d in range(2, p - 1):
             if (p - 1) % d:
                 continue
             res = threefold_check(p, d)
             assert res.witnesses == [], (p, d, res.witnesses)
-    _report("criterion 6 (no three-summand decomposition, p <= 61)", t0)
+    _report("criterion 6 (no three-summand decomposition, p <= 127)", t0)
 
 
 # -- criterion 7 -------------------------------------------------------------

@@ -30,6 +30,15 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, out, err = run_cli(
+            capsys, "search", "levson", "--alpha-max", "10", "--threads", threads
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
         code, out, _ = run_cli(capsys, "check", "lemma1")

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -161,6 +162,67 @@ class TestSumsetSearch:
         with pytest.raises(ValueError):
             sumset_search(131, 13, max_p=128)
 
+    def test_oracle_small_summands(self):
+        # every alpha-subset A of F_p, nothing pinned, with its largest
+        # partner B = {b : A + b inside mu_d}; covers every d whose splits
+        # d = alpha * beta, 2 <= alpha <= beta, all have alpha <= 3
+        seen_empty = seen_found = 0
+        for p in range(7, 42):
+            if not is_prime(p):
+                continue
+            for d in range(2, p - 1):
+                if (p - 1) % d:
+                    continue
+                alphas = [a for a in range(2, math.isqrt(d) + 1) if d % a == 0]
+                if not alphas or max(alphas) > 3:
+                    continue
+                mu = roots_of_unity(p, d)
+                target = set(mu.elems)
+                partners = {a: {(z - a) % p for z in target} for a in range(p)}
+                classes = set()
+                for alpha in alphas:
+                    for A in combinations(range(p), alpha):
+                        B = set.intersection(*(partners[a] for a in A))
+                        if len(B) > 1 and {(a + b) % p for a in A for b in B} == target:
+                            classes.add(canonical_pair(A, sorted(B), p, mu))
+                res = sumset_search(p, d)
+                assert sorted(classes) == res.witnesses, (p, d)
+                if classes:
+                    seen_found += 1
+                else:
+                    seen_empty += 1
+                    assert "no decomposition exists" in res.verdicts
+        assert seen_found and seen_empty
+
+    def test_d4_witnesses_closed_under_shift_and_scaling(self):
+        for p in (13, 17, 29, 37, 41):
+            mu = roots_of_unity(p, 4)
+            res = sumset_search(p, 4)
+            listed = set(res.witnesses)
+            assert listed, p
+            for A, B in res.witnesses:
+                for t in range(p):
+                    shifted = canonical_pair(
+                        [(a + t) % p for a in A], [(b - t) % p for b in B], p, mu
+                    )
+                    assert shifted in listed, (p, A, B, t)
+                for c in mu:
+                    scaled = canonical_pair(
+                        [a * c % p for a in A], [b * c % p for b in B], p, mu
+                    )
+                    assert scaled in listed, (p, A, B, c)
+
+    def test_budget_is_one_global_count(self):
+        for p, d in [(29, 4), (61, 30), (97, 48)]:
+            full = sumset_search(p, d)
+            assert not any("budget" in v for v in full.verdicts)
+            nodes = full.counts["nodes"]
+            exact = sumset_search(p, d, node_budget=nodes)
+            assert (exact.witnesses, exact.verdicts) == (full.witnesses, full.verdicts)
+            short = sumset_search(p, d, node_budget=nodes - 1)
+            assert any("budget" in v for v in short.verdicts), (p, d)
+            assert "no decomposition exists" not in short.verdicts
+
     def test_budget_exhaustion_distinct_from_none(self):
         res = sumset_search(61, 30, node_budget=1)
         assert any("budget" in v for v in res.verdicts)
@@ -182,6 +244,15 @@ class TestSumsetSearch:
 
 
 class TestThreefold:
+    def test_budget_exhaustion_is_a_verdict(self):
+        pair_nodes = sumset_search(13, 4).counts["nodes"]
+        for budget, level in ((1, "results"), (pair_nodes, "second-level")):
+            res = threefold_check(13, 4, node_budget=budget)
+            assert any("budget" in v and level in v for v in res.verdicts), budget
+            assert "no three-summand decomposition exists" not in res.verdicts
+        clean = threefold_check(13, 4, node_budget=10 * pair_nodes)
+        assert "no three-summand decomposition exists" in clean.verdicts
+
     def test_none_at_small_primes(self):
         for p, d in [(13, 4), (29, 4), (19, 6)]:
             res = threefold_check(p, d)
