@@ -175,8 +175,23 @@ def run_verify_identities() -> Tuple[bool, Dict[str, object]]:
 
 
 def _random_subset(rng: random.Random, p: int, size: int, avoid=()) -> FpSet:
-    pool = [x for x in range(p) if x not in avoid]
-    return FpSet(p, rng.sample(pool, size))
+    """``size`` distinct elements of F_p outside ``avoid``, drawn exactly as
+    ``rng.sample`` draws from the increasing list of those elements.
+
+    ``rng.sample`` picks positions from the population's length alone, so
+    sampling positions in ``range`` and mapping each one to the element at
+    that position gives the same set and the same RNG state without
+    building the list.
+    """
+    skip = sorted({x for x in avoid if 0 <= x < p})
+    picks = []
+    for x in rng.sample(range(p - len(skip)), size):
+        for s in skip:
+            if s > x:
+                break
+            x += 1
+        picks.append(x)
+    return FpSet(p, picks)
 
 
 def _random_split_form(rng: random.Random, p: int) -> RationalForm:
@@ -336,7 +351,8 @@ def _check_lemma9(rng) -> Tuple[bool, Dict[str, object]]:
     A, B = _pair_f13()
     reports = [lemma9_check(A, B, b) for b in B]
     ok = all(
-        r.identity_ok and r.coeff_relation_ok and r.c0_product_ok for r in reports
+        r.identity_ok and r.coeff_relation_ok and r.c0_binomial_ok and r.c0_product_ok
+        for r in reports
     )
     return ok, {"signs": [r.sign for r in reports]}
 

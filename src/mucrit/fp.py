@@ -286,6 +286,32 @@ def primitive_root(p: int) -> int:
         g += 1
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo an odd prime p (Tonelli-Shanks); raises if
+    a is not a square."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    # c generates the 2-Sylow subgroup; t = a^q lies in it, and r^2 = a t
+    c = pow(primitive_root(p), q, p)
+    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        r, c = r * b % p, b * b % p
+        t, s = t * c % p, i
+    return r
+
+
 def roots_of_unity(p: int, d: int) -> FpSet:
     """The subgroup mu_d of d-th roots of unity in F_p*; requires d | p-1."""
     _require_prime(p)

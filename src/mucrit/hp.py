@@ -9,6 +9,7 @@ d-critical pair (A, B) factors as C * prod_b (x-b)^(alpha-eps(b)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -319,7 +320,7 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
         identity_ok=lhs == rhs,
         coeff_relation_ok=coeff_ok,
         c0=c0,
-        c0_binomial_ok=True,
+        c0_binomial_ok=c0.v == math.comb(n, alpha) % p,
         c0_product_ok=c0_prod_ok,
         c_inf=FieldElem(c_inf, p),
     )

@@ -11,7 +11,7 @@ local parameter is 1/x and exponent j means x^(-j)).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .fp import FieldElem, FpSet, _require_prime, inverse_mod
 
@@ -32,6 +32,9 @@ AT_INFINITY = _Infinity()
 
 Center = Union[int, _Infinity]
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 class FpPoly:
     """Dense polynomial over F_p, coefficients low-degree first."""
@@ -40,11 +43,16 @@ class FpPoly:
 
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
         _require_prime(p)
-        cs = [int(c) % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _fill_poly(self, p, [int(c) % p for c in coeffs])
+
+    @classmethod
+    def _make(cls, p: int, cs: List[int]) -> "FpPoly":
+        """Trusted constructor for results computed inside this module: ``p``
+        is the modulus of an existing polynomial and ``cs`` is a fresh list of
+        ints already in [0, p).  Only trailing zeros are dropped."""
+        obj = _new(cls)
+        _fill_poly(obj, p, cs)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("FpPoly is immutable")
@@ -111,31 +119,32 @@ class FpPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return FpPoly(p, out)
+        out = [(x + y) % p for x, y in zip(a, b)]
+        out += a[len(b):]
+        return FpPoly._make(p, out)
 
     def __sub__(self, other: "FpPoly") -> "FpPoly":
         return self + (-other)
 
     def __neg__(self) -> "FpPoly":
-        return FpPoly(self.p, ((-c) % self.p for c in self.coeffs))
+        p = self.p
+        return FpPoly._make(p, [(-c) % p for c in self.coeffs])
 
     def __mul__(self, other) -> "FpPoly":
         p = self.p
         if isinstance(other, int):
-            return FpPoly(p, (c * other % p for c in self.coeffs))
+            return FpPoly._make(p, [c * other % p for c in self.coeffs])
         self._same_field(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return FpPoly.zero(p)
+            return FpPoly._make(p, [])
+        # accumulate exact products and reduce once per coefficient
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        return FpPoly(p, out)
+                for j, bj in enumerate(b, i):
+                    out[j] += ai * bj
+        return FpPoly._make(p, [c % p for c in out])
 
     __rmul__ = __mul__
 
@@ -164,10 +173,10 @@ class FpPoly:
 
     def derivative(self) -> "FpPoly":
         p = self.p
-        return FpPoly(p, (j * c % p for j, c in enumerate(self.coeffs) if j > 0))
+        return FpPoly._make(p, [j * c % p for j, c in enumerate(self.coeffs) if j > 0])
 
     def monic(self) -> "FpPoly":
-        if not self.coeffs:
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
         inv = inverse_mod(self.coeffs[-1], self.p)
         return self * inv
@@ -177,19 +186,25 @@ class FpPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.p
+        b = other.coeffs
+        db = len(b) - 1
+        if len(self.coeffs) <= db:
+            return FpPoly._make(p, []), self
+        # the working remainder holds exact integers; a coefficient is reduced
+        # only when it becomes the leading one
         rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = inverse_mod(other.coeffs[-1], p)
-        q = [0] * max(len(rem) - db, 0)
+        inv_lead = 1 if b[-1] == 1 else inverse_mod(b[-1], p)
+        low = b[:-1]
+        q = [0] * (len(rem) - db)
         for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
+            c = rem[i] % p
             if c == 0:
                 continue
             f = c * inv_lead % p
             q[i - db] = f
-            for j, bc in enumerate(other.coeffs):
-                rem[i - db + j] = (rem[i - db + j] - f * bc) % p
-        return FpPoly(p, q), FpPoly(p, rem[:db])
+            for j, bj in enumerate(low, i - db):
+                rem[j] -= f * bj
+        return FpPoly._make(p, q), FpPoly._make(p, [c % p for c in rem[:db]])
 
     def __floordiv__(self, other: "FpPoly") -> "FpPoly":
         return self.divmod(other)[0]
@@ -201,15 +216,16 @@ class FpPoly:
         """Divide by (x - a): returns (quotient, remainder), remainder = f(a)."""
         p = self.p
         a %= p
-        if not self.coeffs:
-            return FpPoly.zero(p), 0
-        out = [0] * (len(self.coeffs) - 1)
+        out = []
         acc = 0
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            acc = (acc * a + self.coeffs[j]) % p
-            if j > 0:
-                out[j - 1] = acc
-        return FpPoly(p, out), acc
+        for c in reversed(self.coeffs):
+            acc = (acc * a + c) % p
+            out.append(acc)
+        if not out:
+            return FpPoly._make(p, []), 0
+        r = out.pop()
+        out.reverse()
+        return FpPoly._make(p, out), r
 
     def root_multiplicity(self, a: int) -> int:
         """Multiplicity of a as a root (0 if not a root)."""
@@ -228,6 +244,13 @@ class FpPoly:
         n = len(self.coeffs) + 1
         series = taylor_at(self, int(t) % self.p, n)
         return FpPoly(self.p, [series.coefficient(j).v for j in range(n)])
+
+
+def _fill_poly(obj: FpPoly, p: int, cs: List[int]) -> None:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    _set(obj, "p", p)
+    _set(obj, "coeffs", tuple(cs))
 
 
 def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
@@ -255,7 +278,7 @@ def from_roots(roots: FpSet, multiplicity: int = 1) -> FpPoly:
                 nxt[i + 1] = (nxt[i + 1] + c) % p
                 nxt[i] = (nxt[i] + c * neg) % p
             out = nxt
-    return FpPoly(p, out)
+    return FpPoly._make(p, out)
 
 
 class TruncatedSeries:
@@ -270,24 +293,20 @@ class TruncatedSeries:
 
     def __init__(self, p: int, center: Center, start: int, coeffs: Sequence[int], order: int):
         _require_prime(p)
-        cs = [int(c) % p for c in coeffs]
-        # normalize: drop leading zeros (raising start), clip at order
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            start += 1
-        if start + len(cs) > order:
-            cs = cs[: max(order - start, 0)]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            start = order
         if not isinstance(center, _Infinity):
             center = int(center) % p
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "order", order)
+        _fill_series(self, p, center, start, [int(c) % p for c in coeffs], order)
+
+    @classmethod
+    def _make(
+        cls, p: int, center: Center, start: int, cs: List[int], order: int
+    ) -> "TruncatedSeries":
+        """Trusted constructor for results computed inside this module: ``p``
+        and ``center`` come from an existing series or polynomial and ``cs``
+        is a fresh list of ints already in [0, p)."""
+        obj = _new(cls)
+        _fill_series(obj, p, center, start, cs, order)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -330,7 +349,7 @@ class TruncatedSeries:
         self._compat(other)
         order = min(self.order, other.order)
         if self.is_zero() and other.is_zero():
-            return TruncatedSeries(self.p, self.center, order, (), order)
+            return TruncatedSeries._make(self.p, self.center, order, [], order)
         start = min(self.start, other.start)
         n = max(self.start + len(self.coeffs), other.start + len(other.coeffs)) - start
         out = [0] * n
@@ -338,11 +357,12 @@ class TruncatedSeries:
             out[self.start - start + i] = c
         for i, c in enumerate(other.coeffs):
             out[other.start - start + i] = (out[other.start - start + i] + c) % self.p
-        return TruncatedSeries(self.p, self.center, start, out, order)
+        return TruncatedSeries._make(self.p, self.center, start, out, order)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.p, self.center, self.start, [(-c) % self.p for c in self.coeffs], self.order
+        p = self.p
+        return TruncatedSeries._make(
+            p, self.center, self.start, [(-c) % p for c in self.coeffs], self.order
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -351,7 +371,7 @@ class TruncatedSeries:
     def __mul__(self, other) -> "TruncatedSeries":
         p = self.p
         if isinstance(other, int):
-            return TruncatedSeries(
+            return TruncatedSeries._make(
                 p, self.center, self.start, [c * other % p for c in self.coeffs], self.order
             )
         self._compat(other)
@@ -361,16 +381,16 @@ class TruncatedSeries:
         v2 = other.start if other.coeffs else other.order
         order = min(self.order + v2, other.order + v1)
         if not self.coeffs or not other.coeffs:
-            return TruncatedSeries(p, self.center, order, (), order)
+            return TruncatedSeries._make(p, self.center, order, [], order)
         start = self.start + other.start
         n = min(len(self.coeffs) + len(other.coeffs) - 1, order - start)
         out = [0] * n
-        for i, a in enumerate(self.coeffs):
+        b = other.coeffs
+        for i, a in enumerate(self.coeffs[:n]):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if i + j < n:
-                        out[i + j] = (out[i + j] + a * b) % p
-        return TruncatedSeries(p, self.center, start, out, order)
+                for j, bj in enumerate(b[: n - i], i):
+                    out[j] += a * bj
+        return TruncatedSeries._make(p, self.center, start, [c % p for c in out], order)
 
     __rmul__ = __mul__
 
@@ -380,7 +400,7 @@ class TruncatedSeries:
             raise ZeroDivisionError("cannot invert a series with no known terms")
         p = self.p
         v = self.start
-        rel = list(self.coeffs)
+        rel = self.coeffs
         n = self.order - v  # known length of the unit part
         c0_inv = inverse_mod(rel[0], p)
         out = [0] * n
@@ -388,36 +408,62 @@ class TruncatedSeries:
         for j in range(1, n):
             acc = 0
             for i in range(1, min(j, len(rel) - 1) + 1):
-                acc = (acc + rel[i] * out[j - i]) % p
+                acc += rel[i] * out[j - i]
             out[j] = (-c0_inv * acc) % p
         # 1/f has valuation -v; known mod u^(order - 2v)
-        return TruncatedSeries(p, self.center, -v, out, self.order - 2 * v)
+        return TruncatedSeries._make(p, self.center, -v, out, self.order - 2 * v)
 
     def shift_exponent(self, k: int) -> "TruncatedSeries":
         """Multiply by u^k."""
-        return TruncatedSeries(
-            self.p, self.center, self.start + k, self.coeffs, self.order + k
+        return TruncatedSeries._make(
+            self.p, self.center, self.start + k, list(self.coeffs), self.order + k
         )
+
+
+def _fill_series(
+    obj: TruncatedSeries, p: int, center: Center, start: int, cs: List[int], order: int
+) -> None:
+    # normalize: drop leading zeros (raising start), clip at order
+    lead = 0
+    while lead < len(cs) and cs[lead] == 0:
+        lead += 1
+    if lead:
+        del cs[:lead]
+        start += lead
+    if start + len(cs) > order:
+        del cs[max(order - start, 0):]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        start = order
+    _set(obj, "p", p)
+    _set(obj, "center", center)
+    _set(obj, "start", start)
+    _set(obj, "coeffs", tuple(cs))
+    _set(obj, "order", order)
 
 
 def taylor_at(f: FpPoly, a, order: int) -> TruncatedSeries:
     """Expansion of f in powers of (x - a), to the given exclusive order.
 
-    Computed by repeated synthetic division, so no factorial ever needs to be
-    inverted mod p.
+    Computed by repeated synthetic division, in place on the coefficient
+    list, so no factorial ever needs to be inverted mod p.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     p = f.p
     av = a.v if isinstance(a, FieldElem) else int(a) % p
-    out = []
-    g = f
-    for _ in range(min(order, len(f.coeffs) + 1)):
-        g, r = g.synth_div(av)
-        out.append(r)
-        if g.is_zero():
-            break
-    return TruncatedSeries(p, av, 0, out, order)
+    c = list(f.coeffs)
+    n = len(c)
+    terms = min(order, n)
+    # pass i divides c[i:] by (x - a): c[i] becomes the remainder, the i-th
+    # Taylor coefficient, and c[i+1:] the quotient
+    for i in range(terms):
+        acc = c[-1]
+        for j in range(n - 2, i - 1, -1):
+            acc = (c[j] + av * acc) % p
+            c[j] = acc
+    return TruncatedSeries._make(p, av, 0, c[:terms], order)
 
 
 def _reversed_series(f: FpPoly, length: int, order: int) -> TruncatedSeries:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .fp import FieldElem, FpSet, batch_inverse_ints, inverse_mod
+from .fp import FieldElem, FpSet, batch_inverse_ints, inverse_mod, sqrt_mod
 from .poly import AT_INFINITY, FpPoly, TruncatedSeries, from_roots, poly_gcd, taylor_at
 from .symm import power_sums_int
 
@@ -49,21 +49,25 @@ class RationalForm:
         return self.p == other.p and self.num * other.den == other.num * self.den
 
 
-def residue_at(form: RationalForm, b) -> FieldElem:
-    """Coefficient of 1/(x-b); zero at a non-pole."""
+def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> FieldElem:
+    """Coefficient of 1/(x-b); zero at a non-pole.
+
+    ``multiplicity`` is the order v to which the denominator vanishes at b,
+    when the caller already knows it (``residue_table`` does); otherwise it
+    is counted here.  One expansion of the denominator to order 2v+1 checks
+    v, and its inverse is then known from (x-b)^(-v) up to (x-b)^0.
+    """
     p = form.p
     bv = b.v if isinstance(b, FieldElem) else int(b) % p
-    v = form.den.root_multiplicity(bv)
+    if multiplicity is None:
+        multiplicity = form.den.root_multiplicity(bv)
+    v = multiplicity
+    ds = taylor_at(form.den, bv, 2 * v + 1)
+    if ds.start != v:
+        raise ValueError(f"denominator vanishes to order {ds.start} at {bv}, not {v}")
     if v == 0:
         return FieldElem(0, p)
-    u = form.den
-    for _ in range(v):
-        u, r = u.synth_div(bv)
-        assert r == 0
-    ns = taylor_at(form.num, bv, v + 1)
-    us = taylor_at(u, bv, v + 1)
-    prod = ns * us.inverse()
-    return prod.coefficient(v - 1)
+    return (taylor_at(form.num, bv, v) * ds.inverse()).coefficient(-1)
 
 
 def residue_at_infinity(form: RationalForm) -> FieldElem:
@@ -85,68 +89,72 @@ def residue_at_infinity(form: RationalForm) -> FieldElem:
 
 
 def _poly_pow_mod(base: FpPoly, e: int, mod: FpPoly) -> FpPoly:
-    result = FpPoly.one(base.p)
+    """base^e mod ``mod``, squaring left to right, so that each set bit costs
+    one multiplication by the (usually linear) base."""
     base = base % mod
-    while e:
-        if e & 1:
+    result = FpPoly.one(base.p) % mod
+    for bit in bin(e)[2:]:
+        result = result * result % mod
+        if bit == "1":
             result = result * base % mod
-        base = base * base % mod
-        e >>= 1
     return result
 
 
 def _roots_of_split_squarefree(u: FpPoly) -> List[int]:
-    """Roots of a monic squarefree product of distinct linear factors."""
+    """Roots of a squarefree product of distinct linear factors, p odd.
+
+    Equal-degree splitting: for c = 1, 2, ... gcd(g, (x + c)^((p-1)/2) - 1)
+    separates the roots r of g with r + c a nonzero square from the rest,
+    until every factor has degree at most 2; a quadratic factor is solved by
+    the quadratic formula.
+    """
     p = u.p
+    half = (p + 1) // 2  # 1/2 mod p
     stack = [u.monic()]
     roots: List[int] = []
+    c = 0
     while stack:
         g = stack.pop()
-        if g.degree <= 0:
-            continue
         if g.degree == 1:
-            roots.append((-g[0]) * inverse_mod(g[1], p) % p)
-            continue
-        c = 0
-        while True:
+            roots.append((-g[0]) % p)
+        elif g.degree == 2:
+            b, a0 = g[1], g[0]
+            s = sqrt_mod(b * b - 4 * a0, p)
+            roots += [(s - b) * half % p, (-s - b) * half % p]
+        elif g.degree > 2:
             c += 1
             h = _poly_pow_mod(FpPoly(p, [c, 1]), (p - 1) // 2, g) - FpPoly.one(p)
             w = poly_gcd(h, g)
-            if 0 < w.degree < g.degree:
-                stack.append(w)
-                stack.append((g // w).monic())
-                break
-    return sorted(roots)
+            stack += [w, (g // w).monic()] if 0 < w.degree < g.degree else [g]
+    return roots
 
 
 def rational_root_part(f: FpPoly) -> Tuple[Dict[int, int], FpPoly]:
-    """({root: multiplicity}, cofactor); the cofactor has no roots in F_p."""
+    """({root: multiplicity}, cofactor); the cofactor has no roots in F_p.
+
+    The distinct rational roots are the roots of gcd(x^p - x, f).  For odd p,
+    x^p - x = x (x^e - 1) (x^e + 1) with e = (p-1)/2, so one power x^e mod f
+    sorts them into 0, the nonzero squares and the non-squares before
+    ``_roots_of_split_squarefree`` splits each part; for p = 2 the roots can
+    only be 0 and 1.  Synthetic division then counts each multiplicity and
+    strips the root from the cofactor.
+    """
     p = f.p
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return {}, f
-    if p <= 1024:
-        roots: Dict[int, int] = {}
-        g = f
-        for r in range(p):
-            m = 0
-            while True:
-                q, rem = g.synth_div(r)
-                if rem != 0:
-                    break
-                g = q
-                m += 1
-            if m:
-                roots[r] = m
-            if g.degree == 0:
-                break
-        return roots, g
-    xp = _poly_pow_mod(FpPoly.x(p), p, f)
-    u = poly_gcd(xp - FpPoly.x(p), f)
-    roots = {}
+    if p == 2:
+        distinct = [r for r in (0, 1) if f.eval_int(r) == 0]
+    else:
+        y = _poly_pow_mod(FpPoly.x(p), (p - 1) // 2, f)
+        one = FpPoly.one(p)
+        distinct = [0] if f[0] == 0 else []
+        for u in (poly_gcd(y - one, f), poly_gcd(y + one, f)):
+            distinct += _roots_of_split_squarefree(u)
+    roots: Dict[int, int] = {}
     g = f
-    for r in _roots_of_split_squarefree(u) if u.degree > 0 else []:
+    for r in sorted(distinct):
         m = 0
         while True:
             q, rem = g.synth_div(r)
@@ -184,7 +192,7 @@ def residue_table(form: RationalForm) -> Tuple[ResidueTable, bool]:
     """
     p = form.p
     roots, cofactor = rational_root_part(form.den)
-    finite = {r: residue_at(form, r) for r in sorted(roots)}
+    finite = {r: residue_at(form, r, m) for r, m in sorted(roots.items())}
     inf = residue_at_infinity(form)
     total = (sum(v.v for v in finite.values()) + inf.v) % p
     return (
@@ -383,7 +391,7 @@ def _surviving_term_failures(k: int, *factors) -> List[str]:
     return failures
 
 
-def _specialized_check(which, A, B, k, fin, report_kw):
+def _specialized_check(which, A, B, k):
     """The final displayed identities under the vanishing-power-sum and
     critical-pair hypotheses; returns (failures, lhs, rhs).
 
@@ -521,7 +529,7 @@ def lemma_form_identity(
         return FormIdentityReport(
             which, k, mode, ok, match, total == 0, FieldElem(lhs, p), FieldElem(rhs, p)
         )
-    failures, sl, sr = _specialized_check(which, A, B, k, fin, None)
+    failures, sl, sr = _specialized_check(which, A, B, k)
     ok = match and total == 0 and not failures and sl == sr
     return FormIdentityReport(
         which,

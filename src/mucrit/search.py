@@ -638,12 +638,17 @@ def problem1_scan(p: int, alpha_max: int, threads: int = 1, max_p: int = 64) -> 
 
 def run_job(job: SearchJob) -> SearchResult:
     """Dispatch a SearchJob to the matching scan."""
+    budget = {} if job.node_budget is None else {"node_budget": job.node_budget}
     if job.kind == "diffset":
         return diffset_search(job.p, job.d, threads=job.threads)
     if job.kind == "sumset":
-        return sumset_search(job.p, job.d, threads=job.threads, max_p=job.max_p or 128)
+        return sumset_search(
+            job.p, job.d, threads=job.threads, max_p=job.max_p or 128, **budget
+        )
     if job.kind == "threefold":
-        return threefold_check(job.p, job.d, threads=job.threads, max_p=job.max_p or 128)
+        return threefold_check(
+            job.p, job.d, threads=job.threads, max_p=job.max_p or 128, **budget
+        )
     if job.kind == "levson":
         return levson_scan(job.alpha_max, threads=job.threads)
     if job.kind == "problem1":

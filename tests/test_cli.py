@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from mucrit import cli
+
+from conftest import random_subset
 
 
 def run_cli(capsys, *args):
@@ -79,6 +82,18 @@ class TestJsonOutput:
         assert doc["report"]["witnesses"] == [[13, 3, 3], [41, 5, 4]]
 
 
+class TestSmallPrimes:
+    def test_residues_reach_p2(self, capsys):
+        # with this seed every random form over F_2 has at most two roots, so
+        # the run reaches the p = 2 root finder and ends
+        code, out, _ = run_cli(
+            capsys, "verify-residues", "--primes", "2,3,5", "--instances", "3",
+            "--form-instances", "0", "--format", "json", "--seed", "6",
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["random_forms_checked"] == 9
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "args",
@@ -139,3 +154,27 @@ class TestLemmaRegistry:
     def test_every_lemma_check_passes(self, capsys, n):
         code, out, _ = run_cli(capsys, "check", f"lemma{n}")
         assert code == 0, out
+
+
+class TestRandomSubset:
+    @pytest.mark.parametrize("p", [2, 3, 5, 41, 97, 10007])
+    def test_matches_list_pool_sampler(self, p):
+        # same sets and same RNG state as sampling the explicit list of
+        # elements outside avoid, which conftest.random_subset builds
+        for seed in range(60):
+            rng = random.Random(seed)
+            avoid = set(rng.sample(range(p), rng.randint(0, min(p - 1, 6))))
+            avoid_sets = [(), avoid, {x + p for x in avoid}, {-1}]
+            for av in avoid_sets:
+                room = p - len({x for x in av if 0 <= x < p})
+                size = rng.randint(1, min(room, 8))
+                fast, ref = random.Random(seed), random.Random(seed)
+                assert cli._random_subset(fast, p, size, av) == random_subset(ref, p, size, av)
+                assert fast.getstate() == ref.getstate()
+
+    def test_oversized_sample_rejected_alike(self):
+        with pytest.raises(ValueError) as fast:
+            cli._random_subset(random.Random(0), 5, 4, avoid={1, 2})
+        with pytest.raises(ValueError) as ref:
+            random_subset(random.Random(0), 5, 4, avoid={1, 2})
+        assert str(fast.value) == str(ref.value)

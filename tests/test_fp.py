@@ -15,6 +15,7 @@ from mucrit.fp import (
     is_prime,
     primitive_root,
     roots_of_unity,
+    sqrt_mod,
 )
 
 SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
@@ -130,6 +131,21 @@ class TestRootsOfUnity:
                 assert pow(x, p - 2, p) in elems
                 for y in list(elems)[:10]:
                     assert x * y % p in elems
+
+
+class TestSqrtMod:
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 257, 1031, 65537])
+    def test_every_square_against_brute_force(self, p):
+        # 257 and 65537 have a 2-adic part of p - 1 of 2^8 and 2^16
+        squares = {x * x % p for x in range(min(p, 2000))}
+        for a in squares:
+            r = sqrt_mod(a, p)
+            assert 0 <= r < p and r * r % p == a
+        nonsquares = [a for a in range(1, min(p, 200)) if pow(a, (p - 1) // 2, p) != 1]
+        assert nonsquares
+        for a in nonsquares:
+            with pytest.raises(ValueError):
+                sqrt_mod(a, p)
 
 
 class TestBinomMod:

@@ -219,8 +219,28 @@ class TestLemma9:
             assert rep.identity_ok
             assert rep.coeff_relation_ok
             assert rep.c0_product_ok
+            assert rep.c0_binomial_ok
             assert rep.c0 == binom_mod(5, 2, 13)
             assert rep.sign == -1  # alpha = 2 is even
+
+    def test_c0_binomial_negative_control(self, monkeypatch, tmp_path):
+        import dataclasses
+
+        import mucrit.cli as cli
+        import mucrit.hp as hp
+
+        # a wrong binomial is caught by the exact math.comb oracle
+        with monkeypatch.context() as m:
+            m.setattr(hp, "binom_mod", lambda n, k, p: binom_mod(n, k, p) + 1)
+            assert not hp.lemma9_check(PAIR_A, PAIR_B, PAIR_B.elems[0]).c0_binomial_ok
+        # and a failed flag alone fails the CLI check
+        real = hp.lemma9_check
+        monkeypatch.setattr(
+            cli,
+            "lemma9_check",
+            lambda A, B, b: dataclasses.replace(real(A, B, b), c0_binomial_ok=False),
+        )
+        assert cli.run(["check", "lemma9", "--out", str(tmp_path / "r.txt")]) == 1
 
     def test_requires_exact_pair(self):
         with pytest.raises(ValueError):

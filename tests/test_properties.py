@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from mucrit.fp import FpSet, batch_inverse_ints, binom_mod, inverse_mod
 from mucrit.hp import hp_coeffs, hp_polynomial, vandermonde_solve
-from mucrit.poly import AT_INFINITY, FpPoly, from_roots, log_derivative_series, taylor_at
+from mucrit.poly import (
+    AT_INFINITY,
+    FpPoly,
+    TruncatedSeries,
+    from_roots,
+    log_derivative_series,
+    taylor_at,
+)
 from mucrit.qalg import QPoly
 from mucrit.residues import RationalForm, residue_at, residue_at_infinity
 from mucrit.symm import E_TO_P, P_TO_E, newton_convert, power_sums, power_sums_int
@@ -46,6 +53,29 @@ def test_poly_ring_axioms(p, data):
     assert f * (g + h) == f * g + f * h
     x = data.draw(st.integers(0, p - 1))
     assert (f * g).eval_int(x) == f.eval_int(x) * g.eval_int(x) % p
+
+
+@given(st.sampled_from([2, 3, 13, 41, 97, 131]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_results_are_canonical(p, data):
+    # every result built by the trusted constructor equals the same
+    # coefficients run through the checking constructor
+    f = data.draw(poly_over(p))
+    g = data.draw(poly_over(p))
+    a = data.draw(st.integers(-p, 2 * p))
+    results = [f * g, f * a, f + g, f - g, g - f, f - f, -f, f.derivative(), f.monic()]
+    results.append(f.synth_div(a)[0])
+    if not g.is_zero():
+        results += f.divmod(g)
+    for r in results:
+        assert FpPoly(p, r.coeffs) == r
+    s = taylor_at(f, a, data.draw(st.integers(1, 10)))
+    t = taylor_at(g, a, data.draw(st.integers(1, 10)))
+    series = [s, t, s + t, s - t, s * t, s * a, s.shift_exponent(2)]
+    if not t.is_zero():
+        series.append(t.inverse())
+    for r in series:
+        assert TruncatedSeries(p, r.center, r.start, r.coeffs, r.order) == r
 
 
 @given(PRIMES, st.data())

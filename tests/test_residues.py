@@ -45,6 +45,17 @@ class TestResidueAt:
         form = RationalForm(FpPoly.one(p), FpPoly.x(p))
         assert residue_at(form, 3) == 0
 
+    def test_given_multiplicity_is_checked(self):
+        p = 13
+        den = from_roots(FpSet(p, [5]), 3) * FpPoly.x(p)
+        form = RationalForm(FpPoly(p, [1, 2, 7]), den)
+        assert residue_at(form, 5, 3) == residue_at(form, 5)
+        assert residue_at(form, 0, 1) == residue_at(form, 0)
+        assert residue_at(form, 3, 0) == 0
+        for b, wrong in ((5, 2), (5, 4), (0, 0), (3, 1)):
+            with pytest.raises(ValueError):
+                residue_at(form, b, wrong)
+
     def test_omega20_residue_formula(self, rng):
         # x^(k+1) (g'/g)^2 dx at b: (k+1) b^k + 2 b^(k+1) sum' 1/(b-b')
         p = 97
@@ -136,6 +147,17 @@ class TestSumResidues:
             den = den * from_roots(FpSet(p, [r]), m)
         got, cofactor = rational_root_part(den)
         assert got == roots and cofactor.degree == 0
+
+    def test_root_part_p2(self):
+        # equal-degree splitting cannot split over F_2; the roots are 0 and 1
+        p = 2
+        x, x1, quad = FpPoly.x(p), FpPoly(p, [1, 1]), FpPoly(p, [1, 1, 1])
+        for a in range(4):
+            for b in range(4):
+                for cof in (FpPoly.one(p), quad, quad * quad):
+                    got = rational_root_part(x**a * x1**b * cof)
+                    want = {r: m for r, m in ((0, a), (1, b)) if m}
+                    assert got == (want, cof)
 
 
 class TestNamedFormIdentities:

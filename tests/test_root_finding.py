@@ -1,0 +1,91 @@
+"""Differential tests of residues.rational_root_part against sympy's
+factorization mod p."""
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mucrit.fp import FpSet
+from mucrit.poly import FpPoly, from_roots
+from mucrit.residues import rational_root_part
+
+sympy = pytest.importorskip("sympy")
+X = sympy.symbols("x")
+
+PRIMES = [2, 3, 5, 41, 97, 1031, 10007]
+
+
+def sympy_root_part(f: FpPoly):
+    """({root: multiplicity}, cofactor) read off sympy's factor_list mod p."""
+    p = f.p
+    lc, factors = sympy.Poly(list(reversed(f.coeffs)), X, modulus=p).factor_list()
+    roots = {}
+    cofactor = FpPoly(p, [int(lc)])
+    for g, m in factors:
+        cs = [int(c) % p for c in reversed(g.all_coeffs())]
+        if len(cs) == 2:
+            roots[(-cs[0]) * pow(cs[1], p - 2, p) % p] = m
+        else:
+            cofactor = cofactor * FpPoly(p, cs) ** m
+    return roots, cofactor
+
+
+def assert_matches_sympy(f: FpPoly, got) -> None:
+    roots, cofactor = got
+    want_roots, want_cofactor = sympy_root_part(f)
+    assert roots == want_roots
+    assert cofactor == want_cofactor
+
+
+def irreducible_quadratic(p: int, b: int, c: int) -> bool:
+    if p == 2:
+        return (b, c) == (1, 1)
+    return pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1
+
+
+@st.composite
+def split_times_quadratic(draw):
+    """lead * prod (x - r)^m, optionally times an irreducible quadratic."""
+    p = draw(st.sampled_from(PRIMES))
+    roots = draw(
+        st.dictionaries(st.integers(0, p - 1), st.integers(1, 3), max_size=min(p, 5))
+    )
+    f = FpPoly(p, [draw(st.integers(1, p - 1))])
+    for r, m in roots.items():
+        f = f * from_roots(FpSet(p, [r]), m)
+    if draw(st.booleans()):
+        b, c = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+        assume(irreducible_quadratic(p, b, c))
+        f = f * FpPoly(p, [c, b, 1])
+    return roots, f
+
+
+@given(split_times_quadratic())
+@settings(max_examples=150, deadline=None)
+def test_root_part_matches_sympy(case):
+    roots, f = case
+    got = rational_root_part(f)
+    assert_matches_sympy(f, got)
+    assert got[0] == roots
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_every_element_a_root(p):
+    # x^p - x at small p, and at large p a dense run of consecutive roots
+    if p <= 97:
+        f = FpPoly.monomial(p, 1, p) - FpPoly.x(p)
+    else:
+        f = from_roots(FpSet(p, range(p - 12, p)), 2) * FpPoly(p, [5, 0, 1])
+    assert_matches_sympy(f, rational_root_part(f))
+
+
+def test_negative_control_dropped_root():
+    p = 41
+    f = from_roots(FpSet(p, [3]), 2) * from_roots(FpSet(p, [5, 17]), 1)
+    f = f * FpPoly(p, [3, 0, 1])  # -3 is not a square mod 41
+    roots, cofactor = rational_root_part(f)
+    assert_matches_sympy(f, (roots, cofactor))
+    dropped = dict(roots)
+    del dropped[17]
+    with pytest.raises(AssertionError):
+        assert_matches_sympy(f, (dropped, cofactor * from_roots(FpSet(p, [17]), 1)))

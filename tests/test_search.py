@@ -366,3 +366,17 @@ class TestRunJob:
         assert res.witnesses
         with pytest.raises(ValueError):
             run_job(SearchJob(kind="nope"))
+
+    def test_node_budget_reaches_the_search(self):
+        from mucrit.search import SearchJob, run_job
+
+        full = run_job(SearchJob(kind="sumset", p=13, d=4))
+        n = full.counts["nodes"]
+        short = run_job(SearchJob(kind="sumset", p=13, d=4, node_budget=n - 1))
+        assert any("budget" in v for v in short.verdicts)
+        exact = run_job(SearchJob(kind="sumset", p=13, d=4, node_budget=n))
+        assert not any("budget" in v for v in exact.verdicts)
+        assert (exact.witnesses, exact.verdicts) == (full.witnesses, full.verdicts)
+        tight = run_job(SearchJob(kind="threefold", p=13, d=4, node_budget=1))
+        assert any("budget" in v for v in tight.verdicts)
+        assert "no three-summand decomposition exists" not in tight.verdicts
