@@ -14,7 +14,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--diffset-max-p", type=int, default=200)
     ap.add_argument("--sumset-max-p", type=int, default=127)
-    ap.add_argument("--threads", type=int, default=1)
     ns = ap.parse_args()
 
     t0 = time.time()
@@ -25,7 +24,7 @@ def main():
         for d in range(2, p - 1):
             if (p - 1) % d:
                 continue
-            res = diffset_search(p, d, threads=ns.threads)
+            res = diffset_search(p, d)
             for elems, exact in res.witnesses:
                 tag = "exact" if exact else "strict"
                 print(f"  p={p:3d} d={d:3d}  {tag:6s}  {elems}")
@@ -39,7 +38,7 @@ def main():
         for d in range(2, p - 1):
             if (p - 1) % d:
                 continue
-            res = sumset_search(p, d, threads=ns.threads)
+            res = sumset_search(p, d)
             for A, B in res.witnesses:
                 print(f"  p={p:3d} d={d:3d}  A={A} B={B}")
             for v in res.violations:
@@ -53,7 +52,7 @@ def main():
         for d in range(2, p - 1):
             if (p - 1) % d:
                 continue
-            res = threefold_check(p, d, threads=ns.threads)
+            res = threefold_check(p, d)
             found += len(res.witnesses)
             for w in res.witnesses:
                 print(f"  !! p={p} d={d}: {w}")

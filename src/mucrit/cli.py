@@ -7,7 +7,7 @@ the report); 2 usage or configuration errors.
 
 JSON reports are versioned ("schema": "mucrit/1"), key-sorted, and carry no
 timing or thread-count data, so a fixed configuration and seed produce
-byte-identical output at any parallelism level.
+byte-identical output at any ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
 from .fp import FpSet, binom_mod, is_prime, roots_of_unity
@@ -39,16 +39,7 @@ from .residues import (
     lemma_form_identity,
     sum_residues_check,
 )
-from .search import (
-    SearchBudgetExceeded,
-    SearchResult,
-    diffset_search,
-    levson_scan,
-    problem1_scan,
-    problem2_scan,
-    sumset_search,
-    threefold_check,
-)
+from .search import SearchBudgetExceeded, SearchJob, SearchResult, product_condition, run_job
 from .stepanov import (
     alpha11_obstruction,
     gamma_cross_check,
@@ -64,15 +55,8 @@ SCHEMA = "mucrit/1"
 
 F41_SET = (0, 1, 9, 32, 40)
 
-
-@dataclass
-class RunConfig:
-    command: str
-    params: Dict[str, object]
-    threads: int = 1
-    seed: int = 0
-    fmt: str = "text"
-    out: Optional[str] = None
+# the search options a subparser may define; each one set becomes a job field
+_JOB_FIELDS = tuple(f.name for f in fields(SearchJob) if f.name != "kind")
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +93,6 @@ def run_verify_f41() -> Tuple[bool, Dict[str, object]]:
     c_expected = binom_mod(24, 20, p)
     ps = power_sums_int(A, 5)
     rat_ok = all(rat2_check(A, a) and rat3_check(A, a) for a in A)
-    prod_ok = all(
-        _problem2_product(A, a) == p - 1 for a in A
-    )
     diffs = A.diffset(A)
     mu = roots_of_unity(p, d)
     strict = diffs.mask & ~(mu.mask | 1) == 0 and diffs.mask != (mu.mask | 1)
@@ -124,7 +105,7 @@ def run_verify_f41() -> Tuple[bool, Dict[str, object]]:
         "leading_constant_is_binom_24_20": fact.C == c_expected,
         "power_sums_1_2_3_vanish": ps[1] == ps[2] == ps[3] == 0,
         "rat2_rat3_everywhere": rat_ok,
-        "product_condition_everywhere": prod_ok,
+        "product_condition_everywhere": product_condition(A, p),
         "difference_set_strictly_inside": strict,
         "minimal_index_n_4_m_absent": n == 4 and m is None,
         "recentered_vanishing": bool(l56.recentered_vanishing_ok),
@@ -136,16 +117,6 @@ def run_verify_f41() -> Tuple[bool, Dict[str, object]]:
         "checks": checks,
     }
     return all(checks.values()), report
-
-
-def _problem2_product(A: FpSet, a: int) -> int:
-    p = A.p
-    alpha = len(A)
-    prod = 1
-    for x in A:
-        if x != a:
-            prod = prod * pow((a - x) % p, alpha, p) % p
-    return prod
 
 
 def run_verify_identities() -> Tuple[bool, Dict[str, object]]:
@@ -462,18 +433,23 @@ LEMMA_CHECKS = {
 # ---------------------------------------------------------------------------
 # formatting and dispatch
 
-def _emit(cfg: RunConfig, ok: bool, report: Dict[str, object]) -> None:
+def _emit(
+    ns: argparse.Namespace, command: str, params: Dict[str, object], ok: bool,
+    report: Dict[str, object],
+) -> int:
+    """Write the report in ``ns.format`` to ``ns.out`` or stdout and return
+    the exit code: 0 if ``ok``, else 1."""
     doc = {
         "schema": SCHEMA,
-        "command": cfg.command,
-        "params": cfg.params,
-        "seed": cfg.seed,
+        "command": command,
+        "params": params,
+        "seed": ns.seed,
         "ok": ok,
         "report": report,
     }
-    if cfg.fmt == "json":
+    if ns.format == "json":
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    elif cfg.fmt == "csv":
+    elif ns.format == "csv":
         rows = ["key,value"]
         for key, val in sorted(_flatten(doc).items()):
             sval = json.dumps(val) if not isinstance(val, str) else val
@@ -481,15 +457,16 @@ def _emit(cfg: RunConfig, ok: bool, report: Dict[str, object]) -> None:
             rows.append(f'{key},"{sval}"')
         text = "\n".join(rows) + "\n"
     else:
-        lines = [f"[{cfg.command}] {'PASS' if ok else 'FAIL'}"]
+        lines = [f"[{command}] {'PASS' if ok else 'FAIL'}"]
         for key, val in sorted(_flatten(report).items()):
             lines.append(f"  {key} = {val}")
         text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 def _flatten(obj, prefix: str = "") -> Dict[str, object]:
@@ -570,15 +547,9 @@ def _dispatch(ns: argparse.Namespace) -> int:
     if ns.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {ns.threads}")
     if ns.command == "verify-f41":
-        cfg = RunConfig("verify-f41", {}, ns.threads, ns.seed, ns.format, ns.out)
-        ok, report = run_verify_f41()
-        _emit(cfg, ok, report)
-        return 0 if ok else 1
+        return _emit(ns, "verify-f41", {}, *run_verify_f41())
     if ns.command == "verify-identities":
-        cfg = RunConfig("verify-identities", {}, ns.threads, ns.seed, ns.format, ns.out)
-        ok, report = run_verify_identities()
-        _emit(cfg, ok, report)
-        return 0 if ok else 1
+        return _emit(ns, "verify-identities", {}, *run_verify_identities())
     if ns.command == "verify-residues":
         primes = [int(x) for x in ns.primes.split(",") if x]
         for p in primes:
@@ -589,12 +560,12 @@ def _dispatch(ns: argparse.Namespace) -> int:
             "instances": ns.instances,
             "form_instances": ns.form_instances,
         }
-        cfg = RunConfig("verify-residues", params, ns.threads, ns.seed, ns.format, ns.out)
         ok, report = run_verify_residues(ns.seed, primes, ns.instances, ns.form_instances)
-        _emit(cfg, ok, report)
-        return 0 if ok else 1
+        return _emit(ns, "verify-residues", params, ok, report)
     if ns.command == "search":
-        return _dispatch_search(ns)
+        params = {k: v for k, v in vars(ns).items() if k in _JOB_FIELDS}
+        res = run_job(SearchJob(ns.kind, **params))
+        return _emit(ns, f"search-{ns.kind}", params, not res.violations, _search_report(res))
     if ns.command == "check":
         if not ns.target.startswith("lemma"):
             raise ValueError(f"unknown check target {ns.target!r}")
@@ -604,42 +575,9 @@ def _dispatch(ns: argparse.Namespace) -> int:
             raise ValueError(f"unknown check target {ns.target!r}")
         if num not in LEMMA_CHECKS:
             raise ValueError(f"no check registered for lemma {num}")
-        rng = random.Random(ns.seed)
-        ok, detail = LEMMA_CHECKS[num](rng)
-        cfg = RunConfig(f"check-lemma{num}", {}, ns.threads, ns.seed, ns.format, ns.out)
-        _emit(cfg, ok, detail)
-        return 0 if ok else 1
+        ok, detail = LEMMA_CHECKS[num](random.Random(ns.seed))
+        return _emit(ns, f"check-lemma{num}", {}, ok, detail)
     raise ValueError(f"unknown command {ns.command!r}")
-
-
-def _dispatch_search(ns: argparse.Namespace) -> int:
-    kind = ns.kind
-    if kind == "diffset":
-        res = diffset_search(ns.p, ns.d, threads=ns.threads)
-        params = {"p": ns.p, "d": ns.d}
-    elif kind == "sumset":
-        res = sumset_search(
-            ns.p, ns.d, threads=ns.threads, max_p=ns.max_p, node_budget=ns.node_budget
-        )
-        params = {"p": ns.p, "d": ns.d, "max_p": ns.max_p, "node_budget": ns.node_budget}
-    elif kind == "threefold":
-        res = threefold_check(ns.p, ns.d, threads=ns.threads, max_p=ns.max_p)
-        params = {"p": ns.p, "d": ns.d, "max_p": ns.max_p}
-    elif kind == "levson":
-        res = levson_scan(ns.alpha_max, threads=ns.threads)
-        params = {"alpha_max": ns.alpha_max}
-    elif kind == "problem1":
-        res = problem1_scan(ns.p, ns.alpha_max, threads=ns.threads, max_p=ns.max_p)
-        params = {"p": ns.p, "alpha_max": ns.alpha_max, "max_p": ns.max_p}
-    elif kind == "problem2":
-        res = problem2_scan(ns.p, ns.d, threads=ns.threads, max_p=ns.max_p)
-        params = {"p": ns.p, "d": ns.d, "max_p": ns.max_p}
-    else:
-        raise ValueError(f"unknown search kind {kind!r}")
-    cfg = RunConfig(f"search-{kind}", params, ns.threads, ns.seed, ns.format, ns.out)
-    ok = not res.violations
-    _emit(cfg, ok, _search_report(res))
-    return 0 if ok else 1
 
 
 def main() -> None:

@@ -134,7 +134,7 @@ def criticality(A: FpSet, B: FpSet, d: int) -> CriticalityReport:
     sums = A.sumset(B)
     sumset_ok = sums.mask & ~allowed == 0
     negA = (-A).mask
-    overlap = bin(negA & B.mask).count("1")
+    overlap = (negA & B.mask).bit_count()
     critical = sumset_ok and len(A) * len(B) == d + overlap
     eps = {b: 1 if (negA >> b) & 1 else 0 for b in B.elems}
     exact = None

@@ -12,15 +12,11 @@ results are canonicalized under the documented symmetry group:
   run once with 0 in B, but the report does not quotient it: the shifts of
   a pair are separate classes unless a scaling or the swap relates them;
 * the rat2 classification: the full affine group.
-
-Every search runs in the calling thread.  The ``threads`` parameters are
-kept for interface stability and change neither the output nor the speed.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,8 +38,6 @@ class SearchJob:
     p: Optional[int] = None
     d: Optional[int] = None
     alpha_max: Optional[int] = None
-    threads: int = 1
-    seed: int = 0
     max_p: Optional[int] = None
     node_budget: Optional[int] = None
 
@@ -53,12 +47,10 @@ class SearchResult:
     kind: str
     p: Optional[int]
     d: Optional[int]
-    params: Dict[str, object]
     witnesses: List[tuple]
     counts: Dict[str, int]
     verdicts: Tuple[str, ...]
     violations: Tuple[str, ...]
-    elapsed: float
 
 
 def _validate_subgroup_order(p: int, d: int) -> None:
@@ -145,7 +137,7 @@ def _canonical_affine(A: Sequence[int], p: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # difference sets
 
-def diffset_search(p: int, d: int, threads: int = 1) -> SearchResult:
+def diffset_search(p: int, d: int) -> SearchResult:
     """All classes of A with A - A inside mu_d u {0} and |A|(|A|-1) = d.
 
     Reduces to enumerating cliques in the Cayley graph on mu_d (x ~ y iff
@@ -153,15 +145,12 @@ def diffset_search(p: int, d: int, threads: int = 1) -> SearchResult:
     contains.  Each witness is re-verified as a critical pair and flagged
     when the difference set fills mu_d u {0} exactly.
     """
-    t0 = time.time()
     _validate_subgroup_order(p, d)
     alpha = _alpha_for(d)
-    params = {"threads": threads}
     if alpha is None:
         return SearchResult(
-            "diffset", p, d, params, [], {"nodes": 0},
-            ("d is not of the form alpha*(alpha-1); no witness possible",),
-            (), time.time() - t0,
+            "diffset", p, d, [], {"nodes": 0},
+            ("d is not of the form alpha*(alpha-1); no witness possible",), (),
         )
     mu = roots_of_unity(p, d)
     muset = set(mu.elems)
@@ -173,9 +162,6 @@ def diffset_search(p: int, d: int, threads: int = 1) -> SearchResult:
     target = alpha - 1
     nodes = 0
     sols: List[Tuple[int, ...]] = []
-
-    def popcount(x: int) -> int:
-        return bin(x).count("1")
 
     def extend(K: List[int], cand: int) -> None:
         nonlocal nodes
@@ -191,7 +177,7 @@ def diffset_search(p: int, d: int, threads: int = 1) -> SearchResult:
             # extend upward only: each clique is generated once, sorted
             mask_gt = -(1 << (v + 1))
             nxt = cand & adj[v] & mask_gt
-            if popcount(nxt) < need - 1:
+            if nxt.bit_count() < need - 1:
                 continue
             extend(K + [v], nxt)
 
@@ -216,10 +202,7 @@ def diffset_search(p: int, d: int, threads: int = 1) -> SearchResult:
         if exact and d not in (2, 6):
             violations.append(f"exact-equality witness {A} at d={d} not in {{2, 6}}")
     verdicts = ("no witness exists",) if not witnesses else ()
-    return SearchResult(
-        "diffset", p, d, params, witnesses, {"nodes": nodes},
-        verdicts, tuple(violations), time.time() - t0,
-    )
+    return SearchResult("diffset", p, d, witnesses, {"nodes": nodes}, verdicts, tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +211,6 @@ def diffset_search(p: int, d: int, threads: int = 1) -> SearchResult:
 def sumset_search(
     p: int,
     d: int,
-    threads: int = 1,
     max_p: int = 128,
     node_budget: int = 50_000_000,
 ) -> SearchResult:
@@ -245,7 +227,6 @@ def sumset_search(
 
     ``node_budget`` bounds the whole search.  An exceeded budget is reported
     in the verdicts, never conflated with "no decomposition exists"."""
-    t0 = time.time()
     _validate_subgroup_order(p, d)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
@@ -346,10 +327,7 @@ def sumset_search(
         verdicts = ("no decomposition exists",)
     else:
         verdicts = ()
-    return SearchResult(
-        "sumset", p, d, {"threads": threads, "max_p": max_p},
-        witnesses, {"nodes": nodes}, verdicts, tuple(violations), time.time() - t0,
-    )
+    return SearchResult("sumset", p, d, witnesses, {"nodes": nodes}, verdicts, tuple(violations))
 
 
 def _recentered_index_violation(A: FpSet, B: FpSet) -> Optional[str]:
@@ -401,12 +379,12 @@ def decompose_two_summands(
             for b in _bits(cand):
                 for a in A:
                     covered |= 1 << ((a + b) % p)
-            if covered == tmask and bin(cand).count("1") >= min_size:
+            if covered == tmask and cand.bit_count() >= min_size:
                 out.append((tuple(A), tuple(_bits(cand))))
         for i in range(start, len(T)):
             a = T[i]
             nc = cand & diff[a]
-            if bin(nc).count("1") < min_size:
+            if nc.bit_count() < min_size:
                 continue
             extend(A + [a], nc, i + 1)
 
@@ -426,7 +404,6 @@ def _splits_further(
 def threefold_check(
     p: int,
     d: int,
-    threads: int = 1,
     max_p: int = 128,
     node_budget: int = 50_000_000,
 ) -> SearchResult:
@@ -437,8 +414,7 @@ def threefold_check(
     ``node_budget`` bounds the pair search, and each second-level search may
     spend what the pair search left of it.  An exceeded budget in either is
     reported in the verdicts."""
-    t0 = time.time()
-    base = sumset_search(p, d, threads=threads, max_p=max_p, node_budget=node_budget)
+    base = sumset_search(p, d, max_p=max_p, node_budget=node_budget)
     split_budget = node_budget - base.counts["nodes"]
     witnesses = []
     violations = list(base.violations)
@@ -464,8 +440,7 @@ def threefold_check(
     else:
         verdicts = ()
     return SearchResult(
-        "threefold", p, d, {"threads": threads, "max_p": max_p},
-        witnesses, dict(base.counts), verdicts, tuple(violations), time.time() - t0,
+        "threefold", p, d, witnesses, dict(base.counts), verdicts, tuple(violations)
     )
 
 
@@ -489,7 +464,7 @@ def threefold_decompose_target(
                 t |= 1 << ((a + b) % p)
             amask_tiles.append(t)
         for sub in range(1, 1 << n):
-            if bin(sub).count("1") < 2:
+            if sub.bit_count() < 2:
                 continue
             covered = 0
             for i in range(n):
@@ -514,12 +489,11 @@ class LevsonHit:
     n: int
 
 
-def levson_scan(alpha_max: int, threads: int = 1) -> SearchResult:
+def levson_scan(alpha_max: int) -> SearchResult:
     """Scan alpha <= alpha_max with p = 2 alpha(alpha-1) + 1 prime, testing
     C(alpha^2-1, n-1+alpha) == (-1)^(n-1) C(alpha^2-1, alpha) mod p for
     1 < n <= alpha.  Binomials walk incrementally with an inverse table, so
     one alpha costs O(alpha) field operations."""
-    t0 = time.time()
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
 
@@ -547,42 +521,41 @@ def levson_scan(alpha_max: int, threads: int = 1) -> SearchResult:
     hits = [h for r in results if r for h in r]
     hits.sort(key=lambda h: (h.p, h.alpha, h.n))
     return SearchResult(
-        "levson", None, None, {"alpha_max": alpha_max, "threads": threads},
-        [(h.p, h.alpha, h.n) for h in hits],
-        {"primes_scanned": scanned},
-        (), (), time.time() - t0,
+        "levson", None, None, [(h.p, h.alpha, h.n) for h in hits],
+        {"primes_scanned": scanned}, (), (),
     )
 
 
 # ---------------------------------------------------------------------------
 # classification scans
 
-def problem2_scan(p: int, d: int, threads: int = 1, max_p: int = 64) -> SearchResult:
-    """All classes of A (size alpha, alpha(alpha-1) = d) with
-    prod_{a' != a} (a - a')^alpha = -1 at every a; symmetry group is
-    translations with mu_d scalings, as for difference sets."""
-    t0 = time.time()
+def product_condition(A: Sequence[int], p: int) -> bool:
+    """prod_{a' != a} (a - a')^|A| = -1 mod p at every a in A."""
+    alpha = len(A)
+    for a in A:
+        prod = 1
+        for x in A:
+            if x != a:
+                prod = prod * pow((a - x) % p, alpha, p) % p
+        if prod != p - 1:
+            return False
+    return True
+
+
+def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
+    """All classes of A (size alpha, alpha(alpha-1) = d) satisfying
+    ``product_condition``; symmetry group is translations with mu_d
+    scalings, as for difference sets."""
     _validate_subgroup_order(p, d)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
     alpha = _alpha_for(d)
     if alpha is None:
         return SearchResult(
-            "problem2", p, d, {"threads": threads}, [], {"sets_checked": 0},
-            ("d is not of the form alpha*(alpha-1)",), (), time.time() - t0,
+            "problem2", p, d, [], {"sets_checked": 0},
+            ("d is not of the form alpha*(alpha-1)",), (),
         )
     mu = roots_of_unity(p, d)
-
-    def condition_everywhere(A: Tuple[int, ...]) -> bool:
-        for a in A:
-            prod = 1
-            for x in A:
-                if x != a:
-                    prod = prod * pow((a - x) % p, alpha, p) % p
-            if prod != p - 1:
-                return False
-        return True
-
     from itertools import combinations
 
     checked = 0
@@ -590,24 +563,20 @@ def problem2_scan(p: int, d: int, threads: int = 1, max_p: int = 64) -> SearchRe
     for rest in combinations(range(1, p), alpha - 1):
         A = (0,) + rest
         checked += 1
-        if condition_everywhere(A):
+        if product_condition(A, p):
             classes.add(canonical_diffset(A, p, mu))
     witnesses = []
     for A in sorted(classes):
-        assert condition_everywhere(A), f"witness {A} failed re-verification"
+        assert product_condition(A, p), f"witness {A} failed re-verification"
         witnesses.append((A,))
     verdicts = ("no set satisfies the product condition",) if not witnesses else ()
-    return SearchResult(
-        "problem2", p, d, {"threads": threads, "max_p": max_p},
-        witnesses, {"sets_checked": checked}, verdicts, (), time.time() - t0,
-    )
+    return SearchResult("problem2", p, d, witnesses, {"sets_checked": checked}, verdicts, ())
 
 
-def problem1_scan(p: int, alpha_max: int, threads: int = 1, max_p: int = 64) -> SearchResult:
+def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
     """All affine classes of A, 2 <= |A| <= alpha_max, satisfying the
     quadratic reciprocal relation at every element; normalized by pinning
     {0, 1} inside A."""
-    t0 = time.time()
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if p > max_p:
@@ -630,29 +599,21 @@ def problem1_scan(p: int, alpha_max: int, threads: int = 1, max_p: int = 64) -> 
         assert all(rat2_check(S, a) for a in S), f"witness {A} failed re-verification"
         witnesses.append((A,))
     verdicts = ("no set satisfies the relation",) if not witnesses else ()
-    return SearchResult(
-        "problem1", p, None, {"alpha_max": alpha_max, "threads": threads, "max_p": max_p},
-        witnesses, {"sets_checked": checked}, verdicts, (), time.time() - t0,
-    )
+    return SearchResult("problem1", p, None, witnesses, {"sets_checked": checked}, verdicts, ())
 
 
 def run_job(job: SearchJob) -> SearchResult:
-    """Dispatch a SearchJob to the matching scan."""
-    budget = {} if job.node_budget is None else {"node_budget": job.node_budget}
-    if job.kind == "diffset":
-        return diffset_search(job.p, job.d, threads=job.threads)
-    if job.kind == "sumset":
-        return sumset_search(
-            job.p, job.d, threads=job.threads, max_p=job.max_p or 128, **budget
-        )
-    if job.kind == "threefold":
-        return threefold_check(
-            job.p, job.d, threads=job.threads, max_p=job.max_p or 128, **budget
-        )
-    if job.kind == "levson":
-        return levson_scan(job.alpha_max, threads=job.threads)
-    if job.kind == "problem1":
-        return problem1_scan(job.p, job.alpha_max, threads=job.threads, max_p=job.max_p or 64)
-    if job.kind == "problem2":
-        return problem2_scan(job.p, job.d, threads=job.threads, max_p=job.max_p or 64)
-    raise ValueError(f"unknown job kind {job.kind!r}")
+    """Run the search that ``job.kind`` names with the job's fields that are
+    set; every other argument takes the search's own default."""
+    # built per call, so a search rebound in this module is the one that runs
+    search = {
+        "diffset": diffset_search,
+        "sumset": sumset_search,
+        "threefold": threefold_check,
+        "levson": levson_scan,
+        "problem1": problem1_scan,
+        "problem2": problem2_scan,
+    }.get(job.kind)
+    if search is None:
+        raise ValueError(f"unknown job kind {job.kind!r}")
+    return search(**{k: v for k, v in vars(job).items() if k != "kind" and v is not None})

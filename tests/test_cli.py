@@ -73,6 +73,37 @@ class TestJsonOutput:
         assert doc["report"]["witnesses"]
         assert "elapsed" not in json.dumps(doc)
 
+    @pytest.mark.parametrize(
+        "args, params",
+        [
+            (("diffset", "--p", "13", "--d", "6"), {"p": 13, "d": 6}),
+            (
+                ("sumset", "--p", "13", "--d", "4"),
+                {"p": 13, "d": 4, "max_p": 128, "node_budget": 50_000_000},
+            ),
+            (("threefold", "--p", "13", "--d", "4"), {"p": 13, "d": 4, "max_p": 128}),
+            (("levson",), {"alpha_max": 3000}),
+            (("problem1", "--p", "13"), {"p": 13, "alpha_max": 5, "max_p": 64}),
+            (("problem2", "--p", "13", "--d", "6"), {"p": 13, "d": 6, "max_p": 64}),
+        ],
+    )
+    def test_search_params_per_kind(self, capsys, args, params):
+        code, out, _ = run_cli(capsys, "search", *args, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["command"] == f"search-{args[0]}"
+        assert doc["params"] == params
+
+    def test_search_runs_the_module_global(self, capsys, monkeypatch):
+        # the CLI reaches every search through search.run_job, which looks it
+        # up at call time, so a search rebound in mucrit.search is the one run
+        from mucrit import search
+
+        fake = search.SearchResult("levson", None, None, [(7, 7, 7)], {"primes_scanned": 0}, (), ())
+        monkeypatch.setattr(search, "levson_scan", lambda alpha_max: fake)
+        _, out, _ = run_cli(capsys, "search", "levson", "--alpha-max", "10", "--format", "json")
+        assert json.loads(out)["report"]["witnesses"] == [[7, 7, 7]]
+
     def test_levson_json(self, capsys):
         _, out, _ = run_cli(
             capsys, "search", "levson", "--alpha-max", "100", "--format", "json"

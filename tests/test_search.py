@@ -228,12 +228,6 @@ class TestSumsetSearch:
         assert any("budget" in v for v in res.verdicts)
         assert "no decomposition exists" not in res.verdicts
 
-    def test_threads_deterministic(self):
-        a = sumset_search(29, 4, threads=1)
-        b = sumset_search(29, 4, threads=4)
-        assert a.witnesses == b.witnesses
-        assert a.counts == b.counts
-
     def test_witnesses_satisfy_factorization(self):
         from mucrit.hp import factorization_check
 
@@ -308,12 +302,6 @@ class TestLevson:
         res = levson_scan(4)
         assert res.counts["primes_scanned"] == 2  # alpha = 2 (p=5), 3 (p=13)
 
-    def test_threads_deterministic(self):
-        a = levson_scan(200, threads=1)
-        b = levson_scan(200, threads=8)
-        assert a.witnesses == b.witnesses
-        assert a.counts == b.counts
-
     def test_exact_binomial_oracle(self):
         import math
 
@@ -349,6 +337,12 @@ class TestProblemScans:
             S = FpSet(17, elems)
             assert all(rat2_check(S, a) for a in S)
 
+    def test_product_condition(self):
+        from mucrit.search import product_condition
+
+        assert product_condition((0, 1, 9, 32, 40), 41)
+        assert not product_condition((0, 1, 9, 32, 39), 41)
+
     def test_feasibility_bounds(self):
         with pytest.raises(ValueError):
             problem2_scan(97, 6, max_p=64)
@@ -380,3 +374,16 @@ class TestRunJob:
         tight = run_job(SearchJob(kind="threefold", p=13, d=4, node_budget=1))
         assert any("budget" in v for v in tight.verdicts)
         assert "no three-summand decomposition exists" not in tight.verdicts
+
+    @pytest.mark.parametrize(
+        "job",
+        [
+            dict(kind="sumset", p=13, d=4, max_p=0),
+            dict(kind="problem2", p=13, d=6, max_p=0),
+        ],
+    )
+    def test_max_p_zero_is_a_bound(self, job):
+        from mucrit.search import SearchJob, run_job
+
+        with pytest.raises(ValueError, match="feasibility bound 0"):
+            run_job(SearchJob(**job))
