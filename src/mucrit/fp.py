@@ -14,6 +14,7 @@ a sentinel.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Iterable, Iterator, List, Sequence
 
 MAX_MODULUS_BITS = 63
@@ -330,33 +331,14 @@ def roots_of_unity(p: int, d: int) -> FpSet:
     return FpSet(p, out)
 
 
-_FACT_TABLE_LIMIT = 1 << 20
-_fact_cache: dict = {}
-
-
-def _factorials(p: int, n: int) -> list:
-    tbl = _fact_cache.get(p)
-    if tbl is None or len(tbl) <= n:
-        start = 1 if tbl is None else len(tbl)
-        tbl = tbl or [1]
-        for i in range(start, n + 1):
-            tbl.append(tbl[-1] * i % p)
-        _fact_cache[p] = tbl
-    return tbl
-
-
 def _binom_small(n: int, k: int, p: int) -> int:
-    # n < p guaranteed: no factorial below is divisible by p
+    # n < p guaranteed: no factor below is divisible by p
     if k < 0 or k > n:
         return 0
     k = min(k, n - k)
-    if n <= _FACT_TABLE_LIMIT:
-        f = _factorials(p, n)
-        return f[n] * pow(f[k] * f[n - k] % p, p - 2, p) % p
-    num = 1
-    den = 1
+    num = den = 1
     for j in range(1, k + 1):
-        num = num * ((n - k + j) % p) % p
+        num = num * (n - k + j) % p
         den = den * j % p
     return num * pow(den, p - 2, p) % p
 
@@ -364,8 +346,8 @@ def _binom_small(n: int, k: int, p: int) -> int:
 def binom_mod(n: int, k: int, p: int) -> FieldElem:
     """Binomial coefficient C(n, k) mod p.
 
-    For n < p this is a straight factorial computation; for n >= p the
-    base-p digit product rule (Lucas) applies.
+    For n < p this is a product of min(k, n-k) factors over one inversion;
+    for n >= p the base-p digit product rule (Lucas) applies.
     """
     _require_prime(p)
     if k < 0 or k > n:
@@ -399,6 +381,20 @@ def batch_inverse_ints(values: Sequence[int], p: int) -> List[int]:
         out[i] = inv * prefix[i - 1] % p
         inv = inv * (values[i] % p) % p
     out[0] = inv
+    return out
+
+
+def inverse_power_sums(values: Sequence[int], p: int, J: int) -> List[int]:
+    """[sum v^-1, ..., sum v^-J] mod p (J >= 1) over nonzero residues, from one
+    batched inversion; all zeros for an empty list, ``ZeroDivisionError`` on a
+    zero."""
+    inv = batch_inverse_ints(values, p)
+    out = [sum(inv) % p]
+    cur = inv
+    for _ in range(1, J):
+        # exact powers of the reduced inverses: only each sum is reduced
+        cur = list(map(operator.mul, cur, inv))
+        out.append(sum(cur) % p)
     return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .fp import (
     FieldElem,
@@ -19,6 +19,7 @@ from .fp import (
     batch_inverse_ints,
     binom_mod,
     inverse_mod,
+    inverse_power_sums,
     roots_of_unity,
 )
 from .poly import FpPoly, from_roots
@@ -81,6 +82,18 @@ def vandermonde_solve(A: FpSet) -> Dict[int, FieldElem]:
     return {a: FieldElem(rows[i][alpha], p) for i, a in enumerate(A.elems)}
 
 
+def _shifted_power_sum(terms: Iterable[Tuple[int, int]], n: int, p: int) -> List[int]:
+    """Coefficients of sum_i w_i (x + z_i)^n over the pairs (w_i, z_i)."""
+    row = [binom_mod(n, j, p).v for j in range(n + 1)]
+    out = [0] * (n + 1)
+    for w, z in terms:
+        zpow = 1
+        for j in range(n, -1, -1):
+            out[j] += w * row[j] * zpow
+            zpow = zpow * z % p
+    return [c % p for c in out]
+
+
 def hp_polynomial(A: FpSet, d: int) -> FpPoly:
     """sum_a c_a(A) (x+a)^(d+alpha-1) - 1; always of degree exactly d."""
     p = A.p
@@ -91,15 +104,7 @@ def hp_polynomial(A: FpSet, d: int) -> FpPoly:
         raise ValueError(f"need alpha + d - 1 < p, got {alpha + d - 1} >= {p}")
     n = d + alpha - 1
     cs = hp_coeffs(A)
-    row = [binom_mod(n, j, p).v for j in range(n + 1)]
-    out = [0] * (n + 1)
-    for a in A.elems:
-        ca = cs.c[a].v
-        apow = [1] * (n + 1)
-        for i in range(1, n + 1):
-            apow[i] = apow[i - 1] * a % p
-        for j in range(n + 1):
-            out[j] = (out[j] + ca * row[j] % p * apow[n - j]) % p
+    out = _shifted_power_sum(((cs.c[a].v, a) for a in A.elems), n, p)
     out[0] = (out[0] - 1) % p
     f = FpPoly(p, out)
     assert f.degree == d, f"degree of the polynomial is {f.degree}, expected {d}"
@@ -275,26 +280,20 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
     for a in A.elems:
         c_inf = c_inf * (a + b) % p
 
+    z = {a: inverse_mod((a + b) % p, p) for a in A.elems}
     coeff_ok = True
     for a in A.elems:
-        z = inverse_mod((a + b) % p, p)
         want = sign * c_inf % p * cA.c[a].v % p * pow((a + b) % p, alpha - 2, p) % p
-        if cAb.c[z].v != want:
+        if cAb.c[z[a]].v != want:
             coeff_ok = False
 
     # left side of the identity
-    lhs = FpPoly.zero(p)
-    row = [binom_mod(n, j, p).v for j in range(n + 1)]
-    acc = [0] * (n + 1)
-    for a in A.elems:
-        z = inverse_mod((a + b) % p, p)
-        w = cAb.c[z].v * ((a + b) % p) % p
-        zpow = [1] * (n + 1)
-        for i in range(1, n + 1):
-            zpow[i] = zpow[i - 1] * z % p
-        for j in range(n + 1):
-            acc[j] = (acc[j] + w * row[j] % p * zpow[n - j]) % p
-    lhs = FpPoly(p, acc)
+    lhs = FpPoly(
+        p,
+        _shifted_power_sum(
+            ((cAb.c[z[a]].v * ((a + b) % p) % p, z[a]) for a in A.elems), n, p
+        ),
+    )
 
     c0 = binom_mod(n, alpha, p)
     rhs = FpPoly.monomial(p, sign * c_inf % p, n)
@@ -326,13 +325,6 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
     )
 
 
-def _sum_inv(p: int, terms) -> int:
-    vals = [t % p for t in terms]
-    if not vals:
-        return 0
-    return sum(batch_inverse_ints(vals, p)) % p
-
-
 def _relation_guards(A: FpSet, B: FpSet, b: int) -> int:
     # the relations are theorems only for a critical pair with A + B = mu_d
     # (so d = |A||B|); evaluation is still meaningful on perturbed input,
@@ -355,9 +347,9 @@ def relation_x(A: FpSet, B: FpSet, b: int) -> Tuple[FieldElem, FieldElem, bool]:
     b = int(b) % p
     d = _relation_guards(A, B, b)
     alpha = len(A)
-    lhs = _sum_inv(p, ((a + b) for a in A.elems))
+    lhs = inverse_power_sums([a + b for a in A.elems], p, 1)[0]
     factor = alpha * (alpha + 1) % p * inverse_mod(d - 1, p) % p
-    rhs = factor * _sum_inv(p, ((b - bp) for bp in B.elems if bp != b)) % p
+    rhs = factor * inverse_power_sums([b - bp for bp in B.elems if bp != b], p, 1)[0] % p
     return FieldElem(lhs, p), FieldElem(rhs, p), lhs == rhs
 
 
@@ -368,13 +360,9 @@ def relation_y(A: FpSet, B: FpSet, b: int) -> Tuple[FieldElem, FieldElem, bool]:
     b = int(b) % p
     d = _relation_guards(A, B, b)
     alpha = len(A)
-    ia = batch_inverse_ints([(a + b) % p for a in A.elems], p)
-    t1 = sum(ia) % p
-    t2 = sum(x * x % p for x in ia) % p
+    t1, t2 = inverse_power_sums([a + b for a in A.elems], p, 2)
     lhs = (t1 * t1 + t2) % p
-    ib = batch_inverse_ints([(b - bp) % p for bp in B.elems if bp != b], p)
-    s1 = sum(ib) % p
-    s2 = sum(x * x % p for x in ib) % p
+    s1, s2 = inverse_power_sums([b - bp for bp in B.elems if bp != b], p, 2)
     factor = (
         alpha * (alpha + 1) % p * (alpha + 2) % p
         * inverse_mod((d - 1) * (d - 2) % p, p) % p

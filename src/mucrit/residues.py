@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .fp import FieldElem, FpSet, batch_inverse_ints, inverse_mod, sqrt_mod
+from .fp import FieldElem, FpSet, inverse_mod, inverse_power_sums, sqrt_mod
 from .poly import AT_INFINITY, FpPoly, TruncatedSeries, from_roots, poly_gcd, taylor_at
+from .stepanov import gamma_numeric
 from .symm import power_sums_int
 
 
@@ -265,19 +266,30 @@ class FormIdentityReport:
     hypothesis_failures: Tuple[str, ...] = ()
 
 
-def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int):
+def _pole_sums(A: Optional[FpSet], B: FpSet):
+    """Inverse power sums [sum 1/x, sum 1/x^2] per pole, over the pole
+    differences: sB[b] over b - b' (b' in B, b' != b), and, when A is given,
+    tB[b] over a + b (a in A) and uA[a] over a + b (b in B).  The poles -A and
+    B must then be disjoint."""
+    p = B.p
+    sB = {b: inverse_power_sums([b - bp for bp in B.elems if bp != b], p, 2) for b in B.elems}
+    if A is None:
+        return sB, {}, {}
+    if set((-a) % p for a in A.elems) & set(B.elems):
+        raise ValueError("poles collide: (-A) meets B")
+    tB = {b: inverse_power_sums([a + b for a in A.elems], p, 2) for b in B.elems}
+    uA = {a: inverse_power_sums([a + b for b in B.elems], p, 2) for a in A.elems}
+    return sB, tB, uA
+
+
+def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int, sums):
     """Closed-form residues: ({finite pole: value}, value at infinity)."""
     p = B.p
+    sB, tB, uA = sums
     pB = power_sums_int(B, k + 2)
-    s1 = {}
-    s2 = {}
-    for b in B.elems:
-        inv = batch_inverse_ints([(b - bp) % p for bp in B.elems if bp != b], p)
-        s1[b] = sum(inv) % p
-        s2[b] = sum(x * x % p for x in inv) % p
     if which == "omega20":
         fin = {
-            b: ((k + 1) * pow(b, k, p) + 2 * pow(b, k + 1, p) * s1[b]) % p
+            b: ((k + 1) * pow(b, k, p) + 2 * pow(b, k + 1, p) * sB[b][0]) % p
             for b in B.elems
         }
         inf = (-sum(pB[r] * pB[k - r] % p for r in range(k + 1))) % p
@@ -286,12 +298,12 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int):
         half = inverse_mod(2, p)
         fin = {}
         for b in B.elems:
-            val = (
+            s1, s2 = sB[b]
+            fin[b] = (
                 (k + 2) * (k + 1) % p * half % p * pow(b, k, p)
-                + 3 * (k + 2) % p * pow(b, k + 1, p) % p * s1[b]
-                + 3 * pow(b, k + 2, p) % p * ((s1[b] * s1[b] - s2[b]) % p)
+                + 3 * (k + 2) % p * pow(b, k + 1, p) % p * s1
+                + 3 * pow(b, k + 2, p) % p * ((s1 * s1 - s2) % p)
             ) % p
-            fin[b] = val
         inf = (
             -sum(
                 pB[r] * pB[s] % p * pB[k - r - s] % p
@@ -302,28 +314,13 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int):
         return fin, inf
     assert A is not None
     pA = power_sums_int(A, k + 2)
-    negA = [(-a) % p for a in A.elems]
-    if set(negA) & set(B.elems):
-        raise ValueError("poles collide: (-A) meets B")
-    t1 = {}
-    t2 = {}
-    for b in B.elems:
-        inv = batch_inverse_ints([(a + b) % p for a in A.elems], p)
-        t1[b] = sum(inv) % p
-        t2[b] = sum(x * x % p for x in inv) % p
-    u1 = {}
-    u2 = {}
-    for a in A.elems:
-        inv = batch_inverse_ints([(a + b) % p for b in B.elems], p)
-        u1[a] = sum(inv) % p
-        u2[a] = sum(x * x % p for x in inv) % p
     sgnk = 1 if k % 2 == 0 else p - 1
     fin = {}
     if which == "omega11":
         for b in B.elems:
-            fin[b] = pow(b, k + 1, p) * t1[b] % p
+            fin[b] = pow(b, k + 1, p) * tB[b][0] % p
         for a in A.elems:
-            fin[(-a) % p] = sgnk * pow(a, k + 1, p) % p * u1[a] % p
+            fin[(-a) % p] = sgnk * pow(a, k + 1, p) % p * uA[a][0] % p
         inf = (
             -sum(
                 (pA[r] if r % 2 == 0 else -pA[r]) * pB[k - r] for r in range(k + 1)
@@ -332,11 +329,10 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int):
         return fin, inf
     if which == "psi":
         for b in B.elems:
-            fin[b] = (
-                -(k + 2) * pow(b, k + 1, p) % p * t1[b] + pow(b, k + 2, p) * t2[b]
-            ) % p
+            t1, t2 = tB[b]
+            fin[b] = (-(k + 2) * pow(b, k + 1, p) % p * t1 + pow(b, k + 2, p) * t2) % p
         for a in A.elems:
-            fin[(-a) % p] = (-sgnk * pow(a, k + 2, p) % p * u2[a]) % p
+            fin[(-a) % p] = (-sgnk * pow(a, k + 2, p) % p * uA[a][1]) % p
         inf = (
             sum(
                 (pA[r] if r % 2 == 0 else -pA[r]) * (k - r + 1) % p * pB[k - r]
@@ -346,13 +342,14 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int):
         return fin, inf
     # omega21
     for b in B.elems:
+        t1, t2 = tB[b]
         fin[b] = (
-            2 * pow(b, k + 2, p) * s1[b] % p * t1[b]
-            + (k + 2) * pow(b, k + 1, p) % p * t1[b]
-            - pow(b, k + 2, p) * t2[b]
+            2 * pow(b, k + 2, p) * sB[b][0] % p * t1
+            + (k + 2) * pow(b, k + 1, p) % p * t1
+            - pow(b, k + 2, p) * t2
         ) % p
     for a in A.elems:
-        fin[(-a) % p] = sgnk * pow(a, k + 2, p) % p * u1[a] % p * u1[a] % p
+        fin[(-a) % p] = sgnk * pow(a, k + 2, p) % p * uA[a][0] % p * uA[a][0] % p
     inf = (
         -sum(
             pB[r] * pB[s] % p * (pA[t] if t % 2 == 0 else -pA[t]) % p
@@ -391,7 +388,7 @@ def _surviving_term_failures(k: int, *factors) -> List[str]:
     return failures
 
 
-def _specialized_check(which, A, B, k):
+def _specialized_check(which, A, B, k, sums):
     """The final displayed identities under the vanishing-power-sum and
     critical-pair hypotheses; returns (failures, lhs, rhs).
 
@@ -400,6 +397,7 @@ def _specialized_check(which, A, B, k):
     omega30, A-B cross pairs for the mixed forms, and (B,B,A) triples for
     omega21."""
     p = B.p
+    sB, tB, uA = sums
     beta = len(B)
     pB = power_sums_int(B, k)
     failures = []
@@ -409,25 +407,18 @@ def _specialized_check(which, A, B, k):
         failures += _surviving_term_failures(k, ("B", pB), ("B", pB))
     if which == "omega30":
         failures += _surviving_term_failures(k, ("B", pB), ("B", pB), ("B", pB))
-    half = inverse_mod(2, p)
-    third = inverse_mod(3, p)
-    s1 = {}
-    for b in B.elems:
-        inv = batch_inverse_ints([(b - bp) % p for bp in B.elems if bp != b], p)
-        s1[b] = sum(inv) % p
     pkB = pB[k]
+    # omega20 and omega30 have no admissible d: their constants are gamma3
+    # and gamma2 at alpha = beta, written out here
     if which == "omega20":
-        lhs = sum(pow(b, k + 1, p) * s1[b] for b in B.elems) % p
-        rhs = pkB * ((beta - (k + 1) * half) % p) % p
+        lhs = sum(pow(b, k + 1, p) * sB[b][0] for b in B.elems) % p
+        rhs = pkB * ((beta - (k + 1) * inverse_mod(2, p)) % p) % p
         return failures, lhs, rhs
     if which == "omega30":
-        s2 = {}
-        for b in B.elems:
-            inv = batch_inverse_ints([(b - bp) % p for bp in B.elems if bp != b], p)
-            s2[b] = sum(x * x % p for x in inv) % p
+        third = inverse_mod(3, p)
         gamma2 = (beta * beta - (k + 2) * beta + (k + 1) * (k + 2) % p * third) % p
         lhs = sum(
-            pow(b, k + 2, p) * ((s1[b] * s1[b] - s2[b]) % p) for b in B.elems
+            pow(b, k + 2, p) * ((sB[b][0] * sB[b][0] - sB[b][1]) % p) for b in B.elems
         ) % p
         rhs = gamma2 * pkB % p
         return failures, lhs, rhs
@@ -437,12 +428,10 @@ def _specialized_check(which, A, B, k):
     if which == "omega21":
         failures += _surviving_term_failures(k, ("B", pB), ("B", pB), ("A", pA))
     if which == "omega11":
-        t1 = {b: sum(batch_inverse_ints([(a + b) % p for a in A.elems], p)) % p for b in B.elems}
-        u1 = {a: sum(batch_inverse_ints([(a + b) % p for b in B.elems], p)) % p for a in A.elems}
         sgnk = 1 if k % 2 == 0 else p - 1
         lhs = (
-            sum(pow(b, k + 1, p) * t1[b] for b in B.elems)
-            + sgnk * sum(pow(a, k + 1, p) * u1[a] for a in A.elems)
+            sum(pow(b, k + 1, p) * tB[b][0] for b in B.elems)
+            + sgnk * sum(pow(a, k + 1, p) * uA[a][0] for a in A.elems)
         ) % p
         rhs = (alpha * pkB + sgnk * beta % p * pA[k]) % p
         return failures, lhs, rhs
@@ -462,34 +451,19 @@ def _specialized_check(which, A, B, k):
     if (d - 1) % p == 0 or (d - 2) % p == 0:
         failures.append("d-1 or d-2 vanishes mod p")
         return failures, 0, 0
-    gamma0 = alpha * (alpha + 1) % p * inverse_mod((d - 1) % p, p) % p
-    gamma3 = (alpha - (k + 1) * half) % p
+    gamma = gamma_numeric(p, alpha, k, d)
+    cross = sum(pow(b, k + 2, p) * tB[b][1] for b in B.elems) % p
     if which == "psi":
-        gamma4 = ((k + 2) * gamma0 % p * gamma3 - k * alpha) % p
-        lhs = 0
-        for a in A.elems:
-            for b in B.elems:
-                w = inverse_mod((a + b) % p, p)
-                lhs = (lhs + (pow(b, k + 2, p) - pow(a, k + 2, p)) * w % p * w) % p
-        rhs = gamma4 * pkB % p
-        return failures, lhs, rhs
+        lhs = (cross - sum(pow(a, k + 2, p) * uA[a][1] for a in A.elems)) % p
+        return failures, lhs, gamma["gamma4"] * pkB % p
     # omega21
-    gamma5 = (alpha * alpha - (k + 2) * gamma0 % p * gamma3) % p
-    t1 = {b: sum(batch_inverse_ints([(a + b) % p for a in A.elems], p)) % p for b in B.elems}
-    u1 = {a: sum(batch_inverse_ints([(a + b) % p for b in B.elems], p)) % p for a in A.elems}
-    cross = 0
-    for a in A.elems:
-        for b in B.elems:
-            w = inverse_mod((a + b) % p, p)
-            cross = (cross + pow(b, k + 2, p) * w % p * w) % p
     lhs = (
-        sum(pow(a, k + 2, p) * u1[a] % p * u1[a] for a in A.elems)
-        + 2 * inverse_mod(gamma0, p) % p
-        * sum(pow(b, k + 2, p) * t1[b] % p * t1[b] for b in B.elems)
+        sum(pow(a, k + 2, p) * uA[a][0] % p * uA[a][0] for a in A.elems)
+        + 2 * inverse_mod(gamma["gamma0"], p) % p
+        * sum(pow(b, k + 2, p) * tB[b][0] % p * tB[b][0] for b in B.elems)
         - cross
     ) % p
-    rhs = gamma5 * pkB % p
-    return failures, lhs, rhs
+    return failures, lhs, gamma["gamma5"] * pkB % p
 
 
 def lemma_form_identity(
@@ -514,7 +488,8 @@ def lemma_form_identity(
     if k < 0:
         raise ValueError("k must be nonnegative")
     form = named_form(which, A, B, k)
-    fin, inf = _closed_residues(which, A, B, k)
+    sums = _pole_sums(None if which in ("omega20", "omega30") else A, B)
+    fin, inf = _closed_residues(which, A, B, k, sums)
     match = True
     for pole, val in fin.items():
         if residue_at(form, pole).v != val:
@@ -529,7 +504,7 @@ def lemma_form_identity(
         return FormIdentityReport(
             which, k, mode, ok, match, total == 0, FieldElem(lhs, p), FieldElem(rhs, p)
         )
-    failures, sl, sr = _specialized_check(which, A, B, k)
+    failures, sl, sr = _specialized_check(which, A, B, k, sums)
     ok = match and total == 0 and not failures and sl == sr
     return FormIdentityReport(
         which,

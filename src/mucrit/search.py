@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .fp import FpSet, inverse_mod, inverse_table, is_prime, roots_of_unity
 from .hp import criticality
 from .stepanov import rat2_check
-from .symm import minimal_indices, power_sums_int
+from .symm import minimal_indices, power_sums_int, recentering_shift
 
 
 class SearchBudgetExceeded(Exception):
@@ -332,12 +332,12 @@ def sumset_search(
 
 def _recentered_index_violation(A: FpSet, B: FpSet) -> Optional[str]:
     """After shifting A by -p_1(A)/alpha and B the opposite way, the least
-    nonvanishing power-sum index n (and m, when present) must be even."""
-    p = A.p
-    alpha = len(A) % p
-    t = (-power_sums_int(A, 1)[1] * inverse_mod(alpha, p)) % p
+    nonvanishing power-sum index n (and m, when present) must be even.  B
+    takes A's shift, not its own: recentered alone, p_1(B) would vanish
+    whatever the pair."""
+    t = recentering_shift(A)
     A2 = A.translate(t)
-    B2 = B.translate((-t) % p)
+    B2 = B.translate(-t)
     if power_sums_int(A2, 1)[1] != 0 or power_sums_int(B2, 1)[1] != 0:
         return f"recentering failed to kill p_1 for {(A.elems, B.elems)}"
     for S in (A2, B2):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .fp import FpSet, batch_inverse_ints, inverse_mod, is_prime
+from .fp import FpSet, inverse_mod, inverse_power_sums, is_prime
 from .poly import FpPoly
 from .qalg import QPoly, QQuadElem, falling
 from .symm import power_sums_int, recenter
@@ -23,12 +23,6 @@ from .symm import power_sums_int, recenter
 # ---------------------------------------------------------------------------
 # rat2 / rat3
 
-def _inv_diff_powers(A: FpSet, a: int, power: int) -> int:
-    p = A.p
-    inv = batch_inverse_ints([(a - x) % p for x in A.elems if x != a], p)
-    return sum(pow(x, power, p) for x in inv) % p
-
-
 def rat2_check(A: FpSet, a: int) -> bool:
     """sum 1/(a-a')^2 == (1/alpha) (sum 1/(a-a'))^2 at this a."""
     p = A.p
@@ -36,8 +30,7 @@ def rat2_check(A: FpSet, a: int) -> bool:
     alpha = len(A)
     if alpha < 2 or a not in A:
         raise ValueError("need a in A and |A| >= 2")
-    s1 = _inv_diff_powers(A, a, 1)
-    s2 = _inv_diff_powers(A, a, 2)
+    s1, s2 = inverse_power_sums([a - x for x in A.elems if x != a], p, 2)
     return s2 == s1 * s1 % p * inverse_mod(alpha % p, p) % p
 
 
@@ -48,8 +41,7 @@ def rat3_check(A: FpSet, a: int) -> bool:
     alpha = len(A)
     if alpha < 2 or a not in A:
         raise ValueError("need a in A and |A| >= 2")
-    s1 = _inv_diff_powers(A, a, 1)
-    s3 = _inv_diff_powers(A, a, 3)
+    s1, _, s3 = inverse_power_sums([a - x for x in A.elems if x != a], p, 3)
     return s3 == pow(s1, 3, p) * inverse_mod(alpha * alpha % p, p) % p
 
 

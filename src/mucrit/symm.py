@@ -169,12 +169,15 @@ def profile(A: FpSet, K: Optional[int] = None) -> SymProfile:
     return SymProfile(A, tuple(pk), tuple(ek), tuple(hk), n, m)
 
 
-def recenter(A: FpSet) -> FpSet:
-    """Translate A so its first power sum vanishes (shift by -p_1/alpha)."""
+def recentering_shift(A: FpSet) -> int:
+    """The shift t = -p_1(A)/|A| after which A + t has vanishing first power sum."""
     p = A.p
     alpha = len(A) % p
     if alpha == 0:
         raise ZeroDivisionError("cannot recenter: |A| = 0 mod p")
-    p1 = sum(A) % p
-    t = (-p1 * inverse_mod(alpha, p)) % p
-    return A.translate(t)
+    return (-sum(A) * inverse_mod(alpha, p)) % p
+
+
+def recenter(A: FpSet) -> FpSet:
+    """Translate A so its first power sum vanishes."""
+    return A.translate(recentering_shift(A))

@@ -11,6 +11,7 @@ from mucrit.fp import (
     batch_inverse,
     batch_inverse_ints,
     binom_mod,
+    inverse_power_sums,
     inverse_table,
     is_prime,
     primitive_root,
@@ -200,6 +201,24 @@ class TestBatchInverse:
         inv = inverse_table(p, 500)
         for i in range(1, 501):
             assert inv[i] * i % p == 1
+
+
+class TestInversePowerSums:
+    def test_against_pow_oracle(self, rng):
+        for p in (2, 13, 41, 10007):
+            for n in (1, 2, 7):
+                vals = [rng.randrange(1, p) + p * rng.randrange(-2, 3) for _ in range(n)]
+                for J in (1, 2, 3, 5):
+                    want = [sum(pow(v, -j, p) for v in vals) % p for j in range(1, J + 1)]
+                    assert inverse_power_sums(vals, p, J) == want, (p, vals, J)
+
+    def test_empty_list_gives_zeros(self):
+        assert inverse_power_sums([], 13, 3) == [0, 0, 0]
+
+    @pytest.mark.parametrize("vals", [[3, 0, 5], [7], [2, -14]])
+    def test_zero_raises(self, vals):
+        with pytest.raises(ZeroDivisionError):
+            inverse_power_sums(vals, 7, 2)
 
 
 def test_primitive_root_generates():

@@ -237,6 +237,83 @@ class TestNamedFormIdentities:
             lemma_form_identity("omega11", A, B, 2, mode="general")
 
 
+def _specialized_oracle(which, A, B, k):
+    """(lhs, rhs) of the specialized display, by pairwise inversion."""
+    p = B.p
+
+    def inv(x):
+        return pow(x % p, -1, p)
+
+    def pk(S):
+        return sum(pow(x, k, p) for x in S) % p
+
+    beta = len(B)
+    if which == "omega20":
+        lhs = sum(pow(b, k + 1, p) * inv(b - c) for b in B for c in B if c != b)
+        return lhs % p, pk(B) * (beta - (k + 1) * inv(2)) % p
+    if which == "omega30":
+        # (sum 1/(b-c))^2 - sum 1/(b-c)^2 is the sum over ordered pairs c != e
+        lhs = sum(
+            pow(b, k + 2, p) * inv((b - c) * (b - e))
+            for b in B for c in B for e in B
+            if b != c and b != e and c != e
+        )
+        gamma2 = beta * beta - (k + 2) * beta + (k + 1) * (k + 2) * inv(3)
+        return lhs % p, gamma2 * pk(B) % p
+    alpha = len(A)
+    sgn = (-1) ** k
+    if which == "omega11":
+        lhs = sum((pow(b, k + 1, p) + sgn * pow(a, k + 1, p)) * inv(a + b) for a in A for b in B)
+        return lhs % p, (alpha * pk(B) + sgn * beta * pk(A)) % p
+    gamma0 = alpha * (alpha + 1) * inv(alpha * beta - 1)
+    gamma3 = alpha - (k + 1) * inv(2)
+    if which == "psi":
+        lhs = sum(
+            (pow(b, k + 2, p) - pow(a, k + 2, p)) * inv((a + b) ** 2) for a in A for b in B
+        )
+        gamma4 = (k + 2) * gamma0 * gamma3 - k * alpha
+        return lhs % p, gamma4 * pk(B) % p
+    lhs = (
+        sum(pow(a, k + 2, p) * inv((a + b) * (a + c)) for a in A for b in B for c in B)
+        + 2 * inv(gamma0) * sum(
+            pow(b, k + 2, p) * inv((a + b) * (e + b)) for b in B for a in A for e in A
+        )
+        - sum(pow(b, k + 2, p) * inv((a + b) ** 2) for a in A for b in B)
+    )
+    gamma5 = alpha * alpha - (k + 2) * gamma0 * gamma3
+    return lhs % p, gamma5 * pk(B) % p
+
+
+class TestSpecializedDisplays:
+    @pytest.mark.parametrize("which", FORM_NAMES)
+    def test_against_pairwise_oracle(self, which, rng):
+        # psi and omega21 test A + B = mu_d for d = |A||B|, which needs d | p - 1;
+        # no d >= 4 divides 10006, so they take the prime 10009 for 10007
+        critical = which in ("psi", "omega21")
+        for p in (41, 97, 10009 if critical else 10007):
+            sizes = [
+                (alpha, beta)
+                for alpha in range(2, 6)
+                for beta in range(3, 6)  # for |B| = 2 the omega30 pair sum is empty
+                if not critical or (p - 1) % (alpha * beta) == 0
+            ]
+            for _ in range(8):
+                # k >= 1: at k = 0 the omega20 and omega30 displays depend on |B| alone
+                k = rng.randint(1, 5)
+                alpha, beta = rng.choice(sizes)
+                B = random_subset(rng, p, beta)
+                avoid = {(-b) % p for b in B}
+                A = random_subset(rng, p, alpha, avoid=avoid)
+                rep = lemma_form_identity(which, A, B, k, mode="specialized")
+                got = (rep.lhs.v, rep.rhs.v)
+                case = (which, p, k, A.elems, B.elems)
+                assert got == _specialized_oracle(which, A, B, k), case
+                # negative control: one element of B moved to a free point
+                free = next(x for x in range(1, p) if x not in B and (-x) % p not in A)
+                B2 = FpSet(p, B.elems[1:] + (free,))
+                assert got != _specialized_oracle(which, A, B2, k), case
+
+
 class TestRationalForm:
     def test_gcd_reduction(self):
         p = 13

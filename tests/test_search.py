@@ -6,6 +6,7 @@ import pytest
 from mucrit.fp import FpSet, is_prime, roots_of_unity
 from mucrit.hp import criticality
 from mucrit.search import (
+    _recentered_index_violation,
     canonical_diffset,
     canonical_pair,
     decompose_two_summands,
@@ -113,6 +114,19 @@ class TestDiffsetSearch:
                 S = FpSet(p, elems)
                 assert criticality(S, -S, d).critical
                 assert factorization_check(S, -S, d).ok
+
+
+class TestRecenteredIndexViolation:
+    def test_critical_pair_passes(self):
+        assert _recentered_index_violation(FpSet(13, [3, 10]), FpSet(13, [2, 11])) is None
+
+    def test_b_takes_the_opposite_of_a_shift(self):
+        # A = {0, 1} recenters by t = -1/2 = 6; B - t = {7, 8} keeps p_1 = 2,
+        # which recentering B on its own would hide
+        A = B = FpSet(13, [0, 1])
+        assert _recentered_index_violation(A, B) == (
+            "recentering failed to kill p_1 for ((0, 1), (0, 1))"
+        )
 
 
 class TestSumsetSearch:
