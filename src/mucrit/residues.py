@@ -295,12 +295,11 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int, sums):
         inf = (-sum(pB[r] * pB[k - r] % p for r in range(k + 1))) % p
         return fin, inf
     if which == "omega30":
-        half = inverse_mod(2, p)
         fin = {}
         for b in B.elems:
             s1, s2 = sB[b]
             fin[b] = (
-                (k + 2) * (k + 1) % p * half % p * pow(b, k, p)
+                (k + 2) * (k + 1) // 2 % p * pow(b, k, p)
                 + 3 * (k + 2) % p * pow(b, k + 1, p) % p * s1
                 + 3 * pow(b, k + 2, p) % p * ((s1 * s1 - s2) % p)
             ) % p
@@ -445,8 +444,9 @@ def _specialized_check(which, A, B, k, sums):
         failures.append("k is odd")
     if (pA[k] + pkB) % p != 0:
         failures.append("p_k(A) != -p_k(B)")
-    rep = criticality(A, B, d)
-    if not (rep.critical and rep.exact == "mu_d"):
+    # mu_d exists only when d | p - 1; otherwise A + B cannot equal it
+    rep = criticality(A, B, d) if (p - 1) % d == 0 else None
+    if rep is None or not (rep.critical and rep.exact == "mu_d"):
         failures.append("A + B != mu_d")
     if (d - 1) % p == 0 or (d - 2) % p == 0:
         failures.append("d-1 or d-2 vanishes mod p")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fp import FpSet, inverse_mod, inverse_table, is_prime, roots_of_unity
@@ -61,12 +62,9 @@ def _validate_subgroup_order(p: int, d: int) -> None:
 
 
 def _alpha_for(d: int) -> Optional[int]:
-    a = 2
-    while a * (a - 1) <= d:
-        if a * (a - 1) == d:
-            return a
-        a += 1
-    return None
+    """The alpha >= 2 with alpha(alpha-1) = d, or None."""
+    a = (1 + math.isqrt(4 * d + 1)) // 2
+    return a if a >= 2 and a * (a - 1) == d else None
 
 
 def _bits(x: int) -> List[int]:
@@ -353,11 +351,9 @@ def _recentered_index_violation(A: FpSet, B: FpSet) -> Optional[str]:
 # generic-target decompositions and the three-summand check
 
 def decompose_two_summands(
-    target: FpSet,
-    min_size: int = 2,
-    node_budget: int = 2_000_000,
+    target: FpSet, node_budget: int = 2_000_000
 ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """All (A, B_max) with A + B_max = target, |A|, |B_max| >= min_size, B_max
+    """All (A, B_max) with A + B_max = target, |A|, |B_max| >= 2, B_max
     maximal for its A and normalized to contain 0.  Sums may collide, so this
     is a set cover, not an exact cover; suitable for arbitrary small targets."""
     p = target.p
@@ -374,31 +370,23 @@ def decompose_two_summands(
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"two-summand scan exceeded {node_budget} nodes")
-        if len(A) >= min_size and (cand >> 0) & 1:
+        if len(A) >= 2 and cand & 1:
             covered = 0
             for b in _bits(cand):
                 for a in A:
                     covered |= 1 << ((a + b) % p)
-            if covered == tmask and cand.bit_count() >= min_size:
+            if covered == tmask and cand.bit_count() >= 2:
                 out.append((tuple(A), tuple(_bits(cand))))
         for i in range(start, len(T)):
             a = T[i]
             nc = cand & diff[a]
-            if nc.bit_count() < min_size:
+            if nc.bit_count() < 2:
                 continue
             extend(A + [a], nc, i + 1)
 
     full = (1 << p) - 1
     extend([], full, 0)
     return out
-
-
-def _splits_further(
-    S: FpSet, node_budget: int
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """A two-summand decomposition of a small set with both sizes > 1, or None."""
-    found = decompose_two_summands(S, min_size=2, node_budget=node_budget)
-    return found[0] if found else None
 
 
 def threefold_check(
@@ -422,13 +410,12 @@ def threefold_check(
     for A, B in base.witnesses:
         for first, second in ((A, B), (B, A)):
             try:
-                split = _splits_further(FpSet(p, second), split_budget)
+                splits = decompose_two_summands(FpSet(p, second), split_budget)
             except SearchBudgetExceeded:
                 split_exhausted = True
                 continue
-            if split:
-                BB, CC = split
-                trip = (tuple(first), BB, CC)
+            if splits:
+                trip = (tuple(first),) + splits[0]
                 witnesses.append(trip)
                 violations.append(f"three-summand decomposition {trip} of mu_{d}")
     if any("budget" in v for v in base.verdicts):
@@ -444,86 +431,37 @@ def threefold_check(
     )
 
 
-def threefold_decompose_target(
-    target: FpSet, node_budget: int = 2_000_000
-) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]]:
-    """Find any A + B + C = target with all sizes > 1; planted-instance test
-    hook for arbitrary small targets."""
-    p = target.p
-    for A, Bmax in decompose_two_summands(target, min_size=2, node_budget=node_budget):
-        # any V between a cover and Bmax could be the split summand; try
-        # subsets of Bmax that still cover, smallest first
-        bm = list(Bmax)
-        n = len(bm)
-        if n > 20:
-            raise SearchBudgetExceeded("second-level subset space too large")
-        amask_tiles = []
-        for b in bm:
-            t = 0
-            for a in A:
-                t |= 1 << ((a + b) % p)
-            amask_tiles.append(t)
-        for sub in range(1, 1 << n):
-            if sub.bit_count() < 2:
-                continue
-            covered = 0
-            for i in range(n):
-                if (sub >> i) & 1:
-                    covered |= amask_tiles[i]
-            if covered != target.mask:
-                continue
-            V = FpSet(p, [bm[i] for i in range(n) if (sub >> i) & 1])
-            split = _splits_further(V, node_budget)
-            if split:
-                return tuple(A), split[0], split[1]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the binomial-congruence prime scan
-
-@dataclass(frozen=True)
-class LevsonHit:
-    p: int
-    alpha: int
-    n: int
-
 
 def levson_scan(alpha_max: int) -> SearchResult:
     """Scan alpha <= alpha_max with p = 2 alpha(alpha-1) + 1 prime, testing
     C(alpha^2-1, n-1+alpha) == (-1)^(n-1) C(alpha^2-1, alpha) mod p for
     1 < n <= alpha.  Binomials walk incrementally with an inverse table, so
-    one alpha costs O(alpha) field operations."""
+    one alpha costs O(alpha) field operations.  p grows with alpha and n
+    within each alpha, so the hits come out sorted."""
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
-
-    def scan_one(alpha: int):
+    hits = []
+    scanned = 0
+    for alpha in range(2, alpha_max + 1):
         p = 2 * alpha * (alpha - 1) + 1
         if not is_prime(p):
-            return None
+            continue
+        scanned += 1
         N = alpha * alpha - 1
         inv = inverse_table(p, 2 * alpha)
         ref = 1
         for j in range(1, alpha + 1):
             ref = ref * ((N - alpha + j) % p) % p * inv[j] % p
-        hits = []
         cur = ref
         for n in range(2, alpha + 1):
             K = n - 1 + alpha
             cur = cur * ((N - K + 1) % p) % p * inv[K] % p
             want = ref if (n - 1) % 2 == 0 else (p - ref) % p
             if cur == want:
-                hits.append(LevsonHit(p, alpha, n))
-        return hits
-
-    results = [scan_one(alpha) for alpha in range(2, alpha_max + 1)]
-    scanned = sum(1 for r in results if r is not None)
-    hits = [h for r in results if r for h in r]
-    hits.sort(key=lambda h: (h.p, h.alpha, h.n))
-    return SearchResult(
-        "levson", None, None, [(h.p, h.alpha, h.n) for h in hits],
-        {"primes_scanned": scanned}, (), (),
-    )
+                hits.append((p, alpha, n))
+    return SearchResult("levson", None, None, hits, {"primes_scanned": scanned}, (), ())
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +494,6 @@ def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
             ("d is not of the form alpha*(alpha-1)",), (),
         )
     mu = roots_of_unity(p, d)
-    from itertools import combinations
-
     checked = 0
     classes = set()
     for rest in combinations(range(1, p), alpha - 1):
@@ -583,8 +519,6 @@ def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
-    from itertools import combinations
-
     checked = 0
     classes = set()
     for alpha in range(2, alpha_max + 1):

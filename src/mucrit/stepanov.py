@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
-from .fp import FpSet, inverse_mod, inverse_power_sums, is_prime
+from .fp import FpSet, _factorize, inverse_mod, inverse_power_sums, is_prime
 from .poly import FpPoly
 from .qalg import QPoly, QQuadElem, falling
 from .symm import power_sums_int, recenter
@@ -51,26 +51,21 @@ def rat3_check(A: FpSet, a: int) -> bool:
 def d_operator(g, alpha: int, var: str = "x"):
     """4a(a-2) g'g''' - 3(a-1)(a-2) g''^2 - a(a+1) g g'''', same kind as g."""
     if isinstance(g, FpPoly):
-        g1 = g.derivative()
-        g2 = g1.derivative()
-        g3 = g2.derivative()
-        g4 = g3.derivative()
-        return (
-            (4 * alpha * (alpha - 2)) * (g1 * g3)
-            + (-3 * (alpha - 1) * (alpha - 2)) * (g2 * g2)
-            + (-alpha * (alpha + 1)) * (g * g4)
-        )
-    if isinstance(g, QPoly):
-        g1 = g.derivative(var)
-        g2 = g1.derivative(var)
-        g3 = g2.derivative(var)
-        g4 = g3.derivative(var)
-        return (
-            g1 * g3 * (4 * alpha * (alpha - 2))
-            - g2 * g2 * (3 * (alpha - 1) * (alpha - 2))
-            - g * g4 * (alpha * (alpha + 1))
-        )
-    raise TypeError(f"unsupported operand {type(g)!r}")
+        deriv = FpPoly.derivative
+    elif isinstance(g, QPoly):
+        def deriv(f: QPoly) -> QPoly:
+            return f.derivative(var)
+    else:
+        raise TypeError(f"unsupported operand {type(g)!r}")
+    g1 = deriv(g)
+    g2 = deriv(g1)
+    g3 = deriv(g2)
+    g4 = deriv(g3)
+    return (
+        g1 * g3 * (4 * alpha * (alpha - 2))
+        - g2 * g2 * (3 * (alpha - 1) * (alpha - 2))
+        - g * g4 * (alpha * (alpha + 1))
+    )
 
 
 def annihilated_poly(p: int, a: int, s: int, alpha: int) -> FpPoly:
@@ -224,16 +219,6 @@ def alpha11_obstruction(p: Optional[int] = None) -> Alpha11Report:
         and coeff(8) == -(A[6] * A[6] * 5400 + A[1] * 653400)
         and coeff(7) == -(A[5] * A[6] * 7200 + A[0] * 1045440)
     )
-    def _largest_prime_factor(n: int) -> int:
-        big = 1
-        q = 2
-        while q * q <= n:
-            while n % q == 0:
-                big = q
-                n //= q
-            q += 1
-        return max(big, n) if n > 1 else big
-
     # 27720 = 2^3 * 3^2 * 5 * 7 * 11 (the exponent of 3 is 2); every listed
     # coefficient is smooth over primes <= 11, which is what the case
     # analysis needs against a characteristic > 121
@@ -246,7 +231,7 @@ def alpha11_obstruction(p: Optional[int] = None) -> Alpha11Report:
         and 5400 == 2**3 * 3**3 * 5**2
         and 653400 == 5400 * 121
         and all(
-            _largest_prime_factor(n) <= 11
+            max(_factorize(n)) <= 11
             for n in (27720, 88704, 199584, 380160, 1045440, 5400, 653400)
         )
     )

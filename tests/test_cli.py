@@ -124,6 +124,16 @@ class TestSmallPrimes:
         assert code == 0
         assert json.loads(out)["report"]["random_forms_checked"] == 9
 
+    @pytest.mark.parametrize("primes", ["2", "3", "5", "7", "2,3,5"])
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_residues_at_default_sizes(self, capsys, primes, seed):
+        # root counts and named-form set sizes are capped at what F_p holds
+        code, out, err = run_cli(
+            capsys, "verify-residues", "--primes", primes, "--seed", seed, "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["report"]["failures"] == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -229,6 +229,15 @@ class TestNamedFormIdentities:
             rep = lemma_form_identity(which, A, B, 2, mode="specialized")
             assert rep.ok, rep.hypothesis_failures
 
+    @pytest.mark.parametrize("which", ["psi", "omega21"])
+    def test_specialized_without_mu_d_reports_failure(self, which):
+        # d = |A||B| = 4 does not divide 10006, so mu_d does not exist in F_10007
+        A = FpSet(10007, [3, 10])
+        B = FpSet(10007, [2, 11])
+        rep = lemma_form_identity(which, A, B, 2, mode="specialized")
+        assert not rep.ok
+        assert "A + B != mu_d" in rep.hypothesis_failures
+
     def test_poles_must_not_collide(self):
         p = 13
         B = FpSet(p, [1, 5])
@@ -287,15 +296,11 @@ def _specialized_oracle(which, A, B, k):
 class TestSpecializedDisplays:
     @pytest.mark.parametrize("which", FORM_NAMES)
     def test_against_pairwise_oracle(self, which, rng):
-        # psi and omega21 test A + B = mu_d for d = |A||B|, which needs d | p - 1;
-        # no d >= 4 divides 10006, so they take the prime 10009 for 10007
-        critical = which in ("psi", "omega21")
-        for p in (41, 97, 10009 if critical else 10007):
+        for p in (41, 97, 10007):
             sizes = [
                 (alpha, beta)
                 for alpha in range(2, 6)
                 for beta in range(3, 6)  # for |B| = 2 the omega30 pair sum is empty
-                if not critical or (p - 1) % (alpha * beta) == 0
             ]
             for _ in range(8):
                 # k >= 1: at k = 0 the omega20 and omega30 displays depend on |B| alone

@@ -3,9 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from mucrit import search
 from mucrit.fp import FpSet, is_prime, roots_of_unity
 from mucrit.hp import criticality
 from mucrit.search import (
+    SearchResult,
     _recentered_index_violation,
     canonical_diffset,
     canonical_pair,
@@ -16,7 +18,6 @@ from mucrit.search import (
     problem2_scan,
     sumset_search,
     threefold_check,
-    threefold_decompose_target,
 )
 from mucrit.stepanov import rat2_check
 
@@ -267,22 +268,20 @@ class TestThreefold:
             assert res.witnesses == []
             assert "no three-summand decomposition exists" in res.verdicts
 
-    def test_planted_negative_control(self, rng):
-        # construct A+B+C and make sure the generic-target search finds a split
-        p = 53
-        for _ in range(5):
-            A = sorted(rng.sample(range(p), 2))
-            B = sorted(rng.sample(range(p), 2))
-            C = sorted(rng.sample(range(p), 3))
-            target = FpSet(p, [(a + b + c) % p for a in A for b in B for c in C])
-            found = threefold_decompose_target(target)
-            assert found is not None
-            FA, FB, FC = found
-            got = sorted(
-                {(x + y + z) % p for x in FA for y in FB for z in FC}
-            )
-            assert got == list(target.elems)
-            assert min(len(FA), len(FB), len(FC)) > 1
+    def test_planted_negative_control(self, monkeypatch):
+        # a planted pair witness whose second summand splits as {0, 1} + {0, 2}:
+        # the three-summand check must list the triple and flag it
+        p, d = 13, 4
+        planted = SearchResult("sumset", p, d, [((0, 5), (0, 1, 2, 3))], {"nodes": 1}, (), ())
+        monkeypatch.setattr(search, "sumset_search", lambda *args, **kwargs: planted)
+        res = threefold_check(p, d)
+        assert len(res.witnesses) == 1
+        first, B, C = res.witnesses[0]
+        assert first == (0, 5)
+        assert min(len(B), len(C)) > 1
+        assert sorted({(b + c) % p for b in B for c in C}) == [0, 1, 2, 3]
+        assert any("three-summand decomposition" in v for v in res.violations)
+        assert "no three-summand decomposition exists" not in res.verdicts
 
     def test_two_summand_decomposition_finds_plant(self, rng):
         p = 53
@@ -324,6 +323,21 @@ class TestLevson:
             lhs = math.comb(N, n - 1 + alpha) % p
             rhs = (-1) ** (n - 1) * math.comb(N, alpha) % p
             assert lhs == rhs
+
+    def test_cross_certificate_with_diffset_search(self):
+        # the levson primes p = 2 alpha(alpha-1) + 1 are the diffset cases
+        # d = (p-1)/2 = alpha(alpha-1); the clique search and the congruence
+        # scan share no code, so each guards the other
+        alpha_max = 20
+        primes = [
+            2 * a * (a - 1) + 1 for a in range(2, alpha_max + 1) if is_prime(2 * a * (a - 1) + 1)
+        ]
+        with_witness = {p for p in primes if diffset_search(p, (p - 1) // 2).witnesses}
+        scan_hits = {p for p, _, _ in levson_scan(alpha_max).witnesses}
+        assert with_witness == {5, 13, 41}
+        assert scan_hits == {13, 41}
+        # the one exception: p = 5 has d = 2, which the theorem allows
+        assert with_witness - scan_hits == {5}
 
 
 class TestProblemScans:
