@@ -156,10 +156,10 @@ def _random_subset(rng: random.Random, p: int, size: int, avoid=()) -> FpSet:
 
 def _random_split_form(rng: random.Random, p: int) -> RationalForm:
     roots = rng.sample(range(p), min(rng.randint(1, 4), p))
-    den = FpPoly.one(p)
-    for r in roots:
-        mult = rng.randint(1, 2)
-        den = den * from_roots(FpSet(p, [r]), mult)
+    doubled = [r for r in roots if rng.randint(1, 2) == 2]
+    den = from_roots(FpSet(p, roots))
+    if doubled:
+        den = den * from_roots(FpSet(p, doubled))
     num = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, den.degree + 2))])
     if num.is_zero():
         num = FpPoly.one(p)

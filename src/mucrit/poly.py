@@ -11,7 +11,8 @@ local parameter is 1/x and exponent j means x^(-j)).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple, Union
+from itertools import islice
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .fp import FieldElem, FpSet, _require_prime, inverse_mod
 
@@ -190,20 +191,8 @@ class FpPoly:
         db = len(b) - 1
         if len(self.coeffs) <= db:
             return FpPoly._make(p, []), self
-        # the working remainder holds exact integers; a coefficient is reduced
-        # only when it becomes the leading one
         rem = list(self.coeffs)
-        inv_lead = 1 if b[-1] == 1 else inverse_mod(b[-1], p)
-        low = b[:-1]
-        q = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] % p
-            if c == 0:
-                continue
-            f = c * inv_lead % p
-            q[i - db] = f
-            for j, bj in enumerate(low, i - db):
-                rem[j] -= f * bj
+        q = _divide_in_place(rem, b, p)
         return FpPoly._make(p, q), FpPoly._make(p, [c % p for c in rem[:db]])
 
     def __floordiv__(self, other: "FpPoly") -> "FpPoly":
@@ -253,12 +242,43 @@ def _fill_poly(obj: FpPoly, p: int, cs: List[int]) -> None:
     _set(obj, "coeffs", tuple(cs))
 
 
+def _divide_in_place(rem: List[int], b: Sequence[int], p: int) -> List[int]:
+    """Divide ``rem`` by ``b`` (reduced, non-zero leading coefficient) in
+    place and return the quotient; rem[:deg b] is left holding the remainder
+    as exact integers.  A coefficient of ``rem`` is reduced only when it
+    becomes the leading one."""
+    db = len(b) - 1
+    inv_lead = 1 if b[-1] == 1 else inverse_mod(b[-1], p)
+    low = b[:-1]
+    q = [0] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] % p
+        if c == 0:
+            continue
+        f = c * inv_lead % p
+        q[i - db] = f
+        for j, bj in enumerate(low, i - db):
+            rem[j] -= f * bj
+    return q
+
+
 def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
-    """Monic gcd via Euclid."""
+    """Monic gcd via Euclid on coefficient lists; one ``FpPoly`` is built,
+    for the result."""
     a._same_field(b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    p = a.p
+    u, w = list(a.coeffs), list(b.coeffs)
+    while w:
+        if len(u) >= len(w):
+            _divide_in_place(u, w, p)
+            u = [c % p for c in u[: len(w) - 1]]
+            while u and u[-1] == 0:
+                u.pop()
+        u, w = w, u
+    if u and u[-1] != 1:
+        inv = inverse_mod(u[-1], p)
+        u = [c * inv % p for c in u]
+    return FpPoly._make(p, u)
 
 
 def from_roots(roots: FpSet, multiplicity: int = 1) -> FpPoly:
@@ -453,17 +473,26 @@ def taylor_at(f: FpPoly, a, order: int) -> TruncatedSeries:
         raise ValueError("order must be >= 1")
     p = f.p
     av = a.v if isinstance(a, FieldElem) else int(a) % p
+    cs = list(islice(_taylor_coefficients(f, av), order))
+    return TruncatedSeries._make(p, av, 0, cs, order)
+
+
+def _taylor_coefficients(f: FpPoly, a: int) -> Iterator[int]:
+    """The coefficients of f in powers of (x - a), lowest first, for a in
+    [0, p).  Each one costs a synthetic-division pass, so a caller can stop
+    at any order; the passes end after deg f, where every later coefficient
+    is 0."""
+    p = f.p
     c = list(f.coeffs)
     n = len(c)
-    terms = min(order, n)
     # pass i divides c[i:] by (x - a): c[i] becomes the remainder, the i-th
     # Taylor coefficient, and c[i+1:] the quotient
-    for i in range(terms):
+    for i in range(n):
         acc = c[-1]
         for j in range(n - 2, i - 1, -1):
-            acc = (c[j] + av * acc) % p
+            acc = (c[j] + a * acc) % p
             c[j] = acc
-    return TruncatedSeries._make(p, av, 0, c[:terms], order)
+        yield c[i]
 
 
 def _reversed_series(f: FpPoly, length: int, order: int) -> TruncatedSeries:

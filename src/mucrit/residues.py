@@ -11,10 +11,20 @@ irrational roots are reported as inconclusive rather than extended.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fp import FieldElem, FpSet, inverse_mod, inverse_power_sums, sqrt_mod
-from .poly import AT_INFINITY, FpPoly, TruncatedSeries, from_roots, poly_gcd, taylor_at
+from .fp import FieldElem, FpSet, batch_inverse_ints, inverse_mod, sqrt_mod
+from .poly import (
+    AT_INFINITY,
+    FpPoly,
+    TruncatedSeries,
+    _taylor_coefficients,
+    from_roots,
+    poly_gcd,
+    taylor_at,
+)
 from .stepanov import gamma_numeric
 from .symm import power_sums_int
 
@@ -53,21 +63,25 @@ class RationalForm:
 def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> FieldElem:
     """Coefficient of 1/(x-b); zero at a non-pole.
 
-    ``multiplicity`` is the order v to which the denominator vanishes at b,
-    when the caller already knows it (``residue_table`` does); otherwise it
-    is counted here.  One expansion of the denominator to order 2v+1 checks
-    v, and its inverse is then known from (x-b)^(-v) up to (x-b)^0.
+    The order v to which the denominator vanishes at b is read off its Taylor
+    passes at b: the first non-zero coefficient is the v-th, and the v - 1
+    after it fix the inverse of the denominator from (x-b)^(-v) up to
+    (x-b)^(-1).  A ``multiplicity`` given by the caller (``residue_table``
+    knows it) must equal v.
     """
     p = form.p
     bv = b.v if isinstance(b, FieldElem) else int(b) % p
-    if multiplicity is None:
-        multiplicity = form.den.root_multiplicity(bv)
-    v = multiplicity
-    ds = taylor_at(form.den, bv, 2 * v + 1)
-    if ds.start != v:
-        raise ValueError(f"denominator vanishes to order {ds.start} at {bv}, not {v}")
+    passes = _taylor_coefficients(form.den, bv)
+    v = 0
+    for lead in passes:  # breaks: the denominator is not 0
+        if lead:
+            break
+        v += 1
+    if multiplicity is not None and multiplicity != v:
+        raise ValueError(f"denominator vanishes to order {v} at {bv}, not {multiplicity}")
     if v == 0:
         return FieldElem(0, p)
+    ds = TruncatedSeries._make(p, bv, v, [lead, *islice(passes, v - 1)], 2 * v)
     return (taylor_at(form.num, bv, v) * ds.inverse()).coefficient(-1)
 
 
@@ -89,16 +103,59 @@ def residue_at_infinity(form: RationalForm) -> FieldElem:
     return FieldElem((-coeff.v) % p, p)
 
 
+def _power_rows(m: Sequence[int], count: int, p: int) -> List[List[int]]:
+    """x^(n+i) mod m for 0 <= i < max(count, 1), as coefficient lists, where
+    m is monic of degree n >= 1."""
+    row = [(-c) % p for c in m[:-1]]
+    rows = [row]
+    for _ in range(count - 1):
+        # x * row, with its x^n term replaced by x^n mod m
+        top = row[-1]
+        row = [(-top * m[0]) % p] + [(r - top * c) % p for r, c in zip(row, m[1:-1])]
+        rows.append(row)
+    return rows
+
+
 def _poly_pow_mod(base: FpPoly, e: int, mod: FpPoly) -> FpPoly:
-    """base^e mod ``mod``, squaring left to right, so that each set bit costs
-    one multiplication by the (usually linear) base."""
-    base = base % mod
-    result = FpPoly.one(base.p) % mod
-    for bit in bin(e)[2:]:
-        result = result * result % mod
+    """base^e mod ``mod``, squaring left to right on coefficient lists.
+
+    With n = deg mod and b = base mod ``mod``, every step squares the running
+    power and, on a set bit of e, multiplies by the non-zero coefficients of
+    b (the callers pass x or x + c).  The product, of degree at most
+    2n - 2 + deg b, is then reduced in one go through a table of x^(n+i) mod
+    ``mod`` built once per call: no division, no inverse and no polynomial
+    object inside the loop.
+    """
+    p = mod.p
+    b = (base % mod).coeffs
+    m = mod.monic().coeffs
+    n = len(m) - 1
+    if n == 0 or (e > 0 and not b):
+        return FpPoly._make(p, [])
+    if e == 0:
+        return FpPoly._make(p, [1])
+    # column j holds the x^j coefficients of the table rows
+    cols = list(zip(*_power_rows(m, n + len(b) - 2, p)))
+    terms = [(k, c) for k, c in enumerate(b) if c]
+    r = list(b)
+    for bit in bin(e)[3:]:
+        k = len(r)
+        prod = [0] * (2 * k - 1)
+        for i, ri in enumerate(r):
+            if ri:
+                prod[2 * i] += ri * ri
+                ri2 = 2 * ri
+                for j in range(i + 1, k):
+                    prod[i + j] += ri2 * r[j]
         if bit == "1":
-            result = result * base % mod
-    return result
+            sq = prod
+            prod = [0] * (len(sq) + len(b) - 1)
+            for i, c in terms:
+                for j, sj in enumerate(sq, i):
+                    prod[j] += c * sj
+        high = prod[n:]
+        r = [(c + sum(map(mul, high, col))) % p for c, col in zip(prod, cols)]
+    return FpPoly._make(p, r)
 
 
 def _roots_of_split_squarefree(u: FpPoly) -> List[int]:
@@ -270,15 +327,35 @@ def _pole_sums(A: Optional[FpSet], B: FpSet):
     """Inverse power sums [sum 1/x, sum 1/x^2] per pole, over the pole
     differences: sB[b] over b - b' (b' in B, b' != b), and, when A is given,
     tB[b] over a + b (a in A) and uA[a] over a + b (b in B).  The poles -A and
-    B must then be disjoint."""
+    B must then be disjoint.
+
+    One batched inversion of the differences b - b' with b before b' serves
+    sB (b' - b has the opposite inverse and the same inverse square), and
+    one of the sums a + b serves both uA (row sums) and tB (column sums)."""
     p = B.p
-    sB = {b: inverse_power_sums([b - bp for bp in B.elems if bp != b], p, 2) for b in B.elems}
+    bs = B.elems
+    beta = len(bs)
+    pairs = [(i, j) for i in range(beta) for j in range(i + 1, beta)]
+    s1 = [0] * beta
+    s2 = [0] * beta
+    for (i, j), w in zip(pairs, batch_inverse_ints([bs[i] - bs[j] for i, j in pairs], p)):
+        w2 = w * w
+        s1[i] += w
+        s1[j] -= w
+        s2[i] += w2
+        s2[j] += w2
+    sB = {b: [s1[i] % p, s2[i] % p] for i, b in enumerate(bs)}
     if A is None:
         return sB, {}, {}
-    if set((-a) % p for a in A.elems) & set(B.elems):
+    if set((-a) % p for a in A.elems) & set(bs):
         raise ValueError("poles collide: (-A) meets B")
-    tB = {b: inverse_power_sums([a + b for a in A.elems], p, 2) for b in B.elems}
-    uA = {a: inverse_power_sums([a + b for b in B.elems], p, 2) for a in A.elems}
+    inv = batch_inverse_ints([a + b for a in A.elems for b in bs], p)
+    sq = [w * w for w in inv]
+    uA = {
+        a: [sum(inv[i : i + beta]) % p, sum(sq[i : i + beta]) % p]
+        for a, i in zip(A.elems, range(0, len(inv), beta))
+    }
+    tB = {b: [sum(inv[j::beta]) % p, sum(sq[j::beta]) % p] for j, b in enumerate(bs)}
     return sB, tB, uA
 
 
@@ -410,10 +487,16 @@ def _specialized_check(which, A, B, k, sums):
     # omega20 and omega30 have no admissible d: their constants are gamma3
     # and gamma2 at alpha = beta, written out here
     if which == "omega20":
+        if p == 2:
+            failures.append("2 is not invertible mod p")
+            return failures, 0, 0
         lhs = sum(pow(b, k + 1, p) * sB[b][0] for b in B.elems) % p
         rhs = pkB * ((beta - (k + 1) * inverse_mod(2, p)) % p) % p
         return failures, lhs, rhs
     if which == "omega30":
+        if p == 3:
+            failures.append("3 is not invertible mod p")
+            return failures, 0, 0
         third = inverse_mod(3, p)
         gamma2 = (beta * beta - (k + 2) * beta + (k + 1) * (k + 2) % p * third) % p
         lhs = sum(
@@ -448,6 +531,9 @@ def _specialized_check(which, A, B, k, sums):
     rep = criticality(A, B, d) if (p - 1) % d == 0 else None
     if rep is None or not (rep.critical and rep.exact == "mu_d"):
         failures.append("A + B != mu_d")
+    # gamma_numeric inverts 2 and 3, but is never reached at p = 2 or 3: there
+    # d - 1 or d - 2 vanishes unless p = 3 divides d = |A||B|, which needs A
+    # or B to be all of F_3, and then -A meets B
     if (d - 1) % p == 0 or (d - 2) % p == 0:
         failures.append("d-1 or d-2 vanishes mod p")
         return failures, 0, 0

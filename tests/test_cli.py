@@ -3,7 +3,10 @@ import random
 
 import pytest
 
-from mucrit import cli
+from mucrit import cli, residues
+from mucrit.fp import FpSet
+from mucrit.poly import FpPoly, from_roots
+from mucrit.residues import RationalForm
 
 from conftest import random_subset
 
@@ -124,6 +127,26 @@ class TestSmallPrimes:
         assert code == 0
         assert json.loads(out)["report"]["random_forms_checked"] == 9
 
+    def test_residues_negative_control(self, capsys, monkeypatch):
+        # one residue off by one, at the first pole of the run, fails the run
+        args = ("verify-residues", "--instances", "20", "--form-instances", "2",
+                "--format", "json")
+        code, out, _ = run_cli(capsys, *args)
+        assert (code, json.loads(out)["report"]["failures"]) == (0, [])
+        calls = []
+        residue_at = residues.residue_at
+
+        def off_by_one(form, b, multiplicity=None):
+            calls.append(b)
+            value = residue_at(form, b, multiplicity)
+            return value + 1 if len(calls) == 1 else value
+
+        monkeypatch.setattr(residues, "residue_at", off_by_one)
+        code, out, _ = run_cli(capsys, *args)
+        failures = json.loads(out)["report"]["failures"]
+        assert code == 1
+        assert len(failures) == 1 and failures[0].startswith("total residue nonzero")
+
     @pytest.mark.parametrize("primes", ["2", "3", "5", "7", "2,3,5"])
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_residues_at_default_sizes(self, capsys, primes, seed):
@@ -219,3 +242,26 @@ class TestRandomSubset:
         with pytest.raises(ValueError) as ref:
             random_subset(random.Random(0), 5, 4, avoid={1, 2})
         assert str(fast.value) == str(ref.value)
+
+
+def split_form_per_root(rng, p):
+    """The sampler as it was: one factor (x - r)^m per root."""
+    roots = rng.sample(range(p), min(rng.randint(1, 4), p))
+    den = FpPoly.one(p)
+    for r in roots:
+        den = den * from_roots(FpSet(p, [r]), rng.randint(1, 2))
+    num = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, den.degree + 2))])
+    if num.is_zero():
+        num = FpPoly.one(p)
+    return RationalForm(num, den)
+
+
+class TestRandomSplitForm:
+    @pytest.mark.parametrize("p", [2, 3, 5, 41, 97, 10007])
+    def test_matches_per_root_builder(self, p):
+        # same form and same RNG state as multiplying one factor per root
+        for seed in range(60):
+            fast, ref = random.Random(seed), random.Random(seed)
+            a, b = cli._random_split_form(fast, p), split_form_per_root(ref, p)
+            assert (a.num, a.den) == (b.num, b.den)
+            assert fast.getstate() == ref.getstate()

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from mucrit import poly
 from mucrit.fp import FpSet, batch_inverse_ints, inverse_mod
 from mucrit.poly import (
     AT_INFINITY,
@@ -63,6 +66,43 @@ class TestFpPoly:
         g = from_roots(FpSet(p, [2, 5]), 1)
         got = poly_gcd(f, g)
         assert got == from_roots(FpSet(p, [2, 5]), 1)
+
+
+def sympy_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    pa, pb = (
+        sympy.Poly(list(reversed(f.coeffs)) or [0], x, modulus=f.p) for f in (a, b)
+    )
+    return FpPoly(a.p, [int(c) for c in reversed(pa.gcd(pb).all_coeffs())])
+
+
+def gcd_cases(p, rng):
+    """Pairs c * a, c * b with a random common factor c, either side possibly
+    zero or constant."""
+    def rand(lo, hi):
+        return FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(lo, hi))])
+
+    cases = []
+    for _ in range(60):
+        c = rand(1, 5)
+        cases.append((c * rand(0, 8), c * rand(0, 8)))
+    return cases
+
+
+class TestPolyGcdDifferential:
+    @pytest.mark.parametrize("p", [2, 3, 5, 41, 97, 10007])
+    def test_matches_sympy(self, p):
+        for a, b in gcd_cases(p, random.Random(p)):
+            assert poly_gcd(a, b) == sympy_gcd(a, b), (a, b)
+
+    def test_negative_control_leading_coefficient_ignored(self, monkeypatch):
+        # dividing as if every leading coefficient were 1 leaves wrong
+        # remainders and a non-monic result, which the comparison catches
+        monkeypatch.setattr(poly, "inverse_mod", lambda a, p: 1)
+        with pytest.raises(AssertionError):
+            for a, b in gcd_cases(97, random.Random(97)):
+                assert poly_gcd(a, b) == sympy_gcd(a, b), (a, b)
 
 
 class TestFromRoots:

@@ -222,6 +222,21 @@ class TestNamedFormIdentities:
             rep30 = lemma_form_identity("omega30", None, B, 3, mode="specialized")
             assert rep30.ok, rep30.hypothesis_failures
 
+    @pytest.mark.parametrize(
+        "which, p, A, B, failure",
+        [
+            ("omega20", 2, None, [0, 1], "2 is not invertible mod p"),
+            ("omega30", 3, None, [1, 2], "3 is not invertible mod p"),
+        ],
+    )
+    def test_specialized_at_p_2_and_3_reports_failure(self, which, p, A, B, failure):
+        # the omega20 display divides by 2 and the omega30 display by 3; at
+        # p = 2 or 3 that is a failed hypothesis, not a crash
+        rep = lemma_form_identity(which, A, FpSet(p, B), 1, mode="specialized")
+        assert not rep.ok
+        assert failure in rep.hypothesis_failures
+        assert rep.residues_match_series and rep.total_zero
+
     def test_specialized_psi_omega21_on_critical_pair(self):
         A = FpSet(13, [3, 10])
         B = FpSet(13, [2, 11])

@@ -1,13 +1,18 @@
-"""Differential tests of residues.rational_root_part against sympy's
-factorization mod p."""
+"""Differential tests of the root finder and its kernels: rational_root_part
+against sympy's factorization mod p, the tabulated powering against plain
+powering, and the pole order read off the Taylor passes against
+root_multiplicity."""
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mucrit import residues
 from mucrit.fp import FpSet
 from mucrit.poly import FpPoly, from_roots
-from mucrit.residues import rational_root_part
+from mucrit.residues import RationalForm, _poly_pow_mod, rational_root_part, residue_at
 
 sympy = pytest.importorskip("sympy")
 X = sympy.symbols("x")
@@ -89,3 +94,68 @@ def test_negative_control_dropped_root():
     del dropped[17]
     with pytest.raises(AssertionError):
         assert_matches_sympy(f, (dropped, cofactor * from_roots(FpSet(p, [17]), 1)))
+
+
+def pow_mod_cases(p, rng):
+    """(base, e, mod) with a non-monic mod of degree 1 to 8 (p > 2), bases of
+    degree up to deg mod + 3 besides the callers' x and x + c, and e in
+    {0, 1, random}."""
+    cases = []
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        mod = FpPoly(p, [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)])
+        bases = [
+            FpPoly.x(p),
+            FpPoly(p, [rng.randrange(p), 1]),
+            FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, n + 4))]),
+        ]
+        for base in bases:
+            for e in (0, 1, rng.randrange(2, 40)):
+                cases.append((base, e, mod))
+    return cases
+
+
+def assert_pow_mod_matches(cases) -> None:
+    # (base ** e) % mod expands the full power: exact, and unoptimised
+    for base, e, mod in cases:
+        assert _poly_pow_mod(base, e, mod) == (base**e) % mod, (base, e, mod)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 41, 97, 10007])
+def test_pow_mod_matches_plain_power(p):
+    assert_pow_mod_matches(pow_mod_cases(p, random.Random(p)))
+
+
+def test_pow_mod_negative_control_dropped_row(monkeypatch):
+    cases = pow_mod_cases(97, random.Random(97))
+    rows = residues._power_rows
+    monkeypatch.setattr(residues, "_power_rows", lambda m, count, p: rows(m, count, p)[:-1])
+    with pytest.raises(AssertionError):
+        assert_pow_mod_matches(cases)
+
+
+@st.composite
+def form_and_point(draw):
+    """A form num/den with den from split_times_quadratic, and either one of
+    den's roots (gcd reduction may have lowered its order) or any residue."""
+    roots, den = draw(split_times_quadratic())
+    p = den.p
+    num = FpPoly(p, draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)))
+    assume(not num.is_zero())
+    pick_root = roots and draw(st.booleans())
+    b = draw(st.sampled_from(sorted(roots)) if pick_root else st.integers(0, p - 1))
+    return RationalForm(num, den), b
+
+
+@given(form_and_point())
+@settings(max_examples=150, deadline=None)
+def test_pole_order_matches_root_multiplicity(case):
+    # residue_at raises unless the given multiplicity is the order it reads
+    # off the Taylor passes; an order off by one either way must raise
+    form, b = case
+    v = form.den.root_multiplicity(b)
+    assert residue_at(form, b, v) == residue_at(form, b)
+    for wrong in (v - 1, v + 1):
+        if wrong >= 0:
+            with pytest.raises(ValueError):
+                residue_at(form, b, wrong)
