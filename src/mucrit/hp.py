@@ -20,6 +20,7 @@ from .fp import (
     binom_mod,
     inverse_mod,
     inverse_power_sums,
+    inverse_table,
     roots_of_unity,
 )
 from .poly import FpPoly, from_roots
@@ -164,12 +165,13 @@ def power_sum_vanishing(A: FpSet, B: FpSet, d: int) -> bool:
 
     pa = power_sums_int(A, d)
     pb = power_sums_int(B, d)
+    inv = inverse_table(p, d)  # d | p - 1, so d < p
     for k in range(1, d):
         acc = 0
         row = 1  # C(k, j) built incrementally
         for j in range(k + 1):
             acc = (acc + row * pa[j] % p * pb[k - j]) % p
-            row = row * (k - j) % p * inverse_mod(j + 1, p) % p
+            row = row * (k - j) % p * inv[j + 1] % p
         if acc != 0:
             return False
     return True

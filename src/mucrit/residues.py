@@ -527,10 +527,14 @@ def _specialized_check(which, A, B, k, sums):
         failures.append("k is odd")
     if (pA[k] + pkB) % p != 0:
         failures.append("p_k(A) != -p_k(B)")
-    # mu_d exists only when d | p - 1; otherwise A + B cannot equal it
-    rep = criticality(A, B, d) if (p - 1) % d == 0 else None
-    if rep is None or not (rep.critical and rep.exact == "mu_d"):
-        failures.append("A + B != mu_d")
+    if min(alpha, beta) < 2:
+        # a critical pair needs |A|, |B| > 1; criticality rejects anything less
+        failures.append("|A| or |B| is 1")
+    else:
+        # mu_d exists only when d | p - 1; otherwise A + B cannot equal it
+        rep = criticality(A, B, d) if (p - 1) % d == 0 else None
+        if rep is None or not (rep.critical and rep.exact == "mu_d"):
+            failures.append("A + B != mu_d")
     # gamma_numeric inverts 2 and 3, but is never reached at p = 2 or 3: there
     # d - 1 or d - 2 vanishes unless p = 3 divides d = |A||B|, which needs A
     # or B to be all of F_3, and then -A meets B

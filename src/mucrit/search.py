@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fp import FpSet, inverse_mod, inverse_table, is_prime, roots_of_unity
+from .fp import FpSet, inverse_mod, is_prime, roots_of_unity
 from .hp import criticality
 from .stepanov import rat2_check
 from .symm import minimal_indices, power_sums_int, recentering_shift
@@ -437,8 +437,13 @@ def threefold_check(
 def levson_scan(alpha_max: int) -> SearchResult:
     """Scan alpha <= alpha_max with p = 2 alpha(alpha-1) + 1 prime, testing
     C(alpha^2-1, n-1+alpha) == (-1)^(n-1) C(alpha^2-1, alpha) mod p for
-    1 < n <= alpha.  Binomials walk incrementally with an inverse table, so
-    one alpha costs O(alpha) field operations.  p grows with alpha and n
+    1 < n <= alpha.
+
+    With N = alpha^2 - 1 and K = n-1+alpha, C(N, K) / C(N, alpha) is the
+    product of (N-K'+1)/K' over alpha < K' <= K, and every factor is a unit
+    (N < p and K <= 2 alpha - 1 < p).  So the congruence compares two running
+    products of plain ints, with no inverse and no reference binomial, and
+    one alpha costs O(alpha) multiplications.  p grows with alpha and n
     within each alpha, so the hits come out sorted."""
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
@@ -450,16 +455,12 @@ def levson_scan(alpha_max: int) -> SearchResult:
             continue
         scanned += 1
         N = alpha * alpha - 1
-        inv = inverse_table(p, 2 * alpha)
-        ref = 1
-        for j in range(1, alpha + 1):
-            ref = ref * ((N - alpha + j) % p) % p * inv[j] % p
-        cur = ref
+        lhs = rhs = 1
         for n in range(2, alpha + 1):
             K = n - 1 + alpha
-            cur = cur * ((N - K + 1) % p) % p * inv[K] % p
-            want = ref if (n - 1) % 2 == 0 else (p - ref) % p
-            if cur == want:
+            lhs = lhs * (N - K + 1) % p
+            rhs = rhs * K % p
+            if lhs == (rhs if n % 2 else p - rhs):
                 hits.append((p, alpha, n))
     return SearchResult("levson", None, None, hits, {"primes_scanned": scanned}, (), ())
 
@@ -474,16 +475,27 @@ def product_condition(A: Sequence[int], p: int) -> bool:
         prod = 1
         for x in A:
             if x != a:
-                prod = prod * pow((a - x) % p, alpha, p) % p
-        if prod != p - 1:
+                prod = prod * (a - x) % p
+        if pow(prod, alpha, p) != p - 1:
             return False
     return True
+
+
+def _coset_leaders(p: int, mu: FpSet) -> List[int]:
+    """The least element of each coset of mu in F_p*, ascending."""
+    return sorted({min(x * u % p for u in mu.elems) for x in range(1, p)})
 
 
 def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
     """All classes of A (size alpha, alpha(alpha-1) = d) satisfying
     ``product_condition``; symmetry group is translations with mu_d
-    scalings, as for difference sets."""
+    scalings, as for difference sets.
+
+    Both symmetries preserve the condition: a translation leaves every
+    difference alone, and a scaling by u in mu_d multiplies each product by
+    u^(alpha(alpha-1)) = u^d = 1.  Translating one element to 0 and scaling
+    another onto the least element r of its coset r*mu_d puts every class
+    into {0, r} u rest, so only those sets are checked."""
     _validate_subgroup_order(p, d)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
@@ -496,11 +508,13 @@ def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
     mu = roots_of_unity(p, d)
     checked = 0
     classes = set()
-    for rest in combinations(range(1, p), alpha - 1):
-        A = (0,) + rest
-        checked += 1
-        if product_condition(A, p):
-            classes.add(canonical_diffset(A, p, mu))
+    for r in _coset_leaders(p, mu):
+        others = [x for x in range(1, p) if x != r]
+        for rest in combinations(others, alpha - 2):
+            A = (0, r) + rest
+            checked += 1
+            if product_condition(A, p):
+                classes.add(canonical_diffset(A, p, mu))
     witnesses = []
     for A in sorted(classes):
         assert product_condition(A, p), f"witness {A} failed re-verification"

@@ -147,6 +147,14 @@ class TestPowerSumVanishing:
     def test_mu4_pair_all_vanish(self):
         assert power_sum_vanishing(PAIR_A, PAIR_B, 4)
 
+    @pytest.mark.parametrize("A, B, d", [(F13, -F13, 6), (PAIR_A, PAIR_B, 4)])
+    def test_matches_brute_force(self, A, B, d):
+        # every sum_{a,b} (a+b)^k with 1 <= k < d, one term at a time
+        p = A.p
+        sums = [sum(pow((a + b) % p, k, p) for a in A for b in B) % p for k in range(1, d)]
+        assert sums == [0] * (d - 1)
+        assert power_sum_vanishing(A, B, d) == all(s == 0 for s in sums)
+
     def test_boundary_k_equals_d(self):
         # at k = d the double sum is |A||B| != 0; the checked range ends at d-1
         p = 13

@@ -253,6 +253,28 @@ class TestNamedFormIdentities:
         assert not rep.ok
         assert "A + B != mu_d" in rep.hypothesis_failures
 
+    @pytest.mark.parametrize("which", ["psi", "omega21"])
+    @pytest.mark.parametrize(
+        "p, A, B",
+        [
+            (97, [1], [2, 3]),
+            (97, [1], [2, 3, 4]),
+            (97, [1, 2], [5]),
+            (13, [1], [0, 4, 7, 11]),  # A + B = mu_4 exactly, yet not a critical pair
+        ],
+    )
+    def test_specialized_singleton_reports_failure(self, which, p, A, B):
+        # a critical pair needs |A|, |B| > 1; a singleton is a failed
+        # hypothesis, not a crash, and the display is still evaluated
+        A, B = FpSet(p, A), FpSet(p, B)
+        rep = lemma_form_identity(which, A, B, 2, mode="specialized")
+        assert not rep.ok
+        assert "|A| or |B| is 1" in rep.hypothesis_failures
+        assert rep.residues_match_series and rep.total_zero
+        d = len(A) * len(B)
+        if (d - 1) % p and (d - 2) % p:
+            assert (rep.lhs.v, rep.rhs.v) == _specialized_oracle(which, A, B, 2)
+
     def test_poles_must_not_collide(self):
         p = 13
         B = FpSet(p, [1, 5])

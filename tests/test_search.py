@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations
 
@@ -340,11 +341,64 @@ class TestLevson:
         assert with_witness - scan_hits == {5}
 
 
+# every (p, d) with p <= 61 that problem2_scan accepts with d = alpha(alpha-1)
+PROBLEM2_CASES = [
+    (p, d)
+    for p in range(3, 62)
+    if is_prime(p)
+    for d in range(2, p - 1)
+    if (p - 1) % d == 0 and search._alpha_for(d) is not None
+]
+
+
+def _product_condition_by_factors(A, p):
+    """prod_{a' != a} (a - a')^|A| = -1 at every a in A, one power per factor."""
+    alpha = len(A)
+    return all(math.prod(pow(a - x, alpha, p) for x in A if x != a) % p == p - 1 for a in A)
+
+
+@functools.lru_cache(maxsize=None)
+def _problem2_classes_unquotiented(p, d):
+    """The classes of every (alpha-1)-subset beside 0 with the product
+    condition.  At 0 the condition reads (prod rest)^alpha = -1, because
+    (-1)^(alpha(alpha-1)) = 1, so that cheaper test runs first."""
+    alpha = search._alpha_for(d)
+    mu = roots_of_unity(p, d)
+    roots_of_minus_one = {y for y in range(1, p) if pow(y, alpha, p) == p - 1}
+    return sorted(
+        {
+            canonical_diffset((0,) + rest, p, mu)
+            for rest in combinations(range(1, p), alpha - 1)
+            if math.prod(rest) % p in roots_of_minus_one
+            and _product_condition_by_factors((0,) + rest, p)
+        }
+    )
+
+
 class TestProblemScans:
     def test_problem2_f41(self):
         res = problem2_scan(41, 20)
         mu = roots_of_unity(41, 20)
         assert (canonical_diffset((0, 1, 9, 32, 40), 41, mu),) in res.witnesses
+
+    @pytest.mark.parametrize("p, d", PROBLEM2_CASES)
+    def test_problem2_matches_unquotiented_enumeration(self, p, d):
+        res = problem2_scan(p, d)
+        assert [A for (A,) in res.witnesses] == _problem2_classes_unquotiented(p, d)
+
+    def test_problem2_cases_cover_the_range(self):
+        assert len(PROBLEM2_CASES) == 27
+        assert (61, 30) in PROBLEM2_CASES
+        assert sum(bool(_problem2_classes_unquotiented(p, d)) for p, d in PROBLEM2_CASES) > 10
+
+    @pytest.mark.parametrize("p, d", [(13, 2), (61, 20)])
+    def test_problem2_negative_control_one_coset(self, monkeypatch, p, d):
+        # a class need not meet the coset of 1 once 0 is in it, so keeping
+        # only that coset's leader must lose classes
+        monkeypatch.setattr(search, "_coset_leaders", lambda p, mu: [1])
+        got = [A for (A,) in problem2_scan(p, d).witnesses]
+        want = _problem2_classes_unquotiented(p, d)
+        assert set(got) < set(want)
 
     def test_problem1_contains_cross(self):
         res = problem1_scan(13, 5)
