@@ -10,6 +10,7 @@ multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -17,6 +18,10 @@ Scalar = Union[int, Fraction]
 
 def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class QPoly:
@@ -34,10 +39,17 @@ class QPoly:
             e = tuple(int(x) for x in exps)
             if len(e) != len(vs):
                 raise ValueError("exponent tuple length mismatch")
-            cleaned[e] = cleaned.get(e, Fraction(0)) + c
-        cleaned = {e: c for e, c in cleaned.items() if c != 0}
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", cleaned)
+            cleaned[e] = cleaned[e] + c if e in cleaned else c
+        _fill_qpoly(self, vs, cleaned)
+
+    @classmethod
+    def _make(cls, vars: Tuple[str, ...], terms: Dict[Tuple[int, ...], Fraction]) -> "QPoly":
+        """Trusted constructor for results computed inside this module:
+        ``vars`` is a tuple of names and ``terms`` a fresh dict from exponent
+        tuples of matching length to Fractions.  Only zero terms are dropped."""
+        obj = _new(cls)
+        _fill_qpoly(obj, vars, terms)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("QPoly is immutable")
@@ -69,6 +81,8 @@ class QPoly:
 
     def with_vars(self, vs: Sequence[str]) -> "QPoly":
         vs = tuple(vs)
+        if vs == self.vars:
+            return self
         if any(v not in vs for v in self.vars):
             raise ValueError("cannot drop variables")
         idx = [vs.index(v) for v in self.vars]
@@ -78,7 +92,7 @@ class QPoly:
             for i, x in zip(idx, exps):
                 e[i] = x
             out[tuple(e)] = c
-        return QPoly(vs, out)
+        return QPoly._make(vs, out)
 
     def _coerce(self, other) -> "QPoly":
         if isinstance(other, QPoly):
@@ -94,13 +108,13 @@ class QPoly:
         a, b = self._aligned(o)
         out = dict(a.terms)
         for e, c in b.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return QPoly(a.vars, out)
+            out[e] = out[e] + c if e in out else c
+        return QPoly._make(a.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return QPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -119,9 +133,10 @@ class QPoly:
         out: Dict[Tuple[int, ...], Fraction] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return QPoly(a.vars, out)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                out[e] = out[e] + c if e in out else c
+        return QPoly._make(a.vars, out)
 
     __rmul__ = __mul__
 
@@ -130,7 +145,7 @@ class QPoly:
             c = _frac(other)
             if c == 0:
                 raise ZeroDivisionError
-            return QPoly(self.vars, {e: v / c for e, v in self.terms.items()})
+            return QPoly._make(self.vars, {e: v / c for e, v in self.terms.items()})
         return NotImplemented
 
     def __pow__(self, e: int):
@@ -169,9 +184,9 @@ class QPoly:
         out: Dict[Tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
             if e[i] == power:
-                re = tuple(x for j, x in enumerate(e) if j != i)
-                out[re] = out.get(re, Fraction(0)) + c
-        return QPoly(rest, out)
+                # e[i] is fixed, so the remaining exponents are distinct
+                out[tuple(x for j, x in enumerate(e) if j != i)] = c
+        return QPoly._make(rest, out)
 
     def derivative(self, name: str) -> "QPoly":
         i = self.vars.index(name)
@@ -180,8 +195,8 @@ class QPoly:
             if e[i] > 0:
                 ne = list(e)
                 ne[i] -= 1
-                out[tuple(ne)] = out.get(tuple(ne), Fraction(0)) + c * e[i]
-        return QPoly(self.vars, out)
+                out[tuple(ne)] = c * e[i]
+        return QPoly._make(self.vars, out)
 
     def substitute(self, name: str, value) -> "QPoly":
         """Substitute a scalar or QPoly for one variable."""
@@ -192,12 +207,11 @@ class QPoly:
         acc = QPoly.const(0, rest)
         by_power: Dict[int, Dict[Tuple[int, ...], Fraction]] = {}
         for e, c in self.terms.items():
-            re = tuple(x for j, x in enumerate(e) if j != i)
-            by_power.setdefault(e[i], {})[re] = (
-                by_power.setdefault(e[i], {}).get(re, Fraction(0)) + c
-            )
+            # e is e[i] spliced into the remaining exponents, so each power
+            # meets each remaining tuple at most once
+            by_power.setdefault(e[i], {})[tuple(x for j, x in enumerate(e) if j != i)] = c
         for power, terms in by_power.items():
-            acc = acc + QPoly(rest, terms) * value**power
+            acc = acc + QPoly._make(rest, terms) * value**power
         return acc
 
     def eval_scalar(self, **assignments: Scalar) -> Fraction:
@@ -230,6 +244,11 @@ class QPoly:
             )
             bits.append(f"{c}*{mono}" if mono else f"{c}")
         return "QPoly(" + " + ".join(bits) + ")"
+
+
+def _fill_qpoly(obj: QPoly, vs: Tuple[str, ...], terms: Dict[Tuple[int, ...], Fraction]) -> None:
+    _set(obj, "vars", vs)
+    _set(obj, "terms", {e: c for e, c in terms.items() if c})
 
 
 def falling(x: QPoly, m: int) -> QPoly:

@@ -64,10 +64,13 @@ def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> Fie
     """Coefficient of 1/(x-b); zero at a non-pole.
 
     The order v to which the denominator vanishes at b is read off its Taylor
-    passes at b: the first non-zero coefficient is the v-th, and the v - 1
-    after it fix the inverse of the denominator from (x-b)^(-v) up to
-    (x-b)^(-1).  A ``multiplicity`` given by the caller (``residue_table``
-    knows it) must equal v.
+    passes at b: the first non-zero coefficient is the v-th.  It and the
+    v - 1 after it are u_0..u_(v-1), the start of U with den = (x-b)^v U, and
+    the residue is the (x-b)^(v-1) coefficient of num/U: the sum of
+    n_i w_(v-1-i) over i < v, where n is the Taylor expansion of num at b and
+    w_0 = 1/u_0, w_j = -w_0 (u_1 w_(j-1) + ... + u_j w_0) begin 1/U.  A
+    ``multiplicity`` given by the caller (``residue_table`` knows it) must
+    equal v.
     """
     p = form.p
     bv = b.v if isinstance(b, FieldElem) else int(b) % p
@@ -81,8 +84,14 @@ def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> Fie
         raise ValueError(f"denominator vanishes to order {v} at {bv}, not {multiplicity}")
     if v == 0:
         return FieldElem(0, p)
-    ds = TruncatedSeries._make(p, bv, v, [lead, *islice(passes, v - 1)], 2 * v)
-    return (taylor_at(form.num, bv, v) * ds.inverse()).coefficient(-1)
+    u = [lead, *islice(passes, v - 1)]
+    u += [0] * (v - len(u))  # the passes end after deg den
+    w0 = inverse_mod(lead, p)
+    w = [w0]
+    for j in range(1, v):
+        w.append(-w0 * sum(u[i] * w[j - i] for i in range(1, j + 1)) % p)
+    ns = taylor_at(form.num, bv, v)
+    return FieldElem(sum(c * w[v - 1 - i] for i, c in enumerate(ns.coeffs, ns.start)) % p, p)
 
 
 def residue_at_infinity(form: RationalForm) -> FieldElem:

@@ -439,12 +439,18 @@ def levson_scan(alpha_max: int) -> SearchResult:
     C(alpha^2-1, n-1+alpha) == (-1)^(n-1) C(alpha^2-1, alpha) mod p for
     1 < n <= alpha.
 
-    With N = alpha^2 - 1 and K = n-1+alpha, C(N, K) / C(N, alpha) is the
-    product of (N-K'+1)/K' over alpha < K' <= K, and every factor is a unit
-    (N < p and K <= 2 alpha - 1 < p).  So the congruence compares two running
-    products of plain ints, with no inverse and no reference binomial, and
-    one alpha costs O(alpha) multiplications.  p grows with alpha and n
-    within each alpha, so the hits come out sorted."""
+    With N = alpha^2 - 1, C(N, n-1+alpha) / C(N, alpha) is the product of
+    (N-K'+1)/K' over K' = alpha + j, 0 < j < n.  Since 2(N-K'+1) =
+    p - 1 - 2j == -(2j+1), each factor is -(2j+1) / (2(alpha+j)), so the
+    congruence holds exactly when
+
+        prod_{0<j<n} (2j+1) == prod_{0<j<n} 2(alpha+j)   (mod p),
+
+    the sign (-1)^(n-1) cancelling.  Every factor is a unit (N < p and
+    alpha + j <= 2 alpha - 1 < p), so the scan compares two running products
+    of plain ints, with no inverse and no reference binomial, and one alpha
+    costs O(alpha) multiplications.  p grows with alpha and n within each
+    alpha, so the hits come out sorted."""
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
     hits = []
@@ -454,13 +460,13 @@ def levson_scan(alpha_max: int) -> SearchResult:
         if not is_prime(p):
             continue
         scanned += 1
-        N = alpha * alpha - 1
-        lhs = rhs = 1
-        for n in range(2, alpha + 1):
-            K = n - 1 + alpha
-            lhs = lhs * (N - K + 1) % p
-            rhs = rhs * K % p
-            if lhs == (rhs if n % 2 else p - rhs):
+        odd = twice = 1
+        # step j: n = j + 1, a = 2j + 1, b = 2(alpha + j)
+        steps = zip(range(2, alpha + 1), range(3, 2 * alpha, 2), range(2 * alpha + 2, 4 * alpha, 2))
+        for n, a, b in steps:
+            odd = odd * a % p
+            twice = twice * b % p
+            if odd == twice:
                 hits.append((p, alpha, n))
     return SearchResult("levson", None, None, hits, {"primes_scanned": scanned}, (), ())
 
@@ -493,9 +499,12 @@ def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
 
     Both symmetries preserve the condition: a translation leaves every
     difference alone, and a scaling by u in mu_d multiplies each product by
-    u^(alpha(alpha-1)) = u^d = 1.  Translating one element to 0 and scaling
-    another onto the least element r of its coset r*mu_d puts every class
-    into {0, r} u rest, so only those sets are checked."""
+    u^(alpha(alpha-1)) = u^d = 1.  Take the pair (a, a') of a member whose
+    difference a' - a has the least coset leader r (the least element of
+    its coset r*mu_d).  Translating a to 0 and scaling a' - a onto r sends
+    every other element y to x = u(y - a) with u in mu_d, and x >= leader(x)
+    = leader(y - a) >= r with x != r.  So every class meets
+    {0, r} u rest with rest above r, and only those sets are checked."""
     _validate_subgroup_order(p, d)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
@@ -509,8 +518,7 @@ def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
     checked = 0
     classes = set()
     for r in _coset_leaders(p, mu):
-        others = [x for x in range(1, p) if x != r]
-        for rest in combinations(others, alpha - 2):
+        for rest in combinations(range(r + 1, p), alpha - 2):
             A = (0, r) + rest
             checked += 1
             if product_condition(A, p):

@@ -59,6 +59,96 @@ class TestQPoly:
         assert falling(a, 2).substitute("a", 7).eval_scalar() == 42
 
 
+VAR_SETS = [(), ("x",), ("y",), ("x", "y")]
+
+
+@st.composite
+def qpolys(draw):
+    """A QPoly through the validating constructor, zero coefficients included."""
+    vs = draw(st.sampled_from(VAR_SETS))
+    exps = st.tuples(*[st.integers(0, 3)] * len(vs))
+    return QPoly(vs, draw(st.dictionaries(exps, small_fracs, max_size=5)))
+
+
+def _terms_over(f, vs):
+    return {
+        tuple(e[f.vars.index(v)] if v in f.vars else 0 for v in vs): c
+        for e, c in f.terms.items()
+    }
+
+
+def _joint_vars(f, g):
+    # binary operations keep equal variable lists and sort the union otherwise
+    return f.vars if f.vars == g.vars else tuple(sorted(set(f.vars) | set(g.vars)))
+
+
+def _sum_oracle(f, g):
+    vs = _joint_vars(f, g)
+    out = _terms_over(f, vs)
+    for e, c in _terms_over(g, vs).items():
+        out[e] = out.get(e, 0) + c
+    return QPoly(vs, out)
+
+
+def _product_oracle(f, g):
+    vs = _joint_vars(f, g)
+    out = {}
+    for e1, c1 in _terms_over(f, vs).items():
+        for e2, c2 in _terms_over(g, vs).items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return QPoly(vs, out)
+
+
+def _assert_same(got, want):
+    # field by field: ``==`` would align variables and hide a difference
+    assert got.vars == want.vars
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+
+
+class TestQPolyTrustedArithmetic:
+    """Results built inside ``qalg`` without validation equal what the
+    validating constructor builds from an independent computation."""
+
+    @given(qpolys(), qpolys())
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, f, g):
+        _assert_same(f + g, _sum_oracle(f, g))
+        _assert_same(f - g, _sum_oracle(f, QPoly(g.vars, {e: -c for e, c in g.terms.items()})))
+        _assert_same(f * g, _product_oracle(f, g))
+        _assert_same(-f, QPoly(f.vars, {e: -c for e, c in f.terms.items()}))
+        for r in (f + g, f - g, f * g, -f):
+            _assert_same(r, QPoly(r.vars, r.terms))
+
+    @given(qpolys(), small_fracs)
+    @settings(max_examples=80, deadline=None)
+    def test_with_vars_scalar_division_and_calculus(self, f, c):
+        vs = ("x", "y", "z")
+        _assert_same(f.with_vars(vs), QPoly(vs, _terms_over(f, vs)))
+        assert f.with_vars(f.vars) is f
+        if c != 0:
+            _assert_same(f / c, QPoly(f.vars, {e: v / c for e, v in f.terms.items()}))
+        g = f.with_vars(("x", "y"))
+        _assert_same(
+            g.derivative("x"),
+            QPoly(g.vars, {(a - 1, b): v * a for (a, b), v in g.terms.items() if a}),
+        )
+        _assert_same(
+            g.coefficient("x", 1),
+            QPoly(("y",), {(b,): v for (a, b), v in g.terms.items() if a == 1}),
+        )
+
+    def test_cancellation_leaves_no_terms(self):
+        x = QPoly.var("x")
+        assert ((x + 1) * (x - 1) - x**2 + 1).terms == {}
+        y = QPoly.var("y")
+        r = (x + y) * (x - y) - x * x + y * y
+        assert r.vars == ("x", "y") and r.terms == {}
+        assert (x / 3 * 3 - x).terms == {}
+        assert (x.derivative("x") - 1).terms == {}
+
+
 class TestQQuadElem:
     def test_generator_square(self):
         w = QQuadElem.generator()

@@ -1,7 +1,7 @@
 import pytest
 
 from mucrit.fp import FpSet, batch_inverse_ints, inverse_mod
-from mucrit.poly import FpPoly, from_roots
+from mucrit.poly import FpPoly, from_roots, taylor_at
 from mucrit.residues import (
     FORM_NAMES,
     RationalForm,
@@ -93,6 +93,59 @@ class TestResidueAt:
         scaled = RationalForm(form.num * extra, form.den * extra)
         assert residue_at(form, b) == residue_at(scaled, b)
         assert residue_at_infinity(form) == residue_at_infinity(scaled)
+
+
+def _residue_by_series(form, b):
+    """Residue at b as a product of truncated series: the Taylor expansion of
+    the numerator times the inverse of the denominator's, read at (x-b)^(-1)."""
+    v = form.den.root_multiplicity(b)
+    if v == 0:
+        return 0
+    ds = taylor_at(form.den, b, 2 * v)
+    return (taylor_at(form.num, b, v) * ds.inverse()).coefficient(-1).v
+
+
+def _unreduced_form(num, den):
+    """num/den dx without the gcd reduction of ``RationalForm``, so the
+    numerator may vanish at a pole."""
+    form = object.__new__(RationalForm)
+    for name, value in (("p", num.p), ("num", num), ("den", den)):
+        object.__setattr__(form, name, value)
+    return form
+
+
+class TestResidueCoefficientOracle:
+    """``residue_at`` reads the residue off the first v coefficients of 1/U,
+    den = (x-b)^v U; the series product is the oracle."""
+
+    @pytest.mark.parametrize("p", [5, 13, 97])
+    @pytest.mark.parametrize("v", [1, 2, 3, 4])
+    def test_matches_series_product(self, rng, p, v):
+        for _ in range(15):
+            b = rng.randrange(p)
+            unit = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, 5))])
+            if unit.is_zero() or unit.eval_int(b) == 0:
+                continue
+            den = from_roots(FpSet(p, [b]), v) * unit
+            num = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, 7))])
+            if num.is_zero():
+                continue
+            form = RationalForm(num, den)
+            assert residue_at(form, b).v == _residue_by_series(form, b)
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 4])
+    def test_numerator_vanishing_at_the_pole(self, v):
+        # num = (x-b)^k N with 0 < k <= v: reduced, the pole order drops to
+        # v - k; unreduced, the numerator's Taylor series starts at (x-b)^k
+        p, b = 13, 4
+        den = from_roots(FpSet(p, [b]), v) * FpPoly(p, [3, 1, 5])
+        for k in range(1, v + 1):
+            num = from_roots(FpSet(p, [b]), k) * FpPoly(p, [2, 7, 1])
+            reduced, unreduced = RationalForm(num, den), _unreduced_form(num, den)
+            assert reduced.den.root_multiplicity(b) == v - k
+            want = _residue_by_series(unreduced, b)
+            assert want == _residue_by_series(reduced, b)
+            assert residue_at(unreduced, b).v == residue_at(reduced, b).v == want
 
 
 class TestResidueAtInfinity:

@@ -325,6 +325,31 @@ class TestLevson:
             rhs = (-1) ** (n - 1) * math.comb(N, alpha) % p
             assert lhs == rhs
 
+    def test_sign_free_predicate_matches_comb_everywhere(self):
+        # at every (alpha, n) with alpha <= 60 and p prime: the scan reports
+        # (p, alpha, n) exactly when prod (2j+1) == prod 2(alpha+j) over
+        # 0 < j < n, exactly when the math.comb congruence holds; and the
+        # binomial ratio is (-1)^(n-1) times the product ratio at every step
+        alpha_max = 60
+        res = levson_scan(alpha_max)
+        scanned = 0
+        for alpha in range(2, alpha_max + 1):
+            p = 2 * alpha * (alpha - 1) + 1
+            if any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+                continue
+            scanned += 1
+            N = alpha * alpha - 1
+            base = math.comb(N, alpha)
+            for n in range(2, alpha + 1):
+                odd = math.prod(2 * j + 1 for j in range(1, n))
+                twice = math.prod(2 * (alpha + j) for j in range(1, n))
+                comb = math.comb(N, n - 1 + alpha)
+                assert (comb * twice - (-1) ** (n - 1) * base * odd) % p == 0
+                congruent = (comb - (-1) ** (n - 1) * base) % p == 0
+                assert ((odd - twice) % p == 0) == congruent
+                assert ((p, alpha, n) in res.witnesses) == congruent, (p, alpha, n)
+        assert res.counts["primes_scanned"] == scanned
+
     def test_cross_certificate_with_diffset_search(self):
         # the levson primes p = 2 alpha(alpha-1) + 1 are the diffset cases
         # d = (p-1)/2 = alpha(alpha-1); the clique search and the congruence
@@ -380,6 +405,9 @@ class TestProblemScans:
         res = problem2_scan(41, 20)
         mu = roots_of_unity(41, 20)
         assert (canonical_diffset((0, 1, 9, 32, 40), 41, mu),) in res.witnesses
+        # {0, r} u rest with rest a 3-subset above r, for the two coset
+        # leaders r = 1 and 3 of mu_20
+        assert res.counts["sets_checked"] == math.comb(39, 3) + math.comb(37, 3) == 16909
 
     @pytest.mark.parametrize("p, d", PROBLEM2_CASES)
     def test_problem2_matches_unquotiented_enumeration(self, p, d):
