@@ -65,11 +65,11 @@ def _require_prime(p: int) -> int:
 
 
 def inverse_mod(x: int, p: int) -> int:
-    """Inverse of x mod p via Fermat; raises on zero."""
+    """Inverse of x mod p (builtin modular ``pow``); raises on zero."""
     x %= p
     if x == 0:
         raise ZeroDivisionError(f"zero is not invertible mod {p}")
-    return pow(x, p - 2, p)
+    return pow(x, -1, p)
 
 
 class FieldElem:
@@ -340,7 +340,7 @@ def _binom_small(n: int, k: int, p: int) -> int:
     for j in range(1, k + 1):
         num = num * (n - k + j) % p
         den = den * j % p
-    return num * pow(den, p - 2, p) % p
+    return num * pow(den, -1, p) % p
 
 
 def binom_mod(n: int, k: int, p: int) -> FieldElem:
@@ -375,7 +375,7 @@ def batch_inverse_ints(values: Sequence[int], p: int) -> List[int]:
             raise ZeroDivisionError("batch inversion of zero")
         acc = acc * v % p
         prefix[i] = acc
-    inv = pow(acc, p - 2, p)
+    inv = pow(acc, -1, p)
     out = [0] * n
     for i in range(n - 1, 0, -1):
         out[i] = inv * prefix[i - 1] % p

@@ -192,7 +192,13 @@ class FpPoly:
         if len(self.coeffs) <= db:
             return FpPoly._make(p, []), self
         rem = list(self.coeffs)
-        q = _divide_in_place(rem, b, p)
+        if b[-1] == 1:
+            q = _divide_in_place(rem, b, p)
+        else:
+            # f = (b / lead) q' + r, so the quotient by b is q' / lead
+            inv = pow(b[-1], -1, p)
+            q = _divide_in_place(rem, [c * inv % p for c in b], p)
+            q = [c * inv % p for c in q]
         return FpPoly._make(p, q), FpPoly._make(p, [c % p for c in rem[:db]])
 
     def __floordiv__(self, other: "FpPoly") -> "FpPoly":
@@ -243,42 +249,68 @@ def _fill_poly(obj: FpPoly, p: int, cs: List[int]) -> None:
 
 
 def _divide_in_place(rem: List[int], b: Sequence[int], p: int) -> List[int]:
-    """Divide ``rem`` by ``b`` (reduced, non-zero leading coefficient) in
-    place and return the quotient; rem[:deg b] is left holding the remainder
-    as exact integers.  A coefficient of ``rem`` is reduced only when it
-    becomes the leading one."""
+    """Divide ``rem`` by the monic ``b`` in place and return the quotient;
+    rem[:deg b] is left holding the remainder as exact integers.  A
+    coefficient of ``rem`` is reduced only when it becomes the leading one,
+    and is then the quotient coefficient: no inverse is needed."""
     db = len(b) - 1
-    inv_lead = 1 if b[-1] == 1 else inverse_mod(b[-1], p)
     low = b[:-1]
     q = [0] * (len(rem) - db)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % p
         if c == 0:
             continue
-        f = c * inv_lead % p
-        q[i - db] = f
+        q[i - db] = c
         for j, bj in enumerate(low, i - db):
-            rem[j] -= f * bj
+            rem[j] -= c * bj
     return q
 
 
+def _monic(cs: List[int], p: int) -> List[int]:
+    """``cs`` (exact ints) reduced mod p, with its trailing zeros dropped and
+    scaled to leading coefficient 1; [] for the zero polynomial.  ``cs`` is
+    consumed."""
+    while cs and cs[-1] % p == 0:
+        cs.pop()
+    if not cs:
+        return cs
+    inv = pow(cs[-1], -1, p)
+    return [c * inv % p for c in cs]
+
+
+def _gcd_list(a: List[int], b: List[int], p: int) -> List[int]:
+    """Monic gcd of two coefficient lists by Euclid; both are consumed.
+
+    Each remainder is reduced and made monic, by one inverse, as it becomes
+    the divisor, so the elimination has no inversion inside it: a quotient
+    coefficient is the reduced leading coefficient itself.  The loop writes
+    out ``_divide_in_place`` and ``_monic`` rather than calling them: the two
+    calls a step would make take about a fifth of a gcd's time."""
+    b = _monic(b, p)
+    while b:
+        db = len(b) - 1
+        if len(a) > db:
+            low = b[:-1]
+            for i in range(len(a) - 1, db - 1, -1):
+                c = a[i] % p
+                if c:
+                    for j, bj in enumerate(low, i - db):
+                        a[j] -= c * bj
+            del a[db:]
+        while a and a[-1] % p == 0:
+            a.pop()
+        if a:
+            inv = pow(a[-1], -1, p)
+            a = [c * inv % p for c in a]
+        a, b = b, a
+    return _monic(a, p)
+
+
 def poly_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
-    """Monic gcd via Euclid on coefficient lists; one ``FpPoly`` is built,
-    for the result."""
+    """Monic gcd via Euclid on coefficient lists (``_gcd_list``); one
+    ``FpPoly`` is built, for the result."""
     a._same_field(b)
-    p = a.p
-    u, w = list(a.coeffs), list(b.coeffs)
-    while w:
-        if len(u) >= len(w):
-            _divide_in_place(u, w, p)
-            u = [c % p for c in u[: len(w) - 1]]
-            while u and u[-1] == 0:
-                u.pop()
-        u, w = w, u
-    if u and u[-1] != 1:
-        inv = inverse_mod(u[-1], p)
-        u = [c * inv % p for c in u]
-    return FpPoly._make(p, u)
+    return FpPoly._make(a.p, _gcd_list(list(a.coeffs), list(b.coeffs), a.p))
 
 
 def from_roots(roots: FpSet, multiplicity: int = 1) -> FpPoly:

@@ -102,6 +102,12 @@ class QPoly:
         return NotImplemented
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a scalar adds to the constant term
+            out = dict(self.terms)
+            e = (0,) * len(self.vars)
+            out[e] = out[e] + other if e in out else _frac(other)
+            return QPoly._make(self.vars, out)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -117,7 +123,7 @@ class QPoly:
         return QPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if isinstance(other, (int, Fraction)) else self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self + (-o)
@@ -126,6 +132,9 @@ class QPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a scalar scales every coefficient
+            return QPoly._make(self.vars, {e: c * other for e, c in self.terms.items()})
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -225,10 +234,13 @@ class QPoly:
 
     def eval_mod(self, p: int, **assignments: int) -> int:
         """Evaluate at integer points mod p; rational coefficients are reduced
-        via modular inverse of their denominators."""
+        via modular inverse of their denominators, and a denominator that p
+        divides raises ``ZeroDivisionError``."""
         acc = 0
         for e, c in self.terms.items():
-            t = c.numerator % p * pow(c.denominator, p - 2, p) % p
+            if c.denominator % p == 0:
+                raise ZeroDivisionError(f"coefficient {c} has no value mod {p}")
+            t = c.numerator % p * pow(c.denominator, -1, p) % p
             for v, x in zip(self.vars, e):
                 t = t * pow(assignments[v] % p, x, p) % p
             acc = (acc + t) % p

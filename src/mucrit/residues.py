@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fp import FieldElem, FpSet, batch_inverse_ints, inverse_mod, sqrt_mod
@@ -20,6 +19,9 @@ from .poly import (
     AT_INFINITY,
     FpPoly,
     TruncatedSeries,
+    _divide_in_place,
+    _gcd_list,
+    _monic,
     _taylor_coefficients,
     from_roots,
     poly_gcd,
@@ -125,86 +127,152 @@ def _power_rows(m: Sequence[int], count: int, p: int) -> List[List[int]]:
     return rows
 
 
-def _poly_pow_mod(base: FpPoly, e: int, mod: FpPoly) -> FpPoly:
-    """base^e mod ``mod``, squaring left to right on coefficient lists.
+def _pack(cs: Sequence[int], w: int) -> int:
+    """The coefficient list cs as one int, w bits per coefficient."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << w) | c
+    return v
 
-    With n = deg mod and b = base mod ``mod``, every step squares the running
-    power and, on a set bit of e, multiplies by the non-zero coefficients of
-    b (the callers pass x or x + c).  The product, of degree at most
-    2n - 2 + deg b, is then reduced in one go through a table of x^(n+i) mod
-    ``mod`` built once per call: no division, no inverse and no polynomial
-    object inside the loop.
+
+def _pow_mod_list(b: List[int], e: int, m: List[int], p: int) -> List[int]:
+    """b^e mod m on coefficient lists, squaring left to right, for m monic of
+    degree n >= 1 and b reduced mod m; for e >= 1 and b non-zero the result
+    has n coefficients and may end in zeros.
+
+    The running power is packed into one int, w bits per coefficient
+    (Kronecker substitution), so a step squares it, and on a set bit of e
+    multiplies it by b, with one big-int product each.  The high part of the
+    product, one coefficient at a time, then adds its multiple of the packed
+    row x^(n+i) mod m from a table built once per call.  Every coefficient
+    stays below (2n)^2 p^3 < 2^w, so no slot spills into the next: no
+    division, no inverse and no polynomial object inside the loop.
     """
-    p = mod.p
-    b = (base % mod).coeffs
-    m = mod.monic().coeffs
-    n = len(m) - 1
-    if n == 0 or (e > 0 and not b):
-        return FpPoly._make(p, [])
     if e == 0:
-        return FpPoly._make(p, [1])
-    # column j holds the x^j coefficients of the table rows
-    cols = list(zip(*_power_rows(m, n + len(b) - 2, p)))
-    terms = [(k, c) for k, c in enumerate(b) if c]
-    r = list(b)
+        return [1]
+    if not b:
+        return []
+    n = len(m) - 1
+    w = 3 * p.bit_length() + 2 * (2 * n).bit_length()
+    mask = (1 << w) - 1
+    low = (1 << (n * w)) - 1
+    rows = [_pack(row, w) for row in _power_rows(m, n + len(b) - 2, p)]
+    base = _pack(b, w)
+    r = base
     for bit in bin(e)[3:]:
-        k = len(r)
-        prod = [0] * (2 * k - 1)
-        for i, ri in enumerate(r):
-            if ri:
-                prod[2 * i] += ri * ri
-                ri2 = 2 * ri
-                for j in range(i + 1, k):
-                    prod[i + j] += ri2 * r[j]
+        s = r * r
         if bit == "1":
-            sq = prod
-            prod = [0] * (len(sq) + len(b) - 1)
-            for i, c in terms:
-                for j, sj in enumerate(sq, i):
-                    prod[j] += c * sj
-        high = prod[n:]
-        r = [(c + sum(map(mul, high, col))) % p for c, col in zip(prod, cols)]
-    return FpPoly._make(p, r)
+            s *= base
+        acc = s & low
+        s >>= n * w
+        for row in rows:
+            acc += (s & mask) % p * row
+            s >>= w
+        r = 0
+        for j in range((n - 1) * w, -1, -w):
+            r = (r << w) | ((acc >> j) & mask) % p
+    return [(r >> (w * j)) & mask for j in range(n)]
 
 
-def _roots_of_split_squarefree(u: FpPoly) -> List[int]:
-    """Roots of a squarefree product of distinct linear factors, p odd.
+def _shifted_gcd(y: List[int], s: int, g: List[int], p: int) -> List[int]:
+    """gcd(y - s, g) for a residue list y mod the monic g; y is consumed."""
+    h = y
+    h[0] = (h[0] - s) % p
+    while h and h[-1] == 0:
+        h.pop()
+    return _gcd_list(h, list(g), p)
+
+
+def _leaf_roots(g: List[int], p: int) -> List[int]:
+    """Distinct roots of a monic g of degree at most 2, p odd, in closed
+    form: -g_0 at degree 1; at degree 2, (-b +- s)/2 with s^2 the
+    discriminant b^2 - 4c, one root when it is 0 and none when it is a
+    non-square."""
+    if len(g) == 2:
+        return [(-g[0]) % p]
+    if len(g) < 2:
+        return []
+    c, b = g[0], g[1]
+    half = (p + 1) // 2  # 1/2 mod p
+    disc = (b * b - 4 * c) % p
+    if disc == 0:
+        return [(-b) * half % p]
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = sqrt_mod(disc, p)
+    return [(s - b) * half % p, (-s - b) * half % p]
+
+
+def _roots_of_split_squarefree(u: List[int], p: int) -> List[int]:
+    """Roots of a monic squarefree product of distinct linear factors, p odd.
 
     Equal-degree splitting: for c = 1, 2, ... gcd(g, (x + c)^((p-1)/2) - 1)
     separates the roots r of g with r + c a nonzero square from the rest,
-    until every factor has degree at most 2; a quadratic factor is solved by
-    the quadratic formula.
+    until every factor has degree at most 2 and ``_leaf_roots`` solves it.
     """
-    p = u.p
-    half = (p + 1) // 2  # 1/2 mod p
-    stack = [u.monic()]
+    e = (p - 1) // 2
+    stack = [u]
     roots: List[int] = []
     c = 0
     while stack:
         g = stack.pop()
-        if g.degree == 1:
-            roots.append((-g[0]) % p)
-        elif g.degree == 2:
-            b, a0 = g[1], g[0]
-            s = sqrt_mod(b * b - 4 * a0, p)
-            roots += [(s - b) * half % p, (-s - b) * half % p]
-        elif g.degree > 2:
-            c += 1
-            h = _poly_pow_mod(FpPoly(p, [c, 1]), (p - 1) // 2, g) - FpPoly.one(p)
-            w = poly_gcd(h, g)
-            stack += [w, (g // w).monic()] if 0 < w.degree < g.degree else [g]
+        if len(g) <= 3:
+            roots += _leaf_roots(g, p)
+            continue
+        c += 1
+        w = _shifted_gcd(_pow_mod_list([c, 1], e, g, p), 1, g, p)
+        if 1 < len(w) < len(g):
+            stack += [w, _divide_in_place(list(g), w, p)]
+        else:
+            stack.append(g)
+    return roots
+
+
+def _squarefree_kernel(f: List[int], p: int) -> List[int]:
+    """f / gcd(f, f') when deg f < p, otherwise f itself.
+
+    Below degree p no multiplicity reaches p, so f' is non-zero and the
+    quotient has exactly the distinct roots of f, each once.  At degree p or
+    more, f may be g(x^p) (f' = 0) or carry a root of multiplicity p, which
+    the quotient would lose."""
+    if len(f) > p:
+        return f
+    d = [j * c % p for j, c in enumerate(f) if j]
+    return _divide_in_place(list(f), _gcd_list(list(f), d, p), p)
+
+
+def _distinct_roots(g: List[int], p: int) -> List[int]:
+    """Distinct roots in F_p of a non-constant coefficient list g, p odd.
+
+    The roots are those of gcd(x^p - x, g), and x^p - x =
+    x (x^e - 1) (x^e + 1) with e = (p-1)/2.  A factor x^v comes off first;
+    what is left is solved in closed form at degree at most 2, and otherwise
+    one power x^e mod g sorts its roots into the nonzero squares and the
+    non-squares before ``_roots_of_split_squarefree`` splits each part.
+    """
+    v = 0
+    while g[v] == 0:
+        v += 1
+    roots = [0] if v else []
+    g = _monic(g[v:], p)
+    if len(g) <= 3:
+        return roots + _leaf_roots(g, p)
+    y = _pow_mod_list([0, 1], (p - 1) // 2, g, p)
+    for s in (1, p - 1):
+        roots += _roots_of_split_squarefree(_shifted_gcd(list(y), s, g, p), p)
     return roots
 
 
 def rational_root_part(f: FpPoly) -> Tuple[Dict[int, int], FpPoly]:
     """({root: multiplicity}, cofactor); the cofactor has no roots in F_p.
 
-    The distinct rational roots are the roots of gcd(x^p - x, f).  For odd p,
-    x^p - x = x (x^e - 1) (x^e + 1) with e = (p-1)/2, so one power x^e mod f
-    sorts them into 0, the nonzero squares and the non-squares before
-    ``_roots_of_split_squarefree`` splits each part; for p = 2 the roots can
-    only be 0 and 1.  Synthetic division then counts each multiplicity and
-    strips the root from the cofactor.
+    For odd p the distinct roots are found from the squarefree kernel
+    f / gcd(f, f') when deg f < p (``_squarefree_kernel``), and from f
+    itself otherwise; a kernel of degree at most 2 is solved in closed form,
+    and only one of degree 3 or more is powered and split
+    (``_distinct_roots``), all on coefficient lists.  For p = 2 the roots can
+    only be 0 and 1.  Synthetic division on f then counts each multiplicity
+    and strips the root from the cofactor.
     """
     p = f.p
     if f.is_zero():
@@ -214,11 +282,7 @@ def rational_root_part(f: FpPoly) -> Tuple[Dict[int, int], FpPoly]:
     if p == 2:
         distinct = [r for r in (0, 1) if f.eval_int(r) == 0]
     else:
-        y = _poly_pow_mod(FpPoly.x(p), (p - 1) // 2, f)
-        one = FpPoly.one(p)
-        distinct = [0] if f[0] == 0 else []
-        for u in (poly_gcd(y - one, f), poly_gcd(y + one, f)):
-            distinct += _roots_of_split_squarefree(u)
+        distinct = _distinct_roots(_squarefree_kernel(list(f.coeffs), p), p)
     roots: Dict[int, int] = {}
     g = f
     for r in sorted(distinct):

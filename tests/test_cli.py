@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -158,7 +159,24 @@ class TestSmallPrimes:
         assert json.loads(out)["report"]["failures"] == []
 
 
+# SHA-256 of the JSON stdout of verify-residues, recorded before the root
+# finder moved onto the squarefree kernel; every residue-path change must
+# leave these reports byte-identical
+RESIDUE_REPORT_SHA256 = {
+    ("--seed", "0"): "ea98c356415d5bf9328afa9642be0abca23233cb9f934dc7d4b21388df34d736",
+    ("--seed", "1"): "9f63eb4eceff68b6640cd7c516db674b4b96da0d42b87e95665af8a04322ac9e",
+    ("--seed", "7"): "d135ba6966397270b2e6e78753096de91475064ce09918390969dc69dcfa18bf",
+    ("--primes", "2,3,5"): "46d760cc543c75060ca69d139b37d8d899e817f7fe37cfb1e60d5efe5bcff2d1",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("args", list(RESIDUE_REPORT_SHA256))
+    def test_residue_report_pinned(self, capsys, args):
+        code, out, err = run_cli(capsys, "verify-residues", *args, "--format", "json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == RESIDUE_REPORT_SHA256[args]
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -47,6 +47,18 @@ class TestFpPoly:
         assert q * g + r == f
         assert r.degree < g.degree
 
+    @pytest.mark.parametrize("p", [2, 3, 41, 10007])
+    def test_divmod_by_non_monic(self, p):
+        # the quotient by a divisor with leading coefficient c is the quotient
+        # by the monic divisor, divided by c
+        rng = random.Random(p)
+        for _ in range(50):
+            f = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(0, 10))])
+            g = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(0, 5))] + [rng.randrange(1, p)])
+            q, r = f.divmod(g)
+            assert q * g + r == f
+            assert r.degree < g.degree
+
     def test_synth_div(self):
         f = FpPoly(13, [3, 1, 1])
         q, rem = f.synth_div(2)
@@ -98,8 +110,14 @@ class TestPolyGcdDifferential:
 
     def test_negative_control_leading_coefficient_ignored(self, monkeypatch):
         # dividing as if every leading coefficient were 1 leaves wrong
-        # remainders and a non-monic result, which the comparison catches
-        monkeypatch.setattr(poly, "inverse_mod", lambda a, p: 1)
+        # remainders and a non-monic result, which the comparison catches;
+        # _monic scales Euclid's first divisor and its result
+        def unscaled(cs, p):
+            while cs and cs[-1] % p == 0:
+                cs.pop()
+            return [c % p for c in cs]
+
+        monkeypatch.setattr(poly, "_monic", unscaled)
         with pytest.raises(AssertionError):
             for a, b in gcd_cases(97, random.Random(97)):
                 assert poly_gcd(a, b) == sympy_gcd(a, b), (a, b)

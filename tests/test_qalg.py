@@ -52,6 +52,16 @@ class TestQPoly:
         want = (7 * 5 + 9) % p  # 1/2 = 7, 1/3 = 9 mod 13
         assert f.eval_mod(p, x=5) == want
 
+    def test_eval_mod_rejects_denominator_divisible_by_p(self):
+        # x/3 + 1 has no value mod 3; the term x/3 must not read as 0
+        x = QPoly.var("x")
+        with pytest.raises(ZeroDivisionError):
+            (x / 3 + 1).eval_mod(3, x=1)
+        assert (x / 3 + 1).eval_mod(5, x=1) == (2 + 1) % 5  # 1/3 = 2 mod 5
+        w = QQuadElem(QPoly.const(Fraction(1, 3), ("k",)), 1)
+        with pytest.raises(ZeroDivisionError):
+            w.eval_mod(3, 1)  # 2*1 + 1 = 0 mod 3
+
     def test_falling_factorial(self):
         a = QPoly.var("a")
         assert falling(a, 0) == QPoly.const(1, ("a",))
@@ -138,6 +148,20 @@ class TestQPolyTrustedArithmetic:
             g.coefficient("x", 1),
             QPoly(("y",), {(b,): v for (a, b), v in g.terms.items() if a == 1}),
         )
+
+    @given(qpolys(), st.one_of(st.integers(-5, 5), small_fracs))
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_operands_match_coerced_path(self, f, c):
+        # int and Fraction operands skip QPoly.const; the result must be the
+        # one the polynomial path gives, term order included (a reflected
+        # operation runs with f on the left)
+        k = QPoly.const(c, f.vars)
+        for got, want in (
+            (f + c, f + k), (c + f, f + k), (f - c, f - k), (c - f, -f + k),
+            (f * c, f * k), (c * f, f * k),
+        ):
+            _assert_same(got, want)
+            assert list(got.terms) == list(want.terms)
 
     def test_cancellation_leaves_no_terms(self):
         x = QPoly.var("x")

@@ -1,5 +1,6 @@
 """Differential tests of the root finder and its kernels: rational_root_part
-against sympy's factorization mod p, the tabulated powering against plain
+against sympy's factorization mod p (including the edges of the squarefree
+kernel and of the closed-form leaves), the tabulated powering against plain
 powering, and the pole order read off the Taylor passes against
 root_multiplicity."""
 
@@ -11,8 +12,14 @@ from hypothesis import strategies as st
 
 from mucrit import residues
 from mucrit.fp import FpSet
-from mucrit.poly import FpPoly, from_roots
-from mucrit.residues import RationalForm, _poly_pow_mod, rational_root_part, residue_at
+from mucrit.poly import FpPoly, from_roots, poly_gcd
+from mucrit.residues import (
+    RationalForm,
+    _leaf_roots,
+    _pow_mod_list,
+    rational_root_part,
+    residue_at,
+)
 
 sympy = pytest.importorskip("sympy")
 X = sympy.symbols("x")
@@ -96,6 +103,93 @@ def test_negative_control_dropped_root():
         assert_matches_sympy(f, (dropped, cofactor * from_roots(FpSet(p, [17]), 1)))
 
 
+def linear_power(p: int, r: int, m: int) -> FpPoly:
+    return from_roots(FpSet(p, [r]), m)
+
+
+def kernel_edge_cases():
+    """(label, f) at the edges of the squarefree kernel and the leaves."""
+    cases = []
+    for p in (3, 5, 7):
+        # a multiplicity p with deg f >= p: the kernel would lose the root 1
+        cases.append((f"(x-1)^p(x-2) mod {p}", linear_power(p, 1, p) * linear_power(p, 2, 1)))
+        # f' = 0: g(x^p) = g(x)^p, with a rational root and an irreducible part
+        g = from_roots(FpSet(p, [1]), 1) * FpPoly(p, [1, 0, 1] if p != 5 else [2, 0, 1])
+        xp = [0] * (p * g.degree + 1)
+        for j, c in enumerate(g.coeffs):
+            xp[j * p] = c
+        cases.append((f"g(x^p) mod {p}", FpPoly(p, xp)))
+    # a double root left of degree 2 once x^3 comes off, deg f >= p
+    cases.append(("x^3(x-1)^2 mod 3", linear_power(3, 0, 3) * linear_power(3, 1, 2)))
+    p = 41
+    # kernels of degree 1 and 2: discriminant a nonzero square, and a
+    # non-square (-3 is not a square mod 41)
+    cases.append(("(x-5)^3 mod 41", 7 * linear_power(p, 5, 3)))
+    cases.append(("(x-5)^2(x-17)^3 mod 41", linear_power(p, 5, 2) * linear_power(p, 17, 3)))
+    cases.append(("(x^2+3)^2 mod 41", FpPoly(p, [3, 0, 1]) ** 2))
+    cases.append(("(x-5)(x^2+3)^2 mod 41", linear_power(p, 5, 1) * FpPoly(p, [3, 0, 1]) ** 2))
+    # kernels of degree 3 and more still split: 0 comes off first
+    cases.append(
+        ("x^2(x-1)(x-2)^2(x-40)(x-9) mod 41",
+         linear_power(p, 0, 2) * from_roots(FpSet(p, [1, 40, 9]), 1) * linear_power(p, 2, 2)),
+    )
+    return cases
+
+
+KERNEL_EDGES = kernel_edge_cases()
+
+
+@pytest.mark.parametrize("label, f", KERNEL_EDGES, ids=[c[0] for c in KERNEL_EDGES])
+def test_kernel_edges_match_sympy(label, f):
+    assert_matches_sympy(f, rational_root_part(f))
+
+
+@pytest.mark.parametrize("p", [3, 5, 41, 10007])
+def test_leaf_roots_discriminants(p):
+    # monic (x - a)(x - b): one root when a = b (discriminant 0), two when
+    # they differ (a nonzero square); x^2 - n for a non-square n has none
+    rng = random.Random(p)
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    assert _leaf_roots([(-n) % p, 0, 1], p) == []
+    for _ in range(20):
+        a, b = rng.randrange(p), rng.randrange(p)
+        for r, s in ((a, a), (a, b)):
+            assert sorted(_leaf_roots([r * s % p, (-r - s) % p, 1], p)) == sorted({r, s})
+        assert _leaf_roots([(-a) % p, 1], p) == [a]
+
+
+def unguarded_kernel(f, p):
+    # f / gcd(f, f') at every degree
+    fp = FpPoly(p, f)
+    return list((fp // poly_gcd(fp, fp.derivative())).coeffs)
+
+
+def flipped_leaf(g, p):
+    # the degree-2 leaf with the sign of -b flipped: (b +- s)/2
+    if len(g) == 3:
+        g = [g[0], (-g[1]) % p, 1]
+    return _leaf_roots(g, p)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, must_fail",
+    [
+        ("_squarefree_kernel", unguarded_kernel,
+         {f"{g} mod {p}" for g in ("(x-1)^p(x-2)", "g(x^p)") for p in (3, 5, 7)}),
+        ("_leaf_roots", flipped_leaf, {"x^3(x-1)^2 mod 3", "(x-5)^2(x-17)^3 mod 41"}),
+    ],
+)
+def test_kernel_edges_negative_controls(monkeypatch, name, mutant, must_fail):
+    monkeypatch.setattr(residues, name, mutant)
+    wrong = set()
+    for label, f in KERNEL_EDGES:
+        try:
+            assert_matches_sympy(f, rational_root_part(f))
+        except AssertionError:
+            wrong.add(label)
+    assert must_fail <= wrong
+
+
 def pow_mod_cases(p, rng):
     """(base, e, mod) with a non-monic mod of degree 1 to 8 (p > 2), bases of
     degree up to deg mod + 3 besides the callers' x and x + c, and e in
@@ -115,10 +209,17 @@ def pow_mod_cases(p, rng):
     return cases
 
 
+def pow_mod(base: FpPoly, e: int, mod: FpPoly) -> FpPoly:
+    """_pow_mod_list on the reduced base and the monic modulus."""
+    p = mod.p
+    r = _pow_mod_list(list((base % mod).coeffs), e, list(mod.monic().coeffs), p)
+    return FpPoly(p, r)
+
+
 def assert_pow_mod_matches(cases) -> None:
     # (base ** e) % mod expands the full power: exact, and unoptimised
     for base, e, mod in cases:
-        assert _poly_pow_mod(base, e, mod) == (base**e) % mod, (base, e, mod)
+        assert pow_mod(base, e, mod) == (base**e) % mod, (base, e, mod)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 41, 97, 10007])
