@@ -7,13 +7,12 @@ and exhaustive desk-scale searches."""
 from .fp import (
     FieldElem,
     FpSet,
-    batch_inverse,
     binom_mod,
     is_prime,
     roots_of_unity,
 )
 from .poly import AT_INFINITY, FpPoly, TruncatedSeries, from_roots, log_derivative_series, taylor_at
-from .symm import complete_homogeneous, minimal_indices, newton_convert, power_sums, profile
+from .symm import complete_homogeneous, minimal_indices, power_sums
 from .hp import (
     criticality,
     factorization_check,
@@ -38,7 +37,6 @@ from .qalg import QPoly, QQuadElem, falling
 from .stepanov import (
     alpha11_obstruction,
     d_operator,
-    gamma_values,
     identity_catalog_check,
     lemma5_lemma6_numeric,
     lemma13_symbolic,

@@ -3,7 +3,8 @@
 Everything downstream (polynomials, symmetric functions, searches) sits on the
 two value types defined here:
 
-* ``FieldElem`` -- a canonical residue mod a prime p, with operator overloads.
+* ``FieldElem`` -- a canonical residue mod a prime p, a value carrier for
+  results at the API edge (arithmetic runs on plain ints).
 * ``FpSet``     -- a sorted, duplicate-free set of residues sharing one modulus.
 
 Values are immutable after construction and safe to share across workers.
@@ -75,8 +76,9 @@ def inverse_mod(x: int, p: int) -> int:
 class FieldElem:
     """A residue mod a prime p, kept canonical in [0, p).
 
-    Arithmetic accepts another ``FieldElem`` with the same modulus or a plain
-    int (reduced mod p).  Mixing moduli raises ``ValueError``.
+    It carries no arithmetic: callers compute on ``.v`` and wrap the result.
+    It compares equal to a ``FieldElem`` of the same modulus or to a plain int
+    congruent to it.
     """
 
     __slots__ = ("p", "v")
@@ -88,66 +90,6 @@ class FieldElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElem is immutable")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.v + w, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.v - w, self.p)
-
-    def __rsub__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FieldElem(w - self.v, self.p)
-
-    def __mul__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.v * w, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.v * inverse_mod(w, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        w = self._coerce(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FieldElem(w * inverse_mod(self.v, self.p), self.p)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return FieldElem(pow(inverse_mod(self.v, self.p), -e, self.p), self.p)
-        return FieldElem(pow(self.v, e, self.p), self.p)
-
-    def __neg__(self):
-        return FieldElem(-self.v, self.p)
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(inverse_mod(self.v, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
@@ -221,18 +163,9 @@ class FpSet:
     def __repr__(self):
         return f"FpSet(p={self.p}, {{{', '.join(map(str, self.elems))}}})"
 
-    def field_elems(self) -> List[FieldElem]:
-        return [FieldElem(v, self.p) for v in self.elems]
-
     def translate(self, t: int) -> "FpSet":
         t = int(t) % self.p
         return FpSet(self.p, ((v + t) % self.p for v in self.elems))
-
-    def scale(self, c: int) -> "FpSet":
-        c = int(c) % self.p
-        if c == 0:
-            raise ValueError("scaling by zero collapses the set")
-        return FpSet(self.p, (v * c % self.p for v in self.elems))
 
     def __neg__(self) -> "FpSet":
         return FpSet(self.p, ((-v) % self.p for v in self.elems))
@@ -251,10 +184,6 @@ class FpSet:
         self._same_field(other)
         p = self.p
         return FpSet(p, ((a - b) % p for a in self.elems for b in other.elems))
-
-    def union(self, other: "FpSet") -> "FpSet":
-        self._same_field(other)
-        return FpSet(self.p, self.elems + other.elems)
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,17 +325,6 @@ def inverse_power_sums(values: Sequence[int], p: int, J: int) -> List[int]:
         cur = list(map(operator.mul, cur, inv))
         out.append(sum(cur) % p)
     return out
-
-
-def batch_inverse(values: Sequence[FieldElem]) -> List[FieldElem]:
-    """Elementwise inverses via the Montgomery product trick."""
-    if not values:
-        return []
-    p = values[0].p
-    for x in values:
-        if x.p != p:
-            raise ValueError("batch_inverse requires a shared modulus")
-    return [FieldElem(v, p) for v in batch_inverse_ints([x.v for x in values], p)]
 
 
 def inverse_table(p: int, n: int) -> List[int]:

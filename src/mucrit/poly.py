@@ -161,10 +161,6 @@ class FpPoly:
             e >>= 1
         return result
 
-    def evaluate(self, x) -> FieldElem:
-        xv = x.v if isinstance(x, FieldElem) else int(x) % self.p
-        return FieldElem(self.eval_int(xv), self.p)
-
     def eval_int(self, x: int) -> int:
         p = self.p
         acc = 0
@@ -233,12 +229,6 @@ class FpPoly:
             m += 1
             f = q
         return m
-
-    def shift_arg(self, t: int) -> "FpPoly":
-        """The polynomial f(x + t)."""
-        n = len(self.coeffs) + 1
-        series = taylor_at(self, int(t) % self.p, n)
-        return FpPoly(self.p, [series.coefficient(j).v for j in range(n)])
 
 
 def _fill_poly(obj: FpPoly, p: int, cs: List[int]) -> None:
@@ -411,15 +401,6 @@ class TruncatedSeries:
             out[other.start - start + i] = (out[other.start - start + i] + c) % self.p
         return TruncatedSeries._make(self.p, self.center, start, out, order)
 
-    def __neg__(self) -> "TruncatedSeries":
-        p = self.p
-        return TruncatedSeries._make(
-            p, self.center, self.start, [(-c) % p for c in self.coeffs], self.order
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
     def __mul__(self, other) -> "TruncatedSeries":
         p = self.p
         if isinstance(other, int):
@@ -464,12 +445,6 @@ class TruncatedSeries:
             out[j] = (-c0_inv * acc) % p
         # 1/f has valuation -v; known mod u^(order - 2v)
         return TruncatedSeries._make(p, self.center, -v, out, self.order - 2 * v)
-
-    def shift_exponent(self, k: int) -> "TruncatedSeries":
-        """Multiply by u^k."""
-        return TruncatedSeries._make(
-            self.p, self.center, self.start + k, list(self.coeffs), self.order + k
-        )
 
 
 def _fill_series(

@@ -207,22 +207,6 @@ class QPoly:
                 out[tuple(ne)] = c * e[i]
         return QPoly._make(self.vars, out)
 
-    def substitute(self, name: str, value) -> "QPoly":
-        """Substitute a scalar or QPoly for one variable."""
-        i = self.vars.index(name)
-        rest = tuple(v for j, v in enumerate(self.vars) if j != i)
-        if isinstance(value, (int, Fraction)):
-            value = QPoly.const(value, rest)
-        acc = QPoly.const(0, rest)
-        by_power: Dict[int, Dict[Tuple[int, ...], Fraction]] = {}
-        for e, c in self.terms.items():
-            # e is e[i] spliced into the remaining exponents, so each power
-            # meets each remaining tuple at most once
-            by_power.setdefault(e[i], {})[tuple(x for j, x in enumerate(e) if j != i)] = c
-        for power, terms in by_power.items():
-            acc = acc + QPoly._make(rest, terms) * value**power
-        return acc
-
     def eval_scalar(self, **assignments: Scalar) -> Fraction:
         acc = Fraction(0)
         for e, c in self.terms.items():
@@ -365,21 +349,6 @@ class QQuadElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = QQuadElem(0, 1)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def conjugate(self) -> "QQuadElem":
-        return QQuadElem(-self.u, self.v)
-
     def norm(self) -> QPoly:
         """(u w + v)(v - u w) = v^2 + u^2 / 2, an element of Q[k]."""
         return self.v * self.v + self.u * self.u / 2
@@ -391,12 +360,6 @@ class QQuadElem:
             raise ZeroDivisionError("inverse of zero")
         n = self.norm()
         return QQuadElem(_kpoly_divide(-self.u, n), _kpoly_divide(self.v, n))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -340,23 +340,6 @@ def gamma_symbolic(k: Union[int, None] = None) -> Dict[str, QQuadElem]:
     }
 
 
-@dataclass(frozen=True)
-class GammaSet:
-    numeric: Optional[Dict[str, int]]
-    symbolic: Dict[str, QQuadElem]
-
-
-def gamma_values(p: Optional[int], alpha, k, d: Optional[int]) -> GammaSet:
-    """Both views; numeric requires concrete (p, alpha, k, d)."""
-    numeric = None
-    if p is not None:
-        if d is None:
-            raise ValueError("numeric mode needs d")
-        numeric = gamma_numeric(p, int(alpha) % p, int(k), d)
-    symbolic = gamma_symbolic(k if isinstance(k, int) else None)
-    return GammaSet(numeric, symbolic)
-
-
 def gamma_cross_check(p: int, alpha: int, k: int, d: int) -> bool:
     """Numeric gammas agree with symbolic ones after substituting a root of
     2x^2+1 mod p; requires 2d+1 == 0 mod p (the half-group case)."""

@@ -1,21 +1,13 @@
-"""Power sums, elementary/complete homogeneous symmetric values, Newton
-conversions, and the minimal nonvanishing indices of a set.
-
-Sign convention, asserted in the test suite: for a set A, from_roots(A, 1)
-has coefficient (-1)^k e_k(A) at degree |A| - k.
+"""Power sums, complete homogeneous symmetric values, the minimal
+nonvanishing power-sum indices of a set, and the shift that recenters it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .fp import FieldElem, FpSet, inverse_mod
-from .poly import TruncatedSeries, from_roots
-
-P_TO_E = "p->e"
-P_TO_H = "p->h"
-E_TO_P = "e->p"
+from .poly import TruncatedSeries
 
 
 def power_sums(A: FpSet, K: int) -> List[FieldElem]:
@@ -54,75 +46,6 @@ def complete_homogeneous(A: FpSet, m: int) -> FieldElem:
     return series.coefficient(m)
 
 
-def newton_convert(values: Sequence, direction: str) -> List[FieldElem]:
-    """Convert between power sums and elementary/complete homogeneous values.
-
-    Input and output lists are indexed from 0; index 0 is |A| mod p on the
-    power-sum side and 1 on the e/h side.  Directions: "p->e", "p->h", "e->p".
-    Raises when a required division by k hits a multiple of p.
-    """
-    if not values:
-        return []
-    first = values[0]
-    if not isinstance(first, FieldElem):
-        raise TypeError("newton_convert expects FieldElem values")
-    p = first.p
-    vals = [v.v if isinstance(v, FieldElem) else int(v) % p for v in values]
-    K = len(vals) - 1
-    out = [0] * (K + 1)
-    if direction == P_TO_E:
-        out[0] = 1
-        for k in range(1, K + 1):
-            if k % p == 0:
-                raise ZeroDivisionError(f"Newton conversion divides by {k} = 0 mod {p}")
-            acc = 0
-            for i in range(1, k + 1):
-                term = out[k - i] * vals[i] % p
-                acc = (acc - term if i % 2 == 0 else acc + term) % p
-            out[k] = acc * inverse_mod(k, p) % p
-    elif direction == P_TO_H:
-        out[0] = 1
-        for k in range(1, K + 1):
-            if k % p == 0:
-                raise ZeroDivisionError(f"Newton conversion divides by {k} = 0 mod {p}")
-            acc = 0
-            for i in range(1, k + 1):
-                acc = (acc + out[k - i] * vals[i]) % p
-            out[k] = acc * inverse_mod(k, p) % p
-    elif direction == E_TO_P:
-        # p_k = (-1)^(k-1) k e_k + sum_{i=1}^{k-1} (-1)^(k-1-i) e_{k-i} p_i
-        out[0] = vals[0]  # conventionally |A|; caller supplies e_0 = 1 slot
-        pk = [0] * (K + 1)
-        for k in range(1, K + 1):
-            acc = k * vals[k] % p
-            if k % 2 == 0:
-                acc = (-acc) % p
-            for i in range(1, k):
-                term = vals[k - i] * pk[i] % p
-                if (k - i) % 2 == 0:
-                    term = (-term) % p
-                acc = (acc + term) % p
-            pk[k] = acc
-            out[k] = acc
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return [FieldElem(v, p) for v in out]
-
-
-def elementary_from_set(A: FpSet) -> List[FieldElem]:
-    """[e_0, ..., e_alpha] read off the coefficients of from_roots(A, 1)."""
-    p = A.p
-    alpha = len(A)
-    f = from_roots(A, 1)
-    out = []
-    for k in range(alpha + 1):
-        c = f[alpha - k]
-        if k % 2 == 1:
-            c = (-c) % p
-        out.append(FieldElem(c, p))
-    return out
-
-
 def minimal_indices(A: FpSet) -> Tuple[int, Optional[int]]:
     """(n, m): n = least k > 0 with p_k != 0; m = least k <= |A| with
     p_k != 0 and n not dividing k, or None when no such k exists."""
@@ -144,29 +67,6 @@ def minimal_indices(A: FpSet) -> Tuple[int, Optional[int]]:
             m = k
             break
     return n, m
-
-
-@dataclass(frozen=True)
-class SymProfile:
-    """Bundle of symmetric data for one set."""
-
-    set: FpSet
-    p_k: Tuple[FieldElem, ...]
-    e_k: Tuple[FieldElem, ...]
-    h_k: Tuple[FieldElem, ...]
-    n: int
-    m: Optional[int]
-
-
-def profile(A: FpSet, K: Optional[int] = None) -> SymProfile:
-    """Full symmetric profile of A; K defaults to |A|."""
-    if K is None:
-        K = len(A)
-    pk = power_sums(A, K)
-    ek = elementary_from_set(A)
-    hk = [complete_homogeneous(A, m) for m in range(K + 1)]
-    n, m = minimal_indices(A)
-    return SymProfile(A, tuple(pk), tuple(ek), tuple(hk), n, m)
 
 
 def recentering_shift(A: FpSet) -> int:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mucrit import cli, residues
-from mucrit.fp import FpSet
+from mucrit.fp import FieldElem, FpSet
 from mucrit.poly import FpPoly, from_roots
 from mucrit.residues import RationalForm
 
@@ -140,7 +140,7 @@ class TestSmallPrimes:
         def off_by_one(form, b, multiplicity=None):
             calls.append(b)
             value = residue_at(form, b, multiplicity)
-            return value + 1 if len(calls) == 1 else value
+            return FieldElem(value.v + 1, value.p) if len(calls) == 1 else value
 
         monkeypatch.setattr(residues, "residue_at", off_by_one)
         code, out, _ = run_cli(capsys, *args)

@@ -2,13 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mucrit.fp import (
     FieldElem,
     FpSet,
-    batch_inverse,
     batch_inverse_ints,
     binom_mod,
     inverse_power_sums,
@@ -56,33 +53,13 @@ class TestIsPrime:
 
 
 class TestFieldElem:
-    def test_arithmetic(self):
-        x = FieldElem(5, 7)
-        assert x + 3 == 1
-        assert x - FieldElem(6, 7) == 6
-        assert x * 3 == 1
-        assert x / 3 == 4  # 5 * 3^-1 = 5 * 5 = 25 = 4
-        assert -x == 2
-        assert x**3 == 6
-        assert x.inverse() * x == 1
-
     def test_mixed_moduli_rejected(self):
         with pytest.raises(ValueError):
-            FieldElem(1, 7) + FieldElem(1, 11)
+            FieldElem(1, 11) in FpSet(7, [1])
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
             FieldElem(1, 10)
-
-    def test_zero_division(self):
-        with pytest.raises(ZeroDivisionError):
-            FieldElem(3, 7) / 0
-
-    @given(st.sampled_from([11, 41, 97]), st.integers(min_value=1, max_value=10**6))
-    def test_inverse_roundtrip(self, p, v):
-        x = FieldElem(v, p)
-        if x.v != 0:
-            assert x * x.inverse() == 1
 
 
 class TestFpSet:
@@ -94,7 +71,6 @@ class TestFpSet:
         A = FpSet(13, [0, 1, 10])
         assert (-A).elems == (0, 3, 12)
         assert A.translate(3).elems == (0, 3, 4)
-        assert A.scale(2).elems == (0, 2, 7)
         assert A.diffset(A).elems == (0, 1, 3, 4, 9, 10, 12)
         assert 10 in A and 2 not in A
 
@@ -180,11 +156,12 @@ class TestBinomMod:
 
 class TestBatchInverse:
     def test_singleton(self):
-        assert batch_inverse([FieldElem(1, 7)]) == [FieldElem(1, 7)]
+        # one value: the backward pass has no step
+        assert batch_inverse_ints([1], 7) == [1]
+        assert batch_inverse_ints([10], 7) == [5]
 
     def test_f7_pair(self):
-        got = batch_inverse([FieldElem(2, 7), FieldElem(3, 7)])
-        assert [x.v for x in got] == [4, 5]
+        assert batch_inverse_ints([2, 3], 7) == [4, 5]
 
     def test_against_fermat_oracle(self, rng):
         p = 10007

@@ -1,6 +1,6 @@
 import pytest
 
-from mucrit.fp import FpSet, binom_mod, inverse_mod
+from mucrit.fp import FieldElem, FpSet, binom_mod, inverse_mod
 from mucrit.hp import (
     criticality,
     factorization_check,
@@ -239,7 +239,9 @@ class TestLemma9:
 
         # a wrong binomial is caught by the exact math.comb oracle
         with monkeypatch.context() as m:
-            m.setattr(hp, "binom_mod", lambda n, k, p: binom_mod(n, k, p) + 1)
+            m.setattr(
+                hp, "binom_mod", lambda n, k, p: FieldElem(binom_mod(n, k, p).v + 1, p)
+            )
             assert not hp.lemma9_check(PAIR_A, PAIR_B, PAIR_B.elems[0]).c0_binomial_ok
         # and a failed flag alone fails the CLI check
         real = hp.lemma9_check

@@ -1,7 +1,5 @@
 """Cross-module property tests driven by hypothesis."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +13,8 @@ from mucrit.poly import (
     log_derivative_series,
     taylor_at,
 )
-from mucrit.qalg import QPoly
 from mucrit.residues import RationalForm, residue_at, residue_at_infinity
-from mucrit.symm import E_TO_P, P_TO_E, newton_convert, power_sums, power_sums_int
+from mucrit.symm import power_sums_int
 
 PRIMES = st.sampled_from([13, 41, 97, 131])
 
@@ -71,7 +68,7 @@ def test_results_are_canonical(p, data):
         assert FpPoly(p, r.coeffs) == r
     s = taylor_at(f, a, data.draw(st.integers(1, 10)))
     t = taylor_at(g, a, data.draw(st.integers(1, 10)))
-    series = [s, t, s + t, s - t, s * t, s * a, s.shift_exponent(2)]
+    series = [s, t, s + t, s * t, s * a]
     if not t.is_zero():
         series.append(t.inverse())
     for r in series:
@@ -102,15 +99,6 @@ def test_taylor_shift_consistency(p, data):
     for j in range(len(f.coeffs) + 1):
         acc = (acc + s.coefficient(j).v * pow((x - a) % p, j, p)) % p
     assert acc == f.eval_int(x)
-
-
-@given(PRIMES, st.data())
-@settings(max_examples=30, deadline=None)
-def test_newton_roundtrip(p, data):
-    A = data.draw(subset_of(p, max_size=min(7, p - 1)))
-    ps = power_sums(A, len(A))
-    again = newton_convert(newton_convert(ps, P_TO_E), E_TO_P)
-    assert [x.v for x in again[1:]] == [x.v for x in ps[1:]]
 
 
 @given(PRIMES, st.data())
@@ -166,22 +154,6 @@ def test_residue_sum_zero_on_split_dens(data):
     form = RationalForm(num, den)
     total = sum(residue_at(form, r).v for r in roots) + residue_at_infinity(form).v
     assert total % p == 0
-
-
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_qpoly_substitution_homomorphism(data):
-    x = QPoly.var("x", ("x", "y"))
-    y = QPoly.var("y", ("x", "y"))
-    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=5))
-    f = QPoly.const(0, ("x", "y"))
-    for i, c in enumerate(coeffs):
-        f = f + x**i * c + y**i
-    a = Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 4)))
-    b = Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 4)))
-    assert f.substitute("x", a).substitute("y", b).eval_scalar() == f.eval_scalar(
-        x=a, y=b
-    )
 
 
 @given(st.data())

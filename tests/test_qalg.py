@@ -37,14 +37,6 @@ class TestQPoly:
         x = QPoly.var("x")
         assert (x**3).derivative("x") == 3 * x**2
 
-    def test_substitute(self):
-        x = QPoly.var("x", ("x", "y"))
-        y = QPoly.var("y", ("x", "y"))
-        f = x**2 + y
-        g = f.substitute("x", QPoly.var("y"))
-        assert g == QPoly.var("y") ** 2 + QPoly.var("y")
-        assert f.substitute("x", 2).substitute("y", 3).eval_scalar() == 7
-
     def test_eval_mod(self):
         x = QPoly.var("x")
         f = x * Fraction(1, 2) + Fraction(1, 3)
@@ -66,7 +58,7 @@ class TestQPoly:
         a = QPoly.var("a")
         assert falling(a, 0) == QPoly.const(1, ("a",))
         assert falling(a, 3) == a * (a - 1) * (a - 2)
-        assert falling(a, 2).substitute("a", 7).eval_scalar() == 42
+        assert falling(a, 2).eval_scalar(a=7) == 42
 
 
 VAR_SETS = [(), ("x",), ("y",), ("x", "y")]
@@ -195,12 +187,6 @@ class TestQQuadElem:
         with pytest.raises(ValueError):
             x.inverse()
 
-    def test_pow(self):
-        w = QQuadElem.generator()
-        assert w**2 == QQuadElem(0, Fraction(-1, 2))
-        assert w**3 == w * Fraction(-1, 2)
-        assert (2 * w + 1) ** 0 == QQuadElem(0, 1)
-
     def test_eval_mod(self):
         # w = 3 satisfies 2*9 + 1 = 19 == 0 mod 19
         x = QQuadElem(2, 5)
@@ -212,11 +198,11 @@ class TestQQuadElem:
     @settings(max_examples=60, deadline=None)
     def test_conjugate_product_is_norm(self, u1, v1, u2, v2):
         x = QQuadElem(QPoly.const(u1, ("k",)), QPoly.const(v1, ("k",)))
-        prod = x * x.conjugate()
+        prod = x * QQuadElem(-x.u, x.v)
         assert prod.u.is_zero()
-        assert prod.v == x.norm()
+        assert prod.v == x.norm() == QPoly.const(v1 * v1 + u1 * u1 / 2, ("k",))
         y = QQuadElem(QPoly.const(u2, ("k",)), QPoly.const(v2, ("k",)))
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        assert (x * y).norm() == x.norm() * y.norm()
 
     @given(small_fracs, small_fracs)
     @settings(max_examples=40, deadline=None)

@@ -1,38 +1,50 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucrit.fp import FieldElem, FpSet
+from mucrit.fp import FpSet
 from mucrit.poly import from_roots
 from mucrit.symm import (
-    E_TO_P,
-    P_TO_E,
-    P_TO_H,
     complete_homogeneous,
-    elementary_from_set,
     minimal_indices,
-    newton_convert,
     power_sums,
     power_sums_int,
-    profile,
     recenter,
 )
 
 from conftest import random_subset
 
 
-def h_by_enumeration(A, m):
-    """Oracle: sum over all degree-m monomials in the elements of A."""
-    p = A.p
+def sum_of_products(combos, p):
     total = 0
-    for combo in combinations_with_replacement(A.elems, m):
+    for combo in combos:
         term = 1
         for x in combo:
             term = term * x % p
         total = (total + term) % p
     return total
+
+
+def h_by_enumeration(A, m):
+    """Oracle: sum over all degree-m monomials in the elements of A."""
+    return sum_of_products(combinations_with_replacement(A.elems, m), A.p)
+
+
+def e_by_enumeration(A, k):
+    """Oracle: e_k as the sum over all k-subsets of A of their products."""
+    return sum_of_products(combinations(A.elems, k), A.p)
+
+
+def sign_mismatches(A, signs):
+    """The k at which from_roots(A, 1) has a coefficient at degree |A| - k
+    other than signs[k] * e_k(A)."""
+    alpha = len(A)
+    f = from_roots(A, 1)
+    return [
+        k for k in range(alpha + 1) if f[alpha - k] != signs[k] * e_by_enumeration(A, k) % A.p
+    ]
 
 
 class TestPowerSums:
@@ -88,49 +100,6 @@ class TestCompleteHomogeneous:
                     assert complete_homogeneous(A, m).v == h_by_enumeration(A, m)
 
 
-class TestNewtonConvert:
-    def test_centered_e3_is_third_power_sum_over_three(self):
-        p = 41
-        A = FpSet(p, [0, 1, 9, 32, 40])  # p1 = p2 = 0
-        ps = power_sums(A, 3)
-        es = newton_convert(ps, P_TO_E)
-        assert es[1] == 0 and es[2] == 0
-        assert es[3] == ps[3] / 3
-
-    def test_all_zero_power_sums(self):
-        p = 97
-        zeros = [FieldElem(0, p)] * 6
-        es = newton_convert(zeros, P_TO_E)
-        assert all(es[k] == 0 for k in range(1, 6))
-
-    def test_matches_from_roots_coefficients(self, rng):
-        p = 97
-        for _ in range(10):
-            A = random_subset(rng, p, 6)
-            es = newton_convert(power_sums(A, 6), P_TO_E)
-            assert [e.v for e in es] == [e.v for e in elementary_from_set(A)]
-
-    def test_h_formulas(self, rng):
-        p = 97
-        A = random_subset(rng, p, 5)
-        hs = newton_convert(power_sums(A, 4), P_TO_H)
-        for m in range(5):
-            assert hs[m] == complete_homogeneous(A, m)
-
-    def test_roundtrip(self, rng):
-        p = 97
-        A = random_subset(rng, p, 7)
-        ps = power_sums(A, 7)
-        back = newton_convert(newton_convert(ps, P_TO_E), E_TO_P)
-        assert [x.v for x in back[1:]] == [x.v for x in ps[1:]]
-
-    def test_division_guard(self):
-        p = 5
-        ps = [FieldElem(v, p) for v in (3, 1, 2, 4, 1, 2)]
-        with pytest.raises(ZeroDivisionError):
-            newton_convert(ps, P_TO_E)
-
-
 class TestMinimalIndices:
     def test_f41_set(self):
         n, m = minimal_indices(FpSet(41, [0, 1, 9, 32, 40]))
@@ -178,7 +147,9 @@ class TestInvariants:
         p = 41
         for _ in range(20):
             A = random_subset(rng, p, rng.randint(2, 6))
-            e_top = elementary_from_set(A)[len(A)]
+            alpha = len(A)
+            e_top = e_by_enumeration(A, alpha)
+            assert from_roots(A, 1)[0] == pow(-1, alpha, p) * e_top % p
             assert (e_top == 0) == (0 in A)
 
     @given(st.data())
@@ -194,19 +165,21 @@ class TestInvariants:
             assert power_sums_int(recenter(A), 1)[1] == 0
 
     def test_sign_convention(self, rng):
-        # from_roots coefficient at degree alpha-k is (-1)^k e_k
+        # from_roots coefficient at degree alpha-k is (-1)^k e_k, with e_k
+        # from the k-subset oracle
         p = 97
-        A = random_subset(rng, p, 5)
-        f = from_roots(A, 1)
-        es = elementary_from_set(A)
-        for k in range(6):
-            assert f[5 - k] == pow(-1, k, p) * es[k].v % p
+        signs = [(-1) ** k for k in range(6)]
+        flipped = 0
+        for _ in range(5):
+            A = random_subset(rng, p, 5)
+            assert sign_mismatches(A, signs) == []
+            # negative control: the expected sign flipped at one odd k with
+            # e_k != 0 is caught at exactly that k
+            for j in (1, 3, 5):
+                if e_by_enumeration(A, j):
+                    wrong = list(signs)
+                    wrong[j] = -wrong[j]
+                    assert sign_mismatches(A, wrong) == [j]
+                    flipped += 1
+        assert flipped
 
-
-def test_profile_bundle():
-    A = FpSet(41, [0, 1, 9, 32, 40])
-    prof = profile(A)
-    assert prof.n == 4 and prof.m is None
-    assert prof.p_k[0] == 5
-    assert prof.e_k[0] == 1
-    assert prof.h_k[0] == 1
