@@ -262,7 +262,7 @@ def _kpoly(x) -> QPoly:
         if x.vars not in ((), ("k",)):
             raise ValueError("QQuadElem components live in Q[k]")
         return x.with_vars(("k",))
-    return QPoly.const(x, ("k",))
+    return QPoly._make(("k",), {(0,): _frac(x)})
 
 
 def _kpoly_divide(num: QPoly, den: QPoly) -> QPoly:

@@ -45,9 +45,16 @@ class RationalForm:
         if g.degree > 0:
             num = num // g
             den = den // g
-        object.__setattr__(self, "p", num.p)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _fill_form(self, num, den)
+
+    @classmethod
+    def _make(cls, num: FpPoly, den: FpPoly) -> "RationalForm":
+        """Trusted constructor for forms built inside this module: ``num``
+        and ``den`` are over the same field, ``den`` is non-zero, and both
+        are already divided by their monic gcd."""
+        obj = object.__new__(cls)
+        _fill_form(obj, num, den)
+        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalForm is immutable")
@@ -60,6 +67,12 @@ class RationalForm:
             return NotImplemented
         # equality as rational functions: cross-multiply
         return self.p == other.p and self.num * other.den == other.num * self.den
+
+
+def _fill_form(obj: RationalForm, num: FpPoly, den: FpPoly) -> None:
+    object.__setattr__(obj, "p", num.p)
+    object.__setattr__(obj, "num", num)
+    object.__setattr__(obj, "den", den)
 
 
 def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> FieldElem:
@@ -350,37 +363,75 @@ def sum_residues_check(form: RationalForm) -> ResidueCheck:
 FORM_NAMES = ("omega20", "omega11", "omega30", "psi", "omega21")
 
 
+def _times_x(f: FpPoly, e: int) -> FpPoly:
+    """x^e f."""
+    return FpPoly._make(f.p, [0] * e + list(f.coeffs))
+
+
+def _x_power(B: FpSet, e: int) -> FpPoly:
+    """gcd(x^e, g^e) for g = prod_{b in B} (x - b): x^e when 0 is in B, and
+    1 otherwise."""
+    return FpPoly._make(B.p, [0] * (e if 0 in B else 0) + [1])
+
+
+def _reduced(num: FpPoly, den: FpPoly, common: FpPoly) -> RationalForm:
+    """The form num/den dx, given their monic gcd ``common``."""
+    if common.degree > 0:
+        num, den = num // common, den // common
+    return RationalForm._make(num, den)
+
+
 def named_form(which: str, A: Optional[FpSet], B: FpSet, k: int) -> RationalForm:
     """Construct the named differential form for the supplied sets.
 
     omega20 = x^(k+1) (g'/g)^2 dx          omega30 = x^(k+2) (g'/g)^3 dx
     omega11 = x^(k+1) (g'/g)(h'/h) dx      psi     = x^(k+2) (g'/g)' (h'/h) dx
     omega21 = x^(k+2) (g'/g)^2 (h'/h) dx
+
+    The gcd of numerator and denominator is read off the factors rather than
+    taken of the whole form.  g and h are squarefree, so g' is a unit at
+    every root of g and h' at every root of h; so is G = g'' g - g'^2, which
+    is -g'(b)^2 at a root b of g.  With -A and B disjoint, g and h are
+    coprime, and the gcd is
+
+        omega20: x^min(k+1, 2) if 0 is in B, else 1;
+        omega30: x^min(k+2, 3) if 0 is in B, else 1;
+        omega11: gcd(g, x h') gcd(h, x g');
+        psi:     gcd(g^2, x^2 h') gcd(h, x G);
+        omega21: gcd(g^2, x^2 h') gcd(h, x g').
+
+    A mixed form whose poles -A meet B is rejected.
     """
     p = B.p
     if which not in FORM_NAMES:
         raise ValueError(f"unknown form {which!r}")
     g = from_roots(B, 1)
     gp = g.derivative()
-    xk1 = FpPoly.monomial(p, 1, k + 1)
-    xk2 = FpPoly.monomial(p, 1, k + 2)
     if which == "omega20":
-        return RationalForm(xk1 * gp * gp, g * g)
+        return _reduced(_times_x(gp * gp, k + 1), g * g, _x_power(B, min(k + 1, 2)))
     if which == "omega30":
-        return RationalForm(xk2 * gp * gp * gp, g * g * g)
+        return _reduced(
+            _times_x(gp * gp * gp, k + 2), g * g * g, _x_power(B, min(k + 2, 3))
+        )
     if A is None:
         raise ValueError(f"form {which!r} needs the set A")
     if A.p != p:
         raise ValueError("A and B over different fields")
+    if set((-a) % p for a in A.elems) & set(B.elems):
+        raise ValueError("poles collide: (-A) meets B")
     h = from_roots(-A, 1)  # prod (x + a)
     hp_ = h.derivative()
     if which == "omega11":
-        return RationalForm(xk1 * gp * hp_, g * h)
+        common = poly_gcd(_times_x(hp_, 1), g) * poly_gcd(_times_x(gp, 1), h)
+        return _reduced(_times_x(gp * hp_, k + 1), g * h, common)
+    g2 = g * g
     if which == "psi":
-        gg = g.derivative().derivative() * g - gp * gp  # (g'/g)' numerator
-        return RationalForm(xk2 * gg * hp_, g * g * h)
+        gg = gp.derivative() * g - gp * gp  # (g'/g)' numerator
+        common = poly_gcd(_times_x(hp_, 2), g2) * poly_gcd(_times_x(gg, 1), h)
+        return _reduced(_times_x(gg * hp_, k + 2), g2 * h, common)
     # omega21
-    return RationalForm(xk2 * gp * gp * hp_, g * g * h)
+    common = poly_gcd(_times_x(hp_, 2), g2) * poly_gcd(_times_x(gp, 1), h)
+    return _reduced(_times_x(gp * gp * hp_, k + 2), g2 * h, common)
 
 
 @dataclass(frozen=True)
@@ -400,7 +451,7 @@ def _pole_sums(A: Optional[FpSet], B: FpSet):
     """Inverse power sums [sum 1/x, sum 1/x^2] per pole, over the pole
     differences: sB[b] over b - b' (b' in B, b' != b), and, when A is given,
     tB[b] over a + b (a in A) and uA[a] over a + b (b in B).  The poles -A and
-    B must then be disjoint.
+    B must then be disjoint, as ``named_form`` has checked.
 
     One batched inversion of the differences b - b' with b before b' serves
     sB (b' - b has the opposite inverse and the same inverse square), and
@@ -420,8 +471,6 @@ def _pole_sums(A: Optional[FpSet], B: FpSet):
     sB = {b: [s1[i] % p, s2[i] % p] for i, b in enumerate(bs)}
     if A is None:
         return sB, {}, {}
-    if set((-a) % p for a in A.elems) & set(bs):
-        raise ValueError("poles collide: (-A) meets B")
     inv = batch_inverse_ints([a + b for a in A.elems for b in bs], p)
     sq = [w * w for w in inv]
     uA = {

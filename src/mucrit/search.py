@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fp import FpSet, inverse_mod, is_prime, roots_of_unity
@@ -434,6 +434,44 @@ def threefold_check(
 # ---------------------------------------------------------------------------
 # the binomial-congruence prime scan
 
+def _levson_alphas(alpha_max: int) -> List[int]:
+    """The alpha in [2, alpha_max] with p = 2 alpha(alpha-1) + 1 prime, from
+    a sieve on alpha rather than a primality test per alpha.
+
+    With c = 2 alpha - 1, 2p = c^2 + 1, so an odd prime q divides p exactly
+    when c^2 == -1 (mod q).  That needs q == 1 (mod 4), and then c == +-s
+    with s^2 == -1, that is alpha == (1 +- s)(q + 1)/2 (mod q); p is odd, so
+    q = 2 never divides it.  In each of the two classes p grows with alpha,
+    so only the least alpha can have p = q itself; every later one has
+    p > q with q | p, and p is composite.  Crossing out the alpha in those
+    classes for every prime q <= isqrt(p_max), except the one with p = q,
+    leaves exactly the alpha with p prime, since a composite p has a prime
+    factor q <= isqrt(p).  The sieve holds one byte per alpha and one per
+    candidate q."""
+    p_max = 2 * alpha_max * (alpha_max - 1) + 1
+    root = math.isqrt(p_max)
+    composite = bytearray(root + 1)  # odd composites up to root, by Eratosthenes
+    keep = bytearray([1]) * (alpha_max + 1)
+    keep[:2] = b"\0\0"
+    for q in range(3, root + 1, 2):
+        if composite[q]:
+            continue
+        composite[q * q :: 2 * q] = b"\1" * len(range(q * q, root + 1, 2 * q))
+        if q % 4 != 1:
+            continue
+        g = 2  # the least non-square: g^((q-1)/4) squares to -1
+        while pow(g, q >> 1, q) == 1:
+            g += 1
+        s = pow(g, q >> 2, q)
+        half = (q + 1) // 2
+        # r is neither 0 nor 1: alpha = 0, 1 give c^2 = 1, not -1 mod q
+        for r in ((1 + s) * half % q, (1 - s) * half % q):
+            if 2 * r * (r - 1) + 1 == q:
+                r += q  # p = q is prime: start at the next alpha in the class
+            keep[r::q] = bytes(len(range(r, alpha_max + 1, q)))
+    return list(compress(range(alpha_max + 1), keep))
+
+
 def levson_scan(alpha_max: int) -> SearchResult:
     """Scan alpha <= alpha_max with p = 2 alpha(alpha-1) + 1 prime, testing
     C(alpha^2-1, n-1+alpha) == (-1)^(n-1) C(alpha^2-1, alpha) mod p for
@@ -448,27 +486,27 @@ def levson_scan(alpha_max: int) -> SearchResult:
 
     the sign (-1)^(n-1) cancelling.  Every factor is a unit (N < p and
     alpha + j <= 2 alpha - 1 < p), so the scan compares two running products
-    of plain ints, with no inverse and no reference binomial, and one alpha
-    costs O(alpha) multiplications.  p grows with alpha and n within each
-    alpha, so the hits come out sorted."""
+    of plain ints, with no inverse and no reference binomial.  With
+    c = 2 alpha - 1 (so 2p = c^2 + 1 and c^2 == -1 mod p) and a = 2j + 1,
+    the second factor is 2(alpha + j) = a + c: a step is one addition, two
+    multiplications mod p and one comparison, and n = (a + 1)/2 is formed
+    only on a hit.  The alpha with p prime come from ``_levson_alphas``.
+    p grows with alpha and n within each alpha, so the hits come out
+    sorted."""
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
     hits = []
-    scanned = 0
-    for alpha in range(2, alpha_max + 1):
-        p = 2 * alpha * (alpha - 1) + 1
-        if not is_prime(p):
-            continue
-        scanned += 1
+    alphas = _levson_alphas(alpha_max)
+    for alpha in alphas:
+        c = 2 * alpha - 1
+        p = (c * c + 1) // 2
         odd = twice = 1
-        # step j: n = j + 1, a = 2j + 1, b = 2(alpha + j)
-        steps = zip(range(2, alpha + 1), range(3, 2 * alpha, 2), range(2 * alpha + 2, 4 * alpha, 2))
-        for n, a, b in steps:
+        for a in range(3, c + 1, 2):  # step j: a = 2j + 1, 2(alpha + j) = a + c
             odd = odd * a % p
-            twice = twice * b % p
+            twice = twice * (a + c) % p
             if odd == twice:
-                hits.append((p, alpha, n))
-    return SearchResult("levson", None, None, hits, {"primes_scanned": scanned}, (), ())
+                hits.append((p, alpha, (a + 1) // 2))
+    return SearchResult("levson", None, None, hits, {"primes_scanned": len(alphas)}, (), ())
 
 
 # ---------------------------------------------------------------------------

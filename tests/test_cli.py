@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mucrit import cli, residues
+from mucrit import cli, residues, search
 from mucrit.fp import FieldElem, FpSet
 from mucrit.poly import FpPoly, from_roots
 from mucrit.residues import RationalForm
@@ -45,6 +45,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "--threads" in err
+
+    @pytest.mark.parametrize("alpha_max", ["1", "0"])
+    def test_levson_alpha_max_below_two_builds_no_sieve(self, capsys, monkeypatch, alpha_max):
+        def no_sieve(alpha_max):
+            raise AssertionError("the sieve was built for a rejected alpha_max")
+
+        monkeypatch.setattr(search, "_levson_alphas", no_sieve)
+        code, out, err = run_cli(capsys, "search", "levson", "--alpha-max", alpha_max)
+        assert code == 2
+        assert out == ""
+        assert "alpha_max must be >= 2" in err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
@@ -101,8 +112,6 @@ class TestJsonOutput:
     def test_search_runs_the_module_global(self, capsys, monkeypatch):
         # the CLI reaches every search through search.run_job, which looks it
         # up at call time, so a search rebound in mucrit.search is the one run
-        from mucrit import search
-
         fake = search.SearchResult("levson", None, None, [(7, 7, 7)], {"primes_scanned": 0}, (), ())
         monkeypatch.setattr(search, "levson_scan", lambda alpha_max: fake)
         _, out, _ = run_cli(capsys, "search", "levson", "--alpha-max", "10", "--format", "json")

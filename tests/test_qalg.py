@@ -181,6 +181,17 @@ class TestQQuadElem:
         with pytest.raises(ZeroDivisionError):
             QQuadElem(0, 0).inverse()
 
+    @pytest.mark.parametrize("c", [0, 3, Fraction(1, 2)])
+    def test_scalar_components_match_const(self, c):
+        # scalar components go through the trusted constructor; they must be
+        # the polynomial QPoly.const builds, down to the stored terms
+        want = QPoly.const(c, ("k",))
+        x = QQuadElem(c, c)
+        for part in (x.u, x.v):
+            assert part == want
+            assert part.vars == want.vars and part.terms == want.terms
+            assert all(type(t) is Fraction for t in part.terms.values())
+
     def test_inexact_division_rejected(self):
         # norm of w + k is k^2 + 1/2, which does not divide the conjugate parts
         x = QQuadElem.generator() + QQuadElem.k()

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from mucrit import residues
 from mucrit.fp import FpSet, batch_inverse_ints, inverse_mod
 from mucrit.poly import FpPoly, from_roots, taylor_at
 from mucrit.residues import (
@@ -334,6 +337,106 @@ class TestNamedFormIdentities:
         A = FpSet(p, [12, 3])  # -12 = 1 in B
         with pytest.raises(ValueError):
             lemma_form_identity("omega11", A, B, 2, mode="general")
+
+
+def _whole_form(which, A, B, k):
+    """The named form from its defining formula, reduced by ``RationalForm``
+    through the gcd of the whole numerator and denominator."""
+    p = B.p
+    g = from_roots(B, 1)
+    gp = g.derivative()
+    x1, x2 = FpPoly.monomial(p, 1, k + 1), FpPoly.monomial(p, 1, k + 2)
+    if which == "omega20":
+        return RationalForm(x1 * gp * gp, g * g)
+    if which == "omega30":
+        return RationalForm(x2 * gp * gp * gp, g * g * g)
+    h = from_roots(-A, 1)
+    hp_ = h.derivative()
+    if which == "omega11":
+        return RationalForm(x1 * gp * hp_, g * h)
+    if which == "psi":
+        return RationalForm(x2 * (gp.derivative() * g - gp * gp) * hp_, g * g * h)
+    return RationalForm(x2 * gp * gp * hp_, g * g * h)
+
+
+# the unreduced denominator degree of each form, from |A| and |B|
+_DEN_DEGREE = {
+    "omega20": lambda a, b: 2 * b,
+    "omega30": lambda a, b: 3 * b,
+    "omega11": lambda a, b: a + b,
+    "psi": lambda a, b: a + 2 * b,
+    "omega21": lambda a, b: a + 2 * b,
+}
+
+
+def _reduction_cases(seed, count):
+    """(which, A, B, k) over small and large p, with 0 forced into A or B in
+    about 30 % of cases; A is None for omega20 and omega30."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice([2, 3, 5, 7, 11, 13, 41, 97, 10007])
+        which = rng.choice(FORM_NAMES)
+        B = set(rng.sample(range(p), rng.randint(1, min(6, p))))
+        A = set(rng.sample(range(p), rng.randint(1, min(6, p))))
+        if rng.random() < 0.3:
+            (B if rng.random() < 0.5 else A).add(0)
+        yield (
+            which,
+            None if which in ("omega20", "omega30") else FpSet(p, A),
+            FpSet(p, B),
+            rng.randint(0, 6),
+        )
+
+
+def _reduction_mismatches(cases):
+    """Compare ``named_form`` with the whole-form gcd reduction; returns the
+    mismatching cases and, per form, how many cases had a non-trivial gcd.
+    A mixed form whose poles -A meet B must be rejected."""
+    bad, reduced = [], {which: 0 for which in FORM_NAMES}
+    for which, A, B, k in cases:
+        p = B.p
+        if A is not None and {(-a) % p for a in A} & set(B):
+            with pytest.raises(ValueError, match=r"poles collide: \(-A\) meets B"):
+                named_form(which, A, B, k)
+            continue
+        got, want = named_form(which, A, B, k), _whole_form(which, A, B, k)
+        if (got.p, got.num, got.den) != (want.p, want.num, want.den):
+            bad.append((which, A, B, k))
+        if want.den.degree < _DEN_DEGREE[which](len(A or ()), len(B)):
+            reduced[which] += 1
+    return bad, reduced
+
+
+class TestNamedFormReduction:
+    """``named_form`` divides by a gcd read off the factors; the gcd of the
+    whole numerator and denominator is the oracle."""
+
+    def test_matches_whole_form_gcd(self):
+        bad, reduced = _reduction_mismatches(_reduction_cases(0x5EED, 10_000))
+        assert bad == []
+        # every form met cases where the reduction is not trivial
+        assert min(reduced.values()) >= 100, reduced
+
+    def test_negative_control_dropped_x_power(self, monkeypatch):
+        # without the x-power, omega20 with 0 in B keeps a common factor x
+        cases = [
+            ("omega20", None, FpSet(p, [0, *rest]), k)
+            for p, rest in ((5, [2]), (13, [3, 5]), (97, [1, 40, 96]))
+            for k in range(4)
+        ]
+        assert _reduction_mismatches(cases)[0] == []
+        monkeypatch.setattr(residues, "_x_power", lambda B, e: FpPoly.one(B.p))
+        assert _reduction_mismatches(cases)[0] == cases
+
+    @pytest.mark.parametrize("which", ["omega11", "psi", "omega21"])
+    def test_colliding_poles_rejected(self, which):
+        # -1 = 12 lies in B; the identity check reaches the same error
+        A, B = FpSet(13, [1, 4]), FpSet(13, [2, 12])
+        for mode in ("general", "specialized"):
+            with pytest.raises(ValueError, match=r"poles collide"):
+                lemma_form_identity(which, A, B, 2, mode=mode)
+        with pytest.raises(ValueError, match=r"poles collide"):
+            named_form(which, A, B, 2)
 
 
 def _specialized_oracle(which, A, B, k):

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 from itertools import combinations
 
@@ -315,6 +316,32 @@ class TestLevson:
         assert not is_prime(2 * 4 * 3 + 1)
         res = levson_scan(4)
         assert res.counts["primes_scanned"] == 2  # alpha = 2 (p=5), 3 (p=13)
+
+    @pytest.mark.parametrize("alpha_max", [*range(2, 13), 5000])
+    def test_sieve_matches_trial_division(self, alpha_max):
+        want = [
+            a
+            for a in range(2, alpha_max + 1)
+            if all((2 * a * (a - 1) + 1) % q for q in range(2, math.isqrt(2 * a * (a - 1) + 1) + 1))
+        ]
+        assert search._levson_alphas(alpha_max) == want
+
+    def test_sieve_negative_control_without_prime_exception(self, monkeypatch):
+        # rebuild the sieve from its source with the p = q exception cut out:
+        # at alpha_max = 30 the sieve runs to q = 41, so alpha = 2, 3, 5
+        # (p = 5, 13, 41) are crossed out by their own p, and the scan loses
+        # both hits
+        src = inspect.getsource(search._levson_alphas)
+        guard = "if 2 * r * (r - 1) + 1 == q:"
+        assert src.count(guard) == 1
+        namespace = dict(vars(search))
+        exec(src.replace(guard, "if False:"), namespace)
+        mutant = namespace["_levson_alphas"]
+        assert set(search._levson_alphas(30)) - set(mutant(30)) == {2, 3, 5}
+        monkeypatch.setattr(search, "_levson_alphas", mutant)
+        assert levson_scan(30).witnesses == []
+        monkeypatch.undo()
+        assert levson_scan(30).witnesses == [(13, 3, 3), (41, 5, 4)]
 
     def test_exact_binomial_oracle(self):
         import math
