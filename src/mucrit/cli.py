@@ -542,6 +542,10 @@ def _dispatch(ns: argparse.Namespace) -> int:
         return _emit(ns, "verify-identities", {}, *run_verify_identities())
     if ns.command == "verify-residues":
         primes = [int(x) for x in ns.primes.split(",") if x]
+        if not primes:
+            raise ValueError("--primes names no prime")
+        if ns.instances < 0 or ns.form_instances < 0:
+            raise ValueError("--instances and --form-instances must be >= 0")
         for p in primes:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")

@@ -1,12 +1,18 @@
-"""Dense univariate polynomials over F_p and truncated Laurent series.
+"""Dense univariate polynomials over F_p, power series on coefficient lists,
+and truncated Laurent series.
 
 ``FpPoly`` stores coefficients low-degree first as plain ints in [0, p), with
 no trailing zeros; the zero polynomial is the empty tuple.  Degrees in this
 project stay below p, so the dense representation is all that is needed.
 
+``taylor_at`` returns the coefficients of f in powers of (x - a) as a list.
+``_series_inverse`` expands 1/f on such a list and ``_series_ratio`` num/den;
+every 1/f expansion in the package goes through ``_series_inverse``.
+
 ``TruncatedSeries`` represents sum_j c_j (x - center)^(start+j) + O((x-center)^order),
 with ``center`` either a residue or the AT_INFINITY sentinel (in which case the
-local parameter is 1/x and exponent j means x^(-j)).
+local parameter is 1/x and exponent j means x^(-j)).  It backs only
+``residue_at_infinity`` and the result of ``log_derivative_series``.
 """
 
 from __future__ import annotations
@@ -218,18 +224,6 @@ class FpPoly:
         out.reverse()
         return FpPoly._make(p, out), r
 
-    def root_multiplicity(self, a: int) -> int:
-        """Multiplicity of a as a root (0 if not a root)."""
-        m = 0
-        f = self
-        while not f.is_zero():
-            q, r = f.synth_div(a)
-            if r != 0:
-                break
-            m += 1
-            f = q
-        return m
-
 
 def _fill_poly(obj: FpPoly, p: int, cs: List[int]) -> None:
     while cs and cs[-1] == 0:
@@ -387,20 +381,6 @@ class TruncatedSeries:
             f"coeffs={list(self.coeffs)}, O(u^{self.order}))"
         )
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compat(other)
-        order = min(self.order, other.order)
-        if self.is_zero() and other.is_zero():
-            return TruncatedSeries._make(self.p, self.center, order, [], order)
-        start = min(self.start, other.start)
-        n = max(self.start + len(self.coeffs), other.start + len(other.coeffs)) - start
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            out[self.start - start + i] = c
-        for i, c in enumerate(other.coeffs):
-            out[other.start - start + i] = (out[other.start - start + i] + c) % self.p
-        return TruncatedSeries._make(self.p, self.center, start, out, order)
-
     def __mul__(self, other) -> "TruncatedSeries":
         p = self.p
         if isinstance(other, int):
@@ -431,20 +411,11 @@ class TruncatedSeries:
         """Multiplicative inverse; the lowest known coefficient must be nonzero."""
         if not self.coeffs:
             raise ZeroDivisionError("cannot invert a series with no known terms")
-        p = self.p
         v = self.start
-        rel = self.coeffs
-        n = self.order - v  # known length of the unit part
-        c0_inv = inverse_mod(rel[0], p)
-        out = [0] * n
-        out[0] = c0_inv
-        for j in range(1, n):
-            acc = 0
-            for i in range(1, min(j, len(rel) - 1) + 1):
-                acc += rel[i] * out[j - i]
-            out[j] = (-c0_inv * acc) % p
-        # 1/f has valuation -v; known mod u^(order - 2v)
-        return TruncatedSeries._make(p, self.center, -v, out, self.order - 2 * v)
+        # 1/f has valuation -v; its unit part is known to order - v terms, so
+        # 1/f is known mod u^(order - 2v)
+        out = _series_inverse(self.coeffs, self.order - v, self.p)
+        return TruncatedSeries._make(self.p, self.center, -v, out, self.order - 2 * v)
 
 
 def _fill_series(
@@ -470,18 +441,19 @@ def _fill_series(
     _set(obj, "order", order)
 
 
-def taylor_at(f: FpPoly, a, order: int) -> TruncatedSeries:
-    """Expansion of f in powers of (x - a), to the given exclusive order.
+def taylor_at(f: FpPoly, a, order: int) -> List[int]:
+    """The coefficients of f in powers of (x - a) below the given exclusive
+    order, padded with zeros to ``order`` entries.
 
     Computed by repeated synthetic division, in place on the coefficient
     list, so no factorial ever needs to be inverted mod p.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    p = f.p
-    av = a.v if isinstance(a, FieldElem) else int(a) % p
+    av = a.v if isinstance(a, FieldElem) else int(a) % f.p
     cs = list(islice(_taylor_coefficients(f, av), order))
-    return TruncatedSeries._make(p, av, 0, cs, order)
+    cs += [0] * (order - len(cs))
+    return cs
 
 
 def _taylor_coefficients(f: FpPoly, a: int) -> Iterator[int]:
@@ -502,60 +474,55 @@ def _taylor_coefficients(f: FpPoly, a: int) -> Iterator[int]:
         yield c[i]
 
 
-def _reversed_series(f: FpPoly, length: int, order: int) -> TruncatedSeries:
-    """Series of t^deg(f) * f(1/t) in t, padded to the given length."""
-    cs = list(reversed(f.coeffs))
-    cs += [0] * (length - len(cs))
-    return TruncatedSeries(f.p, AT_INFINITY, 0, cs[:length], order)
+def _series_inverse(cs: Sequence[int], n: int, p: int) -> List[int]:
+    """The first n >= 1 coefficients of 1/f for f = sum_j cs[j] u^j, where
+    cs[0] is a unit mod p and cs reads as 0 past its end:
+    w_0 = 1/cs[0] and w_j = -w_0 (cs[1] w_(j-1) + ... + cs[j] w_0)."""
+    w0 = pow(cs[0], -1, p)
+    w = [w0]
+    top = len(cs) - 1
+    for j in range(1, n):
+        w.append(-w0 * sum(cs[i] * w[j - i] for i in range(1, min(j, top) + 1)) % p)
+    return w
+
+
+def _series_ratio(num: Sequence[int], den: Sequence[int], n: int, p: int) -> List[int]:
+    """The first n coefficients of num/den on coefficient lists, den[0] a
+    unit mod p."""
+    w = _series_inverse(den, n, p)
+    return [sum(c * w[j - i] for i, c in enumerate(num[: j + 1])) % p for j in range(n)]
 
 
 def log_derivative_series(g: FpPoly, center, order: int) -> TruncatedSeries:
     """Truncated expansion of g'/g at a finite center or at infinity.
 
     At infinity the coefficient of x^(-l-1) is the l-th power sum of the root
-    multiset of g.  At a simple root b the series is 1/(x-b) plus a regular
-    part; a multiple root is rejected.
+    multiset of g.  At a finite center g = (x-b)^m u with m the number of
+    leading zeros of g's Taylor list and u its rest; the series is u'/u, plus
+    1/(x-b) at a simple root.  A multiple root is rejected.
     """
     if g.is_zero():
         raise ZeroDivisionError("log derivative of the zero polynomial")
     if order < 1:
         raise ValueError("order must be >= 1")
     p = g.p
-    gp = g.derivative()
     if isinstance(center, _Infinity):
-        # g'/g = (1/x) * rev(g')(t) / rev(g)(t) * t^(deg g - 1 - deg g') ... with
-        # deg g' = deg g - 1 when p does not divide deg g; handle the general
-        # case by aligning both reversals to deg g.
-        n = order + 1
+        # in t = 1/x, g'/g = t^dg g'(1/t) / (t^dg g(1/t)) with dg = deg g: the
+        # t^e coefficients are those of x^(dg-e) in g' and in g
         dg = g.degree
-        rev_g = _reversed_series(g, n, n)
-        # t^dg * g'(1/t) has valuation >= 1 in general; build it directly
-        cs = [0] * n
-        for j, c in enumerate(gp.coeffs):
-            e = dg - j  # exponent of t for x^j term under t^dg * (1/t)^j
-            if 0 <= e < n:
-                cs[e] = c
-        rev_gp = TruncatedSeries(p, AT_INFINITY, 0, cs, n)
-        # t^dg g'(1/t) / (t^dg g(1/t)) = (g'/g)(x) expressed in t = 1/x
-        ratio = rev_gp * rev_g.inverse()
-        return TruncatedSeries(p, AT_INFINITY, ratio.start, ratio.coeffs, order)
+        gp = g.derivative()
+        num = [gp[dg - e] for e in range(order)]
+        den = g.coeffs[::-1]
+        return TruncatedSeries._make(p, AT_INFINITY, 0, _series_ratio(num, den, order, p), order)
     cv = center.v if isinstance(center, FieldElem) else int(center) % p
-    mult = g.root_multiplicity(cv)
+    # every non-zero Taylor coefficient, so m is exact, and order + 1 past m <= 1
+    t = taylor_at(g, cv, g.degree + order + 2)
+    mult = next(j for j, c in enumerate(t) if c)
     if mult > 1:
         raise ValueError(f"{cv} is a root of multiplicity {mult} > 1")
-    if mult == 1:
-        u, r = g.synth_div(cv)
-        assert r == 0
-        regular = _series_ratio(u.derivative(), u, cv, order)
-        principal = TruncatedSeries(p, cv, -1, (1,), order)
-        return principal + regular
-    return _series_ratio(gp, g, cv, order)
-
-
-def _series_ratio(num: FpPoly, den: FpPoly, center: int, order: int) -> TruncatedSeries:
-    """num/den expanded at a finite center where den does not vanish."""
-    extra = order + 1
-    ns = taylor_at(num, center, extra)
-    ds = taylor_at(den, center, extra)
-    prod = ns * ds.inverse()
-    return TruncatedSeries(num.p, center, prod.start, prod.coeffs, order)
+    u = t[mult:]
+    du = [j * c % p for j, c in enumerate(u[: order + 1]) if j]
+    regular = _series_ratio(du, u, order, p)
+    if mult:
+        return TruncatedSeries._make(p, cv, -1, [1] + regular, order)
+    return TruncatedSeries._make(p, cv, 0, regular, order)

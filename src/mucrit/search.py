@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fp import FpSet, inverse_mod, is_prime, roots_of_unity
+from .fp import FpSet, inverse_mod, is_prime, roots_of_unity, sqrt_mod
 from .hp import criticality
 from .stepanov import rat2_check
 from .symm import minimal_indices, power_sums_int, recentering_shift
@@ -190,10 +190,9 @@ def diffset_search(p: int, d: int) -> SearchResult:
     violations: List[str] = []
     for A in classes:
         S = FpSet(p, A)
-        rep = criticality(S, -S, d)
+        rep = criticality(S, -S, d)  # S + (-S) is the difference set
         assert rep.critical, f"witness {A} failed re-verification"
-        diffs = S.diffset(S)
-        exact = diffs.mask == (mu.mask | 1)
+        exact = rep.exact == "mu_d_plus_zero"
         witnesses.append((A, exact))
         if d not in (2, 6) and (p, d) != (41, 20):
             violations.append(f"unexpected witness {A} at (p={p}, d={d})")
@@ -440,14 +439,14 @@ def _levson_alphas(alpha_max: int) -> List[int]:
 
     With c = 2 alpha - 1, 2p = c^2 + 1, so an odd prime q divides p exactly
     when c^2 == -1 (mod q).  That needs q == 1 (mod 4), and then c == +-s
-    with s^2 == -1, that is alpha == (1 +- s)(q + 1)/2 (mod q); p is odd, so
-    q = 2 never divides it.  In each of the two classes p grows with alpha,
-    so only the least alpha can have p = q itself; every later one has
-    p > q with q | p, and p is composite.  Crossing out the alpha in those
-    classes for every prime q <= isqrt(p_max), except the one with p = q,
-    leaves exactly the alpha with p prime, since a composite p has a prime
-    factor q <= isqrt(p).  The sieve holds one byte per alpha and one per
-    candidate q."""
+    with s = ``sqrt_mod(q - 1, q)``, that is alpha == (1 +- s)(q + 1)/2
+    (mod q); p is odd, so q = 2 never divides it.  In each of the two
+    classes p grows with alpha, so only the least alpha can have p = q
+    itself; every later one has p > q with q | p, and p is composite.
+    Crossing out the alpha in those classes for every prime
+    q <= isqrt(p_max), except the one with p = q, leaves exactly the alpha
+    with p prime, since a composite p has a prime factor q <= isqrt(p).  The
+    sieve holds one byte per alpha and one per candidate q."""
     p_max = 2 * alpha_max * (alpha_max - 1) + 1
     root = math.isqrt(p_max)
     composite = bytearray(root + 1)  # odd composites up to root, by Eratosthenes
@@ -459,10 +458,7 @@ def _levson_alphas(alpha_max: int) -> List[int]:
         composite[q * q :: 2 * q] = b"\1" * len(range(q * q, root + 1, 2 * q))
         if q % 4 != 1:
             continue
-        g = 2  # the least non-square: g^((q-1)/4) squares to -1
-        while pow(g, q >> 1, q) == 1:
-            g += 1
-        s = pow(g, q >> 2, q)
+        s = sqrt_mod(q - 1, q)
         half = (q + 1) // 2
         # r is neither 0 nor 1: alpha = 0, 1 give c^2 = 1, not -1 mod q
         for r in ((1 + s) * half % q, (1 - s) * half % q):

@@ -7,10 +7,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .fp import FieldElem, FpSet, inverse_mod
-from .poly import TruncatedSeries
+from .poly import _series_inverse
 
 
-def power_sums(A: FpSet, K: int) -> List[FieldElem]:
+def power_sums_int(A: FpSet, K: int) -> List[int]:
     """[p_0, ..., p_K] with p_k = sum of k-th powers; p_0 = |A| mod p."""
     if K < 0:
         raise ValueError("K must be nonnegative")
@@ -21,15 +21,16 @@ def power_sums(A: FpSet, K: int) -> List[FieldElem]:
         for k in range(1, K + 1):
             cur = cur * a % p
             out[k] = (out[k] + cur) % p
-    return [FieldElem(v, p) for v in out]
+    return out
 
 
-def power_sums_int(A: FpSet, K: int) -> List[int]:
-    return [e.v for e in power_sums(A, K)]
+def power_sums(A: FpSet, K: int) -> List[FieldElem]:
+    """``power_sums_int`` as field elements."""
+    return [FieldElem(v, A.p) for v in power_sums_int(A, K)]
 
 
 def complete_homogeneous(A: FpSet, m: int) -> FieldElem:
-    """h_m(A), read off the truncated series of 1 / prod_a (1 - a x)."""
+    """h_m(A), the u^m coefficient of 1 / prod_a (1 - a u)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     p = A.p
@@ -42,8 +43,7 @@ def complete_homogeneous(A: FpSet, m: int) -> FieldElem:
             if i + 1 < len(nxt):
                 nxt[i + 1] = (nxt[i + 1] - c * a) % p
         denom = nxt
-    series = TruncatedSeries(p, 0, 0, denom, m + 1).inverse()
-    return series.coefficient(m)
+    return FieldElem(_series_inverse(denom, m + 1, p)[m], p)
 
 
 def minimal_indices(A: FpSet) -> Tuple[int, Optional[int]]:

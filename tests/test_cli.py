@@ -57,6 +57,25 @@ class TestExitCodes:
         assert out == ""
         assert "alpha_max must be >= 2" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--instances", "-3"], "--instances"),
+            (["--form-instances", "-1"], "--form-instances"),
+            (["--primes", ""], "--primes"),
+            (["--primes", ","], "--primes"),
+        ],
+    )
+    def test_verify_residues_checks_nothing_rejected(self, capsys, monkeypatch, args, message):
+        def no_sampling(*_):
+            raise AssertionError("instances were sampled for a rejected configuration")
+
+        monkeypatch.setattr(cli, "run_verify_residues", no_sampling)
+        code, out, err = run_cli(capsys, "verify-residues", *args)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
         code, out, _ = run_cli(capsys, "check", "lemma1")

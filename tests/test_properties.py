@@ -66,11 +66,16 @@ def test_results_are_canonical(p, data):
         results += f.divmod(g)
     for r in results:
         assert FpPoly(p, r.coeffs) == r
-    s = taylor_at(f, a, data.draw(st.integers(1, 10)))
-    t = taylor_at(g, a, data.draw(st.integers(1, 10)))
-    series = [s, t, s + t, s * t, s * a]
+    lists = [taylor_at(h, a, data.draw(st.integers(1, 10))) for h in (f, g)]
+    assert all(0 <= c < p for cs in lists for c in cs)
+    s, t = (TruncatedSeries(p, a, 0, cs, len(cs)) for cs in lists)
+    series = [s * t, s * a]
     if not t.is_zero():
         series.append(t.inverse())
+    if not g.is_zero():
+        series.append(log_derivative_series(g, AT_INFINITY, 4))
+        if g.eval_int(a):
+            series.append(log_derivative_series(g, a, 4))
     for r in series:
         assert TruncatedSeries(p, r.center, r.start, r.coeffs, r.order) == r
 
@@ -93,11 +98,12 @@ def test_taylor_shift_consistency(p, data):
     f = data.draw(poly_over(p))
     a = data.draw(st.integers(0, p - 1))
     s = taylor_at(f, a, len(f.coeffs) + 2)
+    assert len(s) == len(f.coeffs) + 2 and s[-1] == 0
     # evaluating the expansion at a point recovers f
     x = data.draw(st.integers(0, p - 1))
     acc = 0
-    for j in range(len(f.coeffs) + 1):
-        acc = (acc + s.coefficient(j).v * pow((x - a) % p, j, p)) % p
+    for j, c in enumerate(s):
+        acc = (acc + c * pow((x - a) % p, j, p)) % p
     assert acc == f.eval_int(x)
 
 

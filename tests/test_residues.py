@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from mucrit import residues
+from mucrit import poly, residues
 from mucrit.fp import FpSet, batch_inverse_ints, inverse_mod
-from mucrit.poly import FpPoly, from_roots, taylor_at
+from mucrit.poly import FpPoly, TruncatedSeries, from_roots, taylor_at
 from mucrit.residues import (
     FORM_NAMES,
     RationalForm,
@@ -16,7 +16,7 @@ from mucrit.residues import (
     sum_residues_check,
 )
 
-from conftest import random_subset
+from conftest import random_subset, root_multiplicity
 
 
 def random_split_form(rng, p, max_roots=4, max_mult=2):
@@ -99,13 +99,22 @@ class TestResidueAt:
 
 
 def _residue_by_series(form, b):
-    """Residue at b as a product of truncated series: the Taylor expansion of
-    the numerator times the inverse of the denominator's, read at (x-b)^(-1)."""
-    v = form.den.root_multiplicity(b)
+    """Residue at b as a product of truncated series, with no series inverse:
+    den = (x-b)^v U, 1/U is found by Newton's iteration w <- w (2 - U w) on
+    ``TruncatedSeries`` products, and the residue is the (x-b)^(v-1)
+    coefficient of num * (1/U)."""
+    p = form.p
+    v = root_multiplicity(form.den, b)
     if v == 0:
         return 0
-    ds = taylor_at(form.den, b, 2 * v)
-    return (taylor_at(form.num, b, v) * ds.inverse()).coefficient(-1).v
+    unit = TruncatedSeries(p, b, 0, taylor_at(form.den, b, 2 * v)[v:], v)
+    w = TruncatedSeries(p, b, 0, [inverse_mod(unit.coeffs[0], p)], v)
+    for _ in range(v.bit_length()):  # each step doubles the correct terms
+        uw = unit * w
+        two_minus = [(2 * (j == 0) - uw.coefficient(j).v) % p for j in range(v)]
+        w = w * TruncatedSeries(p, b, 0, two_minus, v)
+    num = TruncatedSeries(p, b, 0, taylor_at(form.num, b, v), v)
+    return (num * w).coefficient(v - 1).v
 
 
 def _unreduced_form(num, den):
@@ -136,6 +145,27 @@ class TestResidueCoefficientOracle:
             form = RationalForm(num, den)
             assert residue_at(form, b).v == _residue_by_series(form, b)
 
+    def test_negative_control_off_by_one_inverse(self, rng, monkeypatch):
+        # with the series inverse's last coefficient off by one, residue_at
+        # disagrees with the oracle at every pole
+        inverse = poly._series_inverse
+
+        def off_by_one(cs, n, p):
+            w = inverse(cs, n, p)
+            w[-1] = (w[-1] + 1) % p
+            return w
+
+        monkeypatch.setattr(poly, "_series_inverse", off_by_one)
+        p = 97
+        for v in (1, 2, 3):
+            for _ in range(5):
+                b = rng.randrange(p)
+                den = from_roots(FpSet(p, [b]), v) * FpPoly(p, [rng.randrange(1, p), 1])
+                if root_multiplicity(den, b) != v:
+                    continue
+                form = RationalForm(FpPoly(p, [1]), den)
+                assert residue_at(form, b).v != _residue_by_series(form, b)
+
     @pytest.mark.parametrize("v", [1, 2, 3, 4])
     def test_numerator_vanishing_at_the_pole(self, v):
         # num = (x-b)^k N with 0 < k <= v: reduced, the pole order drops to
@@ -145,7 +175,7 @@ class TestResidueCoefficientOracle:
         for k in range(1, v + 1):
             num = from_roots(FpSet(p, [b]), k) * FpPoly(p, [2, 7, 1])
             reduced, unreduced = RationalForm(num, den), _unreduced_form(num, den)
-            assert reduced.den.root_multiplicity(b) == v - k
+            assert root_multiplicity(reduced.den, b) == v - k
             want = _residue_by_series(unreduced, b)
             assert want == _residue_by_series(reduced, b)
             assert residue_at(unreduced, b).v == residue_at(reduced, b).v == want

@@ -1,8 +1,8 @@
 """Differential tests of the root finder and its kernels: rational_root_part
 against sympy's factorization mod p (including the edges of the squarefree
 kernel and of the closed-form leaves), the tabulated powering against plain
-powering, and the pole order read off the Taylor passes against
-root_multiplicity."""
+powering, and the pole order read off the Taylor passes against repeated
+synthetic division (``conftest.root_multiplicity``)."""
 
 import random
 
@@ -20,6 +20,8 @@ from mucrit.residues import (
     rational_root_part,
     residue_at,
 )
+
+from conftest import root_multiplicity
 
 sympy = pytest.importorskip("sympy")
 X = sympy.symbols("x")
@@ -254,7 +256,7 @@ def test_pole_order_matches_root_multiplicity(case):
     # residue_at raises unless the given multiplicity is the order it reads
     # off the Taylor passes; an order off by one either way must raise
     form, b = case
-    v = form.den.root_multiplicity(b)
+    v = root_multiplicity(form.den, b)
     assert residue_at(form, b, v) == residue_at(form, b)
     for wrong in (v - 1, v + 1):
         if wrong >= 0:

@@ -1,9 +1,16 @@
 """Every metric that perfbench/tracer.py reports or counts names a callable
-that still exists in the package, so ``run.py --trace 1`` can bind it."""
+that still exists in the package, so ``run.py --trace 1`` can bind it; and a
+reduced ``verify-residues`` still reaches every metric that ``run.py``
+predicts non-zero on the ``residues`` workload."""
 
+import ast
+import contextlib
 import importlib
+import io
 import types
 from pathlib import Path
+
+from mucrit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,3 +45,46 @@ def test_tracer_binds_every_reported_and_counted_name(monkeypatch):
     )
     monkeypatch.delattr(importlib.import_module(f"mucrit.{layer}"), name)
     assert unbound_metrics(tracer) == [f"{layer}.{name}"]
+
+
+def predicted_nonzero():
+    """``PREDICTED_NONZERO`` from perfbench/run.py, read with ``ast``: the
+    module imports ``jobs`` at load time."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "PREDICTED_NONZERO" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no PREDICTED_NONZERO")
+
+
+def residues_metrics_at_zero(*args):
+    """The metrics under ``PREDICTED_NONZERO["residues"]`` that read 0 when
+    ``verify-residues`` runs with ``args`` under the tracer, as run.py's
+    coverage check names them."""
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(["verify-residues", *args, "--format", "json"])
+    finally:
+        tracer.restore()
+    assert code == 0
+    prefixes = predicted_nonzero()["residues"]
+    return [
+        name
+        for name, value in tracer.metrics(0.0).items()
+        for prefix in prefixes
+        if (name == prefix or name.startswith(prefix + ".")) and not value
+    ]
+
+
+def test_reduced_verify_residues_reaches_every_predicted_metric():
+    # 20 random forms and 2 instances of each named form per prime reach
+    # every metric, FpPoly.divmod included (10 and 1 miss it)
+    assert residues_metrics_at_zero("--instances", "20", "--form-instances", "2") == []
+    # negative control: with nothing sampled the series constructor goes unreached
+    assert "poly.TruncatedSeries.init.calls" in residues_metrics_at_zero(
+        "--instances", "0", "--form-instances", "0"
+    )
