@@ -557,6 +557,8 @@ def _dispatch(ns: argparse.Namespace) -> int:
         ok, report = run_verify_residues(ns.seed, primes, ns.instances, ns.form_instances)
         return _emit(ns, "verify-residues", params, ok, report)
     if ns.command == "search":
+        if getattr(ns, "node_budget", 1) < 1:
+            raise ValueError(f"--node-budget must be at least 1, got {ns.node_budget}")
         params = {k: v for k, v in vars(ns).items() if k in _JOB_FIELDS}
         res = run_job(SearchJob(ns.kind, **params))
         # the report is the result's fields as they are: json.dumps renders a

@@ -1,4 +1,5 @@
-"""Prime-field arithmetic: elements, sets, primality, roots of unity, binomials.
+"""Prime-field arithmetic: elements, sets, primality, roots of unity and
+their exponent index, binomials.
 
 Everything downstream (polynomials, symmetric functions, searches) sits on the
 two value types defined here:
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 MAX_MODULUS_BITS = 63
 
@@ -242,22 +243,31 @@ def sqrt_mod(a: int, p: int) -> int:
     return r
 
 
-def roots_of_unity(p: int, d: int) -> FpSet:
-    """The subgroup mu_d of d-th roots of unity in F_p*; requires d | p-1."""
+def subgroup_index(p: int, d: int) -> Tuple[int, Tuple[int, ...], Dict[int, int]]:
+    """The exponent index of mu_d, the subgroup of d-th roots of unity in
+    F_p*; requires d | p-1.
+
+    Returns (eta, powers, log): the generator eta = g^((p-1)/d) of mu_d, with
+    g the least primitive root, so the index is the same on every call; the
+    tuple powers[k] = eta^k for 0 <= k < d; and the map log[eta^k] = k.
+    Scaling by eta^j is then the rotation k -> k + j (mod d) of exponents."""
     _require_prime(p)
     if d <= 0:
         raise ValueError("d must be positive")
     if (p - 1) % d != 0:
         raise ValueError(f"d={d} does not divide p-1={p - 1}")
-    g = primitive_root(p)
-    eta = pow(g, (p - 1) // d, p)
-    out = []
-    x = 1
-    for _ in range(d):
-        out.append(x)
-        x = x * eta % p
-    assert len(set(out)) == d
-    return FpSet(p, out)
+    eta = pow(primitive_root(p), (p - 1) // d, p)
+    powers = [1] * d
+    for k in range(1, d):
+        powers[k] = powers[k - 1] * eta % p
+    log = {x: k for k, x in enumerate(powers)}
+    assert len(log) == d
+    return eta, tuple(powers), log
+
+
+def roots_of_unity(p: int, d: int) -> FpSet:
+    """The subgroup mu_d of d-th roots of unity in F_p*; requires d | p-1."""
+    return FpSet(p, subgroup_index(p, d)[1])
 
 
 def _binom_small(n: int, k: int, p: int) -> int:

@@ -12,16 +12,28 @@ results are canonicalized under the documented symmetry group:
   run once with 0 in B, but the report does not quotient it: the shifts of
   a pair are separate classes unless a scaling or the swap relates them;
 * the rat2 classification: the full affine group.
+
+The two searches on mu_d run on its exponent index (``fp.subgroup_index``):
+mu_d = {eta^k : 0 <= k < d}, and a scaling by eta^j is the rotation
+k -> k + j of exponents mod d.  The difference-set search's Cayley graph is
+circulant in exponents, so one d-bit mask gives every adjacency row.  The
+sumset search anchors A at 1 on a least gap between cyclically consecutive
+exponents: scaling by the inverse of an element of A that starts such a
+gap moves it to 1 and keeps 0 in B, so every orbit is met.  It then keeps,
+for each exponent that may still join A, the count of b left with A + b
+inside mu_d (forward checking), and cuts a prefix whose domain is too small
+to finish A.  Both rules are exact; ``_gap_anchored_summands`` states them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, compress
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .fp import FpSet, inverse_mod, is_prime, roots_of_unity, sqrt_mod
+from .fp import FpSet, inverse_mod, is_prime, roots_of_unity, sqrt_mod, subgroup_index
 from .hp import criticality
 from .stepanov import rat2_check
 from .symm import minimal_indices, power_sums_int, recentering_shift
@@ -76,15 +88,15 @@ def _bits(x: int) -> List[int]:
     return vals
 
 
-def _difference_masks(T: Sequence[int], p: int) -> Dict[int, int]:
-    """For each a in T, the bitmask of {z - a : z in T}: the b with a + b in T."""
-    out = {}
-    for a in T:
-        m = 0
-        for z in T:
-            m |= 1 << ((z - a) % p)
-        out[a] = m
-    return out
+def _difference_masks(T: Sequence[int], p: int) -> List[int]:
+    """For each a = T[i], at index i, the bitmask of {z - a : z in T}: the b
+    with a + b in T.  Subtracting a mod p rotates the p-bit mask of T down
+    by a."""
+    tmask = 0
+    for z in T:
+        tmask |= 1 << z
+    full = (1 << p) - 1
+    return [(tmask >> a | tmask << (p - a)) & full for a in T]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +152,14 @@ def diffset_search(p: int, d: int) -> SearchResult:
 
     Reduces to enumerating cliques in the Cayley graph on mu_d (x ~ y iff
     x - y in mu_d), anchored at the vertex 1, which every scaling class
-    contains.  Each witness is re-verified as a critical pair and flagged
-    when the difference set fills mu_d u {0} exactly.
+    contains.  The vertices are the exponents k of eta^k (``subgroup_index``),
+    and the graph is circulant in them: eta^k - eta^l = eta^l (eta^(k-l) - 1)
+    lies in mu_d exactly when eta^(k-l) - 1 does, since mu_d is closed under
+    multiplication.  So row l of the adjacency is the d-bit mask
+    D = {j : eta^j - 1 in mu_d} rotated by l, and its part above l, where
+    the search extends, is D << l.  Cliques are mapped back to values before
+    canonicalization.  Each witness is re-verified as a critical pair and
+    flagged when the difference set fills mu_d u {0} exactly.
     """
     _validate_subgroup_order(p, d)
     alpha = _alpha_for(d)
@@ -150,13 +168,12 @@ def diffset_search(p: int, d: int) -> SearchResult:
             "diffset", p, d, [], {"nodes": 0},
             ("d is not of the form alpha*(alpha-1); no witness possible",), (),
         )
-    mu = roots_of_unity(p, d)
-    muset = set(mu.elems)
-    adj = {v: 0 for v in mu.elems}
-    for u in mu.elems:
-        for v in mu.elems:
-            if u != v and (u - v) % p in muset:
-                adj[u] |= 1 << v
+    _, powers, log = subgroup_index(p, d)
+    mu = FpSet(p, powers)
+    D = 0
+    for j in range(1, d):
+        if (powers[j] - 1) % p in log:
+            D |= 1 << j
     target = alpha - 1
     nodes = 0
     sols: List[Tuple[int, ...]] = []
@@ -173,19 +190,20 @@ def diffset_search(p: int, d: int) -> SearchResult:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             # extend upward only: each clique is generated once, sorted
-            mask_gt = -(1 << (v + 1))
-            nxt = cand & adj[v] & mask_gt
+            nxt = cand & D << v
             if nxt.bit_count() < need - 1:
                 continue
             extend(K + [v], nxt)
 
     if target == 1:
-        sols.append((1,))
+        sols.append((0,))
         nodes += 1
     else:
-        extend([1], adj[1])
+        extend([0], D)
 
-    classes = sorted({canonical_diffset((0,) + K, p, mu) for K in sols})
+    classes = sorted(
+        {canonical_diffset((0,) + tuple(powers[k] for k in K), p, mu) for K in sols}
+    )
     witnesses = []
     violations: List[str] = []
     for A in classes:
@@ -205,6 +223,56 @@ def diffset_search(p: int, d: int) -> SearchResult:
 # ---------------------------------------------------------------------------
 # sumset decompositions of mu_d
 
+def _gap_anchored_summands(
+    diff: Sequence[int], alpha: int, beta: int, spend: Callable[[], None]
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """The summands A = {eta^k : k in K} of size alpha that the anchored
+    sumset search passes to its exact cover, as exponent tuples
+    K = (0 = k_0 < k_1 < ...), each with the mask of every b such that
+    A + b lies inside mu_d; at least beta such b, since B is among them.
+
+    ``diff[k]`` is the mask of the b with eta^k + b in mu_d, d is
+    ``len(diff)``, and ``spend`` is called once per node.  Two exact rules
+    prune the enumeration:
+
+    * minimal cyclic gap: exponent 0 starts a least gap of K read
+      cyclically mod d.  With g0 = k_1, each later k needs k - last >= g0.
+      If need counts k and the elements after it, the need gaps from k on,
+      the wrap gap back to d among them, are each >= g0, so
+      k + need * g0 <= d.  At k_1 = g0 that reads alpha * k_1 <= d; at the
+      last element it bounds the wrap gap d - k below by g0.
+    * forward checking: once eta^e joins A, every b in B lies in
+      cand & diff[e], so a later exponent e needs |cand & diff[e]| >= beta.
+      The domain of such e shrinks with cand, and a prefix is pruned when
+      fewer domain elements remain than it still needs."""
+    d = len(diff)
+
+    def extend(K: List[int], cand: int, dom: List[int], g0: int):
+        spend()
+        need = alpha - len(K)
+        if not need:
+            yield tuple(K), cand
+            return
+        for i, k in enumerate(dom):
+            g = g0 or k  # k_1 fixes the least gap g0
+            if k + need * g > d:
+                break  # dom is ascending, and the bound grows with k
+            nc = cand & diff[k]
+            nxt: List[int] = []
+            if need > 1:
+                later = dom[bisect_left(dom, k + g, i + 1) :]
+                nxt = [e for e in later if (nc & diff[e]).bit_count() >= beta]
+                if len(nxt) < need - 1:
+                    continue
+            K.append(k)
+            yield from extend(K, nc, nxt, g)
+            K.pop()
+
+    root = diff[0]
+    dom = [e for e in range(1, d) if (root & diff[e]).bit_count() >= beta]
+    yield from extend([0], root, dom, 0)
+
+
 def sumset_search(
     p: int,
     d: int,
@@ -217,20 +285,27 @@ def sumset_search(
     recentering; any size-unbalanced witness is flagged as a violation.
 
     Every pair has an opposite shift (A + t, B - t) with 0 in B, and then
-    A lies in mu_d, so a scaling by mu_d also puts 1 in A.  One search over
-    such pairs therefore meets every orbit; each pair it finds is expanded
-    over its p shifts before canonicalization.  Representations are unique
-    (|A||B| = d), so completing B is an exact cover by the tiles A + b.
+    A lies in mu_d.  Write A = {eta^k : k in K} on the exponent index
+    (``subgroup_index``) and read the gaps between cyclically consecutive
+    exponents of K mod d.  Some a in A starts a least gap, and scaling by
+    a^-1 rotates K so that a goes to exponent 0 (the element 1); a rotation
+    keeps every gap, and the scaling keeps 0 in B.  One search over pairs
+    with 0 in B and 0 in K starting a least gap therefore meets every
+    orbit; each pair it finds is expanded over its p shifts before
+    canonicalization.  The search grows K in increasing order and prunes it
+    by that gap rule and by forward checking (``_gap_anchored_summands``).
+    Representations are unique (|A||B| = d), so completing B is an exact
+    cover by the tiles A + b.
 
     ``node_budget`` bounds the whole search.  An exceeded budget is reported
     in the verdicts, never conflated with "no decomposition exists"."""
     _validate_subgroup_order(p, d)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
-    mu = roots_of_unity(p, d)
+    _, powers, _ = subgroup_index(p, d)
+    mu = FpSet(p, powers)
     mumask = mu.mask
-    base = mu.elems  # sorted, so base[0] == 1
-    diff = _difference_masks(base, p)
+    diff = _difference_masks(powers, p)  # indexed by exponent
     splits = [
         (a, d // a)
         for a in range(2, d + 1)
@@ -272,23 +347,11 @@ def sumset_search(
 
         cover(tiles[0], (0,))
 
-    def extend(A: List[int], cand: int, start: int, alpha: int, beta: int) -> None:
-        spend()
-        if len(A) == alpha:
-            complete(tuple(A), cand, beta)
-            return
-        need = alpha - len(A)
-        for i in range(start, len(base) - need + 1):
-            a = base[i]
-            nc = cand & diff[a]
-            if nc.bit_count() < beta:
-                continue
-            extend(A + [a], nc, i + 1, alpha, beta)
-
     exhausted = False
     try:
         for alpha, beta in splits:
-            extend([1], diff[1], 1, alpha, beta)
+            for K, cand in _gap_anchored_summands(diff, alpha, beta, spend):
+                complete(tuple(powers[k] for k in K), cand, beta)
     except SearchBudgetExceeded:
         exhausted = True
 
@@ -377,11 +440,10 @@ def decompose_two_summands(
             if covered == tmask and cand.bit_count() >= 2:
                 out.append((tuple(A), tuple(_bits(cand))))
         for i in range(start, len(T)):
-            a = T[i]
-            nc = cand & diff[a]
+            nc = cand & diff[i]
             if nc.bit_count() < 2:
                 continue
-            extend(A + [a], nc, i + 1)
+            extend(A + [T[i]], nc, i + 1)
 
     full = (1 << p) - 1
     extend([], full, 0)

@@ -76,6 +76,29 @@ class TestExitCodes:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("budget", ["0", "-1", "-50000000"])
+    def test_node_budget_below_one_runs_no_search(self, capsys, monkeypatch, budget):
+        def no_search(job):
+            raise AssertionError("a search ran with a rejected node budget")
+
+        monkeypatch.setattr(cli, "run_job", no_search)
+        code, out, err = run_cli(
+            capsys, "search", "sumset", "--p", "13", "--d", "4", "--node-budget", budget
+        )
+        assert code == 2
+        assert out == ""
+        assert "--node-budget must be at least 1" in err
+
+    def test_node_budget_of_one_still_runs(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "search", "sumset", "--p", "13", "--d", "4", "--node-budget", "1",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["report"]["verdicts"] == [
+            "node budget exhausted; results may be incomplete"
+        ]
+
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(cli.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
         code, out, _ = run_cli(capsys, "check", "lemma1")

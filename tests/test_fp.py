@@ -14,6 +14,7 @@ from mucrit.fp import (
     primitive_root,
     roots_of_unity,
     sqrt_mod,
+    subgroup_index,
 )
 
 SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
@@ -108,6 +109,34 @@ class TestRootsOfUnity:
                 assert pow(x, p - 2, p) in elems
                 for y in list(elems)[:10]:
                     assert x * y % p in elems
+
+
+class TestSubgroupIndex:
+    @pytest.mark.parametrize("p", [13, 41, 97, 601])
+    def test_generator_and_tables(self, p):
+        for d in range(1, p):
+            if (p - 1) % d:
+                continue
+            eta, powers, log = subgroup_index(p, d)
+            # eta has order exactly d, so its powers list mu_d once each
+            assert pow(eta, d, p) == 1
+            assert all(pow(eta, d // q, p) != 1 for q in range(2, d + 1) if d % q == 0)
+            assert powers == tuple(pow(eta, k, p) for k in range(d))
+            assert sorted(powers) == list(roots_of_unity(p, d))
+            assert all(log[x] == k for k, x in enumerate(powers)) and len(log) == d
+
+    def test_scaling_is_rotation(self):
+        p, d = 61, 30
+        _, powers, log = subgroup_index(p, d)
+        for j in range(d):
+            for k in range(d):
+                assert log[powers[j] * powers[k] % p] == (j + k) % d
+
+    def test_rejects_non_divisor(self):
+        with pytest.raises(ValueError):
+            subgroup_index(13, 5)
+        with pytest.raises(ValueError):
+            subgroup_index(13, 0)
 
 
 class TestSqrtMod:

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from mucrit import search
-from mucrit.fp import FpSet, is_prime, roots_of_unity
+from mucrit.fp import FpSet, is_prime, roots_of_unity, subgroup_index
 from mucrit.hp import criticality
 from mucrit.search import (
     SearchResult,
@@ -252,6 +252,112 @@ class TestSumsetSearch:
             res = sumset_search(p, 4)
             for A, B in res.witnesses:
                 assert factorization_check(FpSet(p, A), FpSet(p, B), 4).ok
+
+
+# every (p, d, split) with p < 110 that sumset_search enumerates: d | p - 1,
+# 1 < d < p - 1, and d = alpha * beta with 2 <= alpha <= beta
+SUMSET_SPLITS = [
+    (p, d, alpha, d // alpha)
+    for p in range(3, 110)
+    if is_prime(p)
+    for d in range(2, p - 1)
+    if (p - 1) % d == 0
+    for alpha in range(2, math.isqrt(d) + 1)
+    if d % alpha == 0
+]
+
+
+def _rotation_class(K, d):
+    """The least rotation of an exponent set mod d: its class under scaling
+    by mu_d."""
+    return min(tuple(sorted((k - r) % d for k in K)) for r in K)
+
+
+def _summand_classes(summands, p, d, alpha, beta):
+    """The rotation classes of the exponent tuples that ``summands`` yields
+    for (p, d) and the split (alpha, beta), after checking that each comes
+    with the mask of every b such that A + b lies inside mu_d."""
+    _, powers, _ = subgroup_index(p, d)
+    mu = set(powers)
+    classes = set()
+    for K, cand in summands(search._difference_masks(powers, p), alpha, beta, lambda: None):
+        assert len(K) == alpha and K[0] == 0 and list(K) == sorted(set(K)), K
+        want = [b for b in range(p) if all((powers[k] + b) % p in mu for k in K)]
+        assert cand == sum(1 << b for b in want) and len(want) >= beta, K
+        classes.add(_rotation_class(K, d))
+    return classes
+
+
+def _unpruned_summand_classes(p, d, alpha, beta):
+    """The unpruned enumeration, in value order and with no gap rule or
+    forward checking: every A of size alpha in mu_d with 1 in A, grown in
+    increasing value, cut only when fewer than beta b have A + b inside
+    mu_d.  Returns the exponent sets of the A reached, up to rotation."""
+    _, powers, log = subgroup_index(p, d)
+    base = sorted(powers)
+    mu = set(base)
+    partners = {a: {b for b in range(p) if (a + b) % p in mu} for a in base}
+    classes = set()
+
+    def extend(A, cand):
+        if len(A) == alpha:
+            classes.add(_rotation_class([log[a] for a in A], d))
+            return
+        for a in base[base.index(A[-1]) + 1 :]:
+            if len(cand & partners[a]) >= beta:
+                extend(A + [a], cand & partners[a])
+
+    extend([1], partners[1])
+    return classes
+
+
+class TestGapAnchoredSummands:
+    def test_cases_cover_the_range(self):
+        assert len(SUMSET_SPLITS) == 109
+        assert (61, 30, 2, 15) in SUMSET_SPLITS and (109, 54, 6, 9) in SUMSET_SPLITS
+
+    def test_matches_unpruned_enumeration_up_to_rotation(self):
+        # the minimal-gap anchor and forward checking cut branches, never a
+        # class: the summands reached are the same up to scaling by mu_d
+        total = 0
+        for p, d, alpha, beta in SUMSET_SPLITS:
+            want = _unpruned_summand_classes(p, d, alpha, beta)
+            got = _summand_classes(search._gap_anchored_summands, p, d, alpha, beta)
+            assert got == want, (p, d, alpha, beta)
+            total += len(want)
+        assert total == 105
+
+    def test_negative_control_tightened_gap_bound(self):
+        # rebuild the generator from its source with the gap bound tightened
+        # to k + need * g0 < d: it drops every A whose gaps from some element
+        # on are all the least gap g0, such as A = {1, -1} at (61, 30)
+        src = inspect.getsource(search._gap_anchored_summands)
+        bound = "if k + need * g > d:"
+        assert src.count(bound) == 1
+        namespace = dict(vars(search))
+        exec(src.replace(bound, "if k + need * g >= d:"), namespace)
+        mutant = namespace["_gap_anchored_summands"]
+        lost = [
+            case
+            for case in SUMSET_SPLITS
+            if _summand_classes(mutant, *case) != _unpruned_summand_classes(*case)
+        ]
+        assert len(lost) == 7 and (61, 30, 2, 15) in lost, lost
+        assert _summand_classes(mutant, 61, 30, 2, 15) < _unpruned_summand_classes(61, 30, 2, 15)
+
+    def test_difference_masks_match_the_definition(self, rng):
+        for p in (2, 13, 97):
+            for _ in range(20):
+                T = sorted(rng.sample(range(p), rng.randrange(1, p + 1)))
+                got = search._difference_masks(T, p)
+                assert got == [sum(1 << ((z - a) % p) for z in set(T)) for a in T]
+
+    def test_frontier_half_group_p241(self):
+        # the Sarkozy column at p = 241 within a small budget; without the
+        # gap rule and forward checking it takes over 500,000 nodes
+        res = sumset_search(241, 120, max_p=241, node_budget=20_000)
+        assert res.witnesses == []
+        assert res.verdicts == ("no decomposition exists",)
 
 
 class TestThreefold:
