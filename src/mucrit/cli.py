@@ -17,7 +17,6 @@ import functools
 import json
 import random
 import sys
-from dataclasses import fields
 from typing import Dict, List, Optional, Tuple
 
 from .fp import FpSet, binom_mod, is_prime, roots_of_unity
@@ -57,7 +56,7 @@ SCHEMA = "mucrit/1"
 F41_SET = (0, 1, 9, 32, 40)
 
 # the search options a subparser may define; each one set becomes a job field
-_JOB_FIELDS = tuple(f.name for f in fields(SearchJob) if f.name != "kind")
+_JOB_FIELDS = tuple(f for f in SearchJob._fields if f != "kind")
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +560,9 @@ def _dispatch(ns: argparse.Namespace) -> int:
             raise ValueError(f"--node-budget must be at least 1, got {ns.node_budget}")
         params = {k: v for k, v in vars(ns).items() if k in _JOB_FIELDS}
         res = run_job(SearchJob(ns.kind, **params))
-        # the report is the result's fields as they are: json.dumps renders a
-        # tuple as a list, and dataclasses.asdict would deep-copy every witness
-        return _emit(ns, f"search-{ns.kind}", params, not res.violations, vars(res))
+        # the report is the result's fields as they are: _asdict() is a shallow
+        # dict of them, and json.dumps renders each tuple in it as a list
+        return _emit(ns, f"search-{ns.kind}", params, not res.violations, res._asdict())
     if ns.command == "check":
         if not ns.target.startswith("lemma"):
             raise ValueError(f"unknown check target {ns.target!r}")

@@ -10,8 +10,7 @@ d-critical pair (A, B) factors as C * prod_b (x-b)^(alpha-eps(b)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .fp import (
     FieldElem,
@@ -26,12 +25,17 @@ from .fp import (
 from .poly import FpPoly, from_roots
 
 
-@dataclass(frozen=True)
 class HPCoeffs:
     """Coefficients c_a(A), keyed by the set element."""
 
-    set: FpSet
-    c: Dict[int, FieldElem]
+    __slots__ = ("set", "c")
+
+    def __init__(self, set: FpSet, c: Dict[int, FieldElem]):
+        object.__setattr__(self, "set", set)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HPCoeffs is immutable")
 
     def __getitem__(self, a: int) -> FieldElem:
         return self.c[int(a) % self.set.p]
@@ -112,8 +116,7 @@ def hp_polynomial(A: FpSet, d: int) -> FpPoly:
     return f
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     A: FpSet
     B: FpSet
     d: int
@@ -177,8 +180,7 @@ def power_sum_vanishing(A: FpSet, B: FpSet, d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
+class FactorizationResult(NamedTuple):
     C: FieldElem
     ok: bool
     hp: FpPoly
@@ -235,8 +237,7 @@ def reciprocal_set(A: FpSet, b: int) -> FpSet:
     return FpSet(p, batch_inverse_ints(vals, p))
 
 
-@dataclass(frozen=True)
-class Lemma9Report:
+class Lemma9Report(NamedTuple):
     """Outcome of the reciprocal-set polynomial identity at one b in B.
 
     ``sign`` is (-1)^(alpha-1): the identity reads

@@ -10,9 +10,8 @@ irrational roots are reported as inconclusive rather than extended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fp import FieldElem, FpSet, batch_inverse_ints, inverse_mod, sqrt_mod
 from .poly import (
@@ -304,16 +303,14 @@ def rational_root_part(f: FpPoly) -> Tuple[Dict[int, int], FpPoly]:
     return roots, g
 
 
-@dataclass(frozen=True)
-class ResidueTable:
+class ResidueTable(NamedTuple):
     form: RationalForm
     finite: Dict[int, FieldElem]
     at_infinity: FieldElem
     total: FieldElem
 
 
-@dataclass(frozen=True)
-class ResidueCheck:
+class ResidueCheck(NamedTuple):
     status: str  # "zero" | "nonzero" | "inconclusive"
     table: Optional[ResidueTable]
 
@@ -428,8 +425,7 @@ def named_form(which: str, A: Optional[FpSet], B: FpSet, k: int) -> RationalForm
     return _reduced(_times_x(gp * gp * hp_, k + 2), g2 * h, common)
 
 
-@dataclass(frozen=True)
-class FormIdentityReport:
+class FormIdentityReport(NamedTuple):
     which: str
     k: int
     mode: str

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations, compress
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fp import FpSet, inverse_mod, is_prime, roots_of_unity, sqrt_mod, subgroup_index
 from .hp import criticality
@@ -43,8 +42,7 @@ class SearchBudgetExceeded(Exception):
     """Raised when a scan exceeds its node budget; distinct from 'none exists'."""
 
 
-@dataclass(frozen=True)
-class SearchJob:
+class SearchJob(NamedTuple):
     """One search request; ``run_job`` dispatches on ``kind``."""
 
     kind: str
@@ -55,8 +53,7 @@ class SearchJob:
     node_budget: Optional[int] = None
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     kind: str
     p: Optional[int]
     d: Optional[int]
@@ -668,4 +665,4 @@ def run_job(job: SearchJob) -> SearchResult:
     }.get(job.kind)
     if search is None:
         raise ValueError(f"unknown job kind {job.kind!r}")
-    return search(**{k: v for k, v in vars(job).items() if k != "kind" and v is not None})
+    return search(**{k: v for k, v in job._asdict().items() if k != "kind" and v is not None})

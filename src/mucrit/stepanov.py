@@ -10,9 +10,8 @@ Q[xi]/(xi^10 + 11 xi^5 + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .fp import FpSet, _factorize, inverse_mod, inverse_power_sums, is_prime
 from .poly import FpPoly
@@ -159,8 +158,7 @@ def _solve_xi5(rel: QPoly) -> Fraction:
     return -terms.get((0,), Fraction(0)) / terms[(5,)]
 
 
-@dataclass(frozen=True)
-class Alpha11Report:
+class Alpha11Report(NamedTuple):
     """Everything the degree-11 case analysis pins down.
 
     ``printed_poly_annihilated`` applies the operator to x^11 + 11x^6 + x; the
@@ -355,8 +353,7 @@ def gamma_cross_check(p: int, alpha: int, k: int, d: int) -> bool:
 # ---------------------------------------------------------------------------
 # the quotient-ring chain behind the quadratic congruence
 
-@dataclass(frozen=True)
-class Lemma13Report:
+class Lemma13Report(NamedTuple):
     inv_gamma0_ok: bool
     inv_two_over_gamma0_minus_one_ok: bool
     display1_ok: bool
@@ -675,8 +672,7 @@ def identity_catalog_run_all() -> Dict[str, bool]:
 # ---------------------------------------------------------------------------
 # numeric consequences for difference-set pairs
 
-@dataclass(frozen=True)
-class Lemma56Report:
+class Lemma56Report(NamedTuple):
     critical: bool
     exempt: bool  # d in {2, 6}
     p2_identity_ok: Optional[bool]
