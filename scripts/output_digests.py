@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""Print one digest line for every benchmark job in every report format.
+
+    python3 scripts/output_digests.py [--workload W ...] [--seed N]
+
+Each job of the benchmark workloads (``perfbench/jobs.py``) runs in-process
+through ``mucrit.cli.run`` once per format (json, text, csv), and prints
+
+    sha256(stdout) sha256(stderr) exit-code argv
+
+Run it in two checkouts and ``diff`` the output: no difference means the two
+versions print byte-identical reports, errors and exit codes for every job.
+The script imports ``mucrit`` from the ``src/`` next to it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+from typing import Iterator
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import jobs  # noqa: E402
+from mucrit import cli  # noqa: E402
+
+FORMATS = ("json", "text", "csv")
+
+
+def _sha(buf: io.StringIO) -> str:
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def digest_lines(workload: str, seed: int) -> Iterator[str]:
+    """The digest line of every job of one workload pass, in each format."""
+    for argv in jobs.jobs(workload, seed):
+        assert argv[-2:] == ["--format", "json"], argv
+        for fmt in FORMATS:
+            full = argv[:-1] + [fmt]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.run(full)
+            yield f"{_sha(out)} {_sha(err)} {code} {' '.join(full)}"
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument(
+        "--workload", action="append", choices=jobs.WORKLOADS,
+        help="repeat to pick several; default: every workload",
+    )
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+    for workload in args.workload or jobs.WORKLOADS:
+        for line in digest_lines(workload, args.seed):
+            print(line)
+
+
+if __name__ == "__main__":
+    main()

@@ -33,7 +33,7 @@ from .residues import (
     residue_at_infinity,
     sum_residues_check,
 )
-from .qalg import QPoly, QQuadElem, falling
+from .qalg import QPoly, falling
 from .stepanov import (
     alpha11_obstruction,
     d_operator,

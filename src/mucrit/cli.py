@@ -427,7 +427,8 @@ def _emit(
     report: Dict[str, object],
 ) -> int:
     """Write the report in ``ns.format`` to ``ns.out`` or stdout and return
-    the exit code: 0 if ``ok``, else 1."""
+    the exit code: 0 if ``ok``, else 1.  An unwritable ``ns.out`` raises
+    ``ValueError``, which ``run`` turns into exit code 2."""
     doc = {
         "schema": SCHEMA,
         "command": command,
@@ -451,8 +452,11 @@ def _emit(
             lines.append(f"  {key} = {val}")
         text = "\n".join(lines) + "\n"
     if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0 if ok else 1

@@ -1,10 +1,10 @@
-"""Exact multivariate polynomials over Q and the quadratic quotient ring.
+"""Exact multivariate polynomials over Q and their quotient rings.
 
 ``QPoly`` holds arbitrary-precision rational coefficients keyed by exponent
 tuples over a named variable list; binary operations align variable sets
-automatically.  ``QQuadElem`` represents u*w + v with u, v in Q[k] in the
-quotient ring where 2*w^2 + 1 = 0, reducing w^2 -> -1/2 eagerly at every
-multiplication.
+automatically.  A quotient ring Q[..][x]/(x^n - tail) needs no class of its
+own: its elements are ``QPoly``s, and ``QPoly.rewrite`` reduces a product to
+the remainder of degree below n in x.
 """
 
 from __future__ import annotations
@@ -176,9 +176,6 @@ class QPoly:
         a, b = self._aligned(o)
         return a.terms == b.terms
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
@@ -206,6 +203,30 @@ class QPoly:
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
         return QPoly._make(self.vars, out)
+
+    def rewrite(self, name: str, n: int, tail) -> "QPoly":
+        """Remainder modulo name^n - tail: each name^e with e >= n becomes
+        name^(e-n) * tail, repeated until no such term is left.  The tail (a
+        QPoly or a scalar) must have degree below n in ``name``, which makes
+        the rewriting terminate."""
+        f, t = self._aligned(self._coerce(tail))
+        i = f.vars.index(name)
+        if n < 1 or t.degree(name) >= n:
+            raise ValueError(f"cannot rewrite {name}^{n} as {t!r}")
+        tail_terms = t.terms.items()
+        terms = f.terms
+        while any(e[i] >= n for e in terms):
+            out: Dict[Tuple[int, ...], Fraction] = {}
+            for e, c in terms.items():
+                if e[i] < n:
+                    out[e] = out[e] + c if e in out else c
+                    continue
+                low = e[:i] + (e[i] - n,) + e[i + 1:]
+                for te, tc in tail_terms:
+                    ne = tuple(map(add, low, te))
+                    out[ne] = out[ne] + c * tc if ne in out else c * tc
+            terms = {e: c for e, c in out.items() if c}
+        return QPoly._make(f.vars, terms)
 
     def eval_scalar(self, **assignments: Scalar) -> Fraction:
         acc = Fraction(0)
@@ -255,126 +276,3 @@ def falling(x: QPoly, m: int) -> QPoly:
     for i in range(m):
         acc = acc * (x - i)
     return acc
-
-
-def _kpoly(x) -> QPoly:
-    if isinstance(x, QPoly):
-        if x.vars not in ((), ("k",)):
-            raise ValueError("QQuadElem components live in Q[k]")
-        return x.with_vars(("k",))
-    return QPoly._make(("k",), {(0,): _frac(x)})
-
-
-def _kpoly_divide(num: QPoly, den: QPoly) -> QPoly:
-    """Exact division in Q[k]; raises when the quotient is not polynomial."""
-    num = _kpoly(num)
-    den = _kpoly(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    dd = den.degree("k")
-    lead = den.coefficient("k", dd).eval_scalar()
-    k = QPoly.var("k")
-    out = QPoly.const(0, ("k",))
-    rem = num
-    while not rem.is_zero() and rem.degree("k") >= dd:
-        dn = rem.degree("k")
-        c = rem.coefficient("k", dn).eval_scalar() / lead
-        term = QPoly.const(c, ("k",)) * k ** (dn - dd)
-        out = out + term
-        rem = rem - term * den
-    if not rem.is_zero():
-        raise ValueError("inexact polynomial division in Q[k]")
-    return out
-
-
-class QQuadElem:
-    """u*w + v with u, v in Q[k], in the ring where 2*w^2 + 1 = 0."""
-
-    __slots__ = ("u", "v")
-
-    def __init__(self, u=0, v=0):
-        object.__setattr__(self, "u", _kpoly(u))
-        object.__setattr__(self, "v", _kpoly(v))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QQuadElem is immutable")
-
-    @classmethod
-    def generator(cls) -> "QQuadElem":
-        return cls(1, 0)
-
-    @classmethod
-    def k(cls) -> "QQuadElem":
-        return cls(0, QPoly.var("k"))
-
-    def is_zero(self) -> bool:
-        return self.u.is_zero() and self.v.is_zero()
-
-    def _coerce(self, other) -> "QQuadElem":
-        if isinstance(other, QQuadElem):
-            return other
-        if isinstance(other, (int, Fraction, QPoly)):
-            return QQuadElem(0, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QQuadElem(self.u + o.u, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QQuadElem(-self.u, -self.v)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        # (u1 w + v1)(u2 w + v2) = u1 u2 w^2 + (u1 v2 + u2 v1) w + v1 v2
-        # with w^2 -> -1/2 applied immediately
-        u = self.u * o.v + o.u * self.v
-        v = self.v * o.v - self.u * o.u / 2
-        return QQuadElem(u, v)
-
-    __rmul__ = __mul__
-
-    def norm(self) -> QPoly:
-        """(u w + v)(v - u w) = v^2 + u^2 / 2, an element of Q[k]."""
-        return self.v * self.v + self.u * self.u / 2
-
-    def inverse(self) -> "QQuadElem":
-        """Conjugate over norm; defined whenever the element is nonzero and the
-        norm divides both conjugate components in Q[k]."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        n = self.norm()
-        return QQuadElem(_kpoly_divide(-self.u, n), _kpoly_divide(self.v, n))
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.u == o.u and self.v == o.v
-
-    def __hash__(self):
-        return hash((self.u, self.v))
-
-    def __repr__(self):
-        return f"QQuadElem(({self.u!r})*w + ({self.v!r}))"
-
-    def eval_mod(self, p: int, w: int, k: int = 0) -> int:
-        """Numeric value mod p after substituting a root w of 2x^2+1 = 0."""
-        if (2 * w * w + 1) % p != 0:
-            raise ValueError(f"{w} is not a root of 2x^2+1 mod {p}")
-        return (self.u.eval_mod(p, k=k) * w + self.v.eval_mod(p, k=k)) % p

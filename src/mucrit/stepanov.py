@@ -2,9 +2,9 @@
 the gamma constants, and the exact symbolic identity chains.
 
 Symbolic work runs over arbitrary-precision rationals; nothing here is
-modular except the explicitly numeric entry points.  The quotient-ring
-computations use ``QQuadElem`` (2w^2 + 1 = 0) and a rewriting ring
-Q[xi]/(xi^10 + 11 xi^5 + 1).
+modular except the explicitly numeric entry points.  Both quotient rings,
+Q[k][w]/(2w^2 + 1) and Q[xi]/(xi^10 + 11 xi^5 + 1), hold plain ``QPoly``s
+reduced by ``QPoly.rewrite``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .fp import FpSet, _factorize, inverse_mod, inverse_power_sums, is_prime
 from .poly import FpPoly
-from .qalg import QPoly, QQuadElem, falling
+from .qalg import QPoly, falling
 from .symm import power_sums_int, recenter
 
 
@@ -130,24 +130,16 @@ def quadratic_integer_solutions() -> List[Tuple[int, int]]:
 _XI = ("xi",)
 
 
-def _xi_reduce(f: QPoly) -> QPoly:
-    """Rewrite exponents >= 10 using xi^10 = -1 - 11 xi^5."""
-    f = f.with_vars(_XI) if f.vars != _XI else f
-    terms = dict(f.terms)
-    while any(e[0] >= 10 for e in terms):
-        nxt: Dict[Tuple[int, ...], Fraction] = {}
-        for (e,), c in terms.items():
-            if e >= 10:
-                nxt[(e - 10,)] = nxt.get((e - 10,), Fraction(0)) - c
-                nxt[(e - 5,)] = nxt.get((e - 5,), Fraction(0)) - 11 * c
-            else:
-                nxt[(e,)] = nxt.get((e,), Fraction(0)) + c
-        terms = {e: c for e, c in nxt.items() if c != 0}
-    return QPoly(_XI, terms)
-
-
 def _xi(e: int, c=1) -> QPoly:
     return QPoly(_XI, {(e,): Fraction(c)})
+
+
+_XI_TAIL = -1 - _xi(5, 11)
+
+
+def _xi_reduce(f: QPoly) -> QPoly:
+    """Rewrite exponents >= 10 using xi^10 = -1 - 11 xi^5."""
+    return f.rewrite("xi", 10, _XI_TAIL)
 
 
 def _solve_xi5(rel: QPoly) -> Fraction:
@@ -314,28 +306,43 @@ def gamma_numeric(p: int, alpha: int, k: int, d: int) -> Dict[str, int]:
     }
 
 
-def gamma_symbolic(k: Union[int, None] = None) -> Dict[str, QQuadElem]:
-    """The six constants in Q(k)[w]/(2w^2+1), with d == -1/2 substituted.
+# the ring Q[k][w]/(2w^2 + 1) of the half-group case d == -1/2
+_KW = ("k", "w")
+_K = QPoly.var("k", _KW)
+_W = QPoly.var("w", _KW)
+_W_TAIL = Fraction(-1, 2)
+
+
+def _w_reduce(f: QPoly) -> QPoly:
+    """Rewrite w^2 as -1/2."""
+    return f.rewrite("w", 2, _W_TAIL)
+
+
+def _w_inverse(x: QPoly) -> QPoly:
+    """1/(u w + v) = (v - u w) / (v^2 + u^2/2) for rational u and v, not both
+    zero; an element with k in it raises ``ValueError``."""
+    x = x.with_vars(_KW)
+    if set(x.terms) - {(0, 0), (0, 1)}:
+        raise ValueError(f"{x!r} is not u w + v with rational u and v")
+    u = x.terms.get((0, 1), Fraction(0))
+    v = x.terms.get((0, 0), Fraction(0))
+    return (v - _W * u) / (v * v - u * u * _W_TAIL)
+
+
+def gamma_symbolic(k: Union[int, None] = None) -> Dict[str, QPoly]:
+    """The six constants in Q[k][w]/(2w^2+1), with d == -1/2 substituted.
 
     Pass an integer k to specialize; None keeps k symbolic.
     """
-    w = QQuadElem.generator()
-    kk: QQuadElem = QQuadElem.k() if k is None else QQuadElem(0, k)
+    w = _W
+    kk = _K if k is None else QPoly.const(k, _KW)
     g0 = (w * (w + 1)) * Fraction(-2, 3)
     g1 = (w * (w + 1) * (w + 2)) * Fraction(4, 15)
-    w2 = w * w  # reduces to -1/2
-    g2 = w2 - (kk + 2) * w + (kk + 1) * (kk + 2) * Fraction(1, 3)
+    g2 = w * w - (kk + 2) * w + (kk + 1) * (kk + 2) * Fraction(1, 3)
     g3 = w - (kk + 1) * Fraction(1, 2)
     g4 = (kk + 2) * g0 * g3 - kk * w
-    g5 = w2 - (kk + 2) * g0 * g3
-    return {
-        "gamma0": g0,
-        "gamma1": g1,
-        "gamma2": g2,
-        "gamma3": g3,
-        "gamma4": g4,
-        "gamma5": g5,
-    }
+    g5 = w * w - (kk + 2) * g0 * g3
+    return {nm: _w_reduce(g) for nm, g in zip(GAMMA_NAMES, (g0, g1, g2, g3, g4, g5))}
 
 
 def gamma_cross_check(p: int, alpha: int, k: int, d: int) -> bool:
@@ -347,7 +354,7 @@ def gamma_cross_check(p: int, alpha: int, k: int, d: int) -> bool:
         raise ValueError("cross-check needs 2 alpha^2 + 1 == 0 mod p")
     num = gamma_numeric(p, alpha, k, d)
     sym = gamma_symbolic(k)
-    return all(sym[nm].eval_mod(p, alpha, k=k) == num[nm] for nm in GAMMA_NAMES)
+    return all(sym[nm].eval_mod(p, w=alpha, k=k) == num[nm] for nm in GAMMA_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -381,38 +388,33 @@ def lemma13_symbolic() -> Lemma13Report:
     """Verify the displayed quotient-ring identities leading to
     (6k^2 - 10k + 4) w + (k^2 + 5k + 6)."""
     g = gamma_symbolic()
-    w = QQuadElem.generator()
-    k = QQuadElem.k()
-    kp = QPoly.var("k")
+    w, k = _W, _K
 
-    inv_g0 = g["gamma0"].inverse()
+    inv_g0 = _w_inverse(g["gamma0"])
     inv_g0_ok = inv_g0 == w * 2 + 1
 
     two_over_g0_minus_1 = inv_g0 * 2 - 1
-    inv2 = two_over_g0_minus_1.inverse()
+    inv2 = _w_inverse(two_over_g0_minus_1)
     inv2_ok = inv2 == w * Fraction(-4, 9) + Fraction(1, 9)
 
-    lhs1 = (1 - g["gamma1"] * (w - 1) * inv_g0 * inv_g0) * inv2 * (
-        g["gamma5"] * 2 + g["gamma4"]
+    lhs1 = _w_reduce(
+        (1 - g["gamma1"] * (w - 1) * inv_g0 * inv_g0) * inv2 * (g["gamma5"] * 2 + g["gamma4"])
     )
-    want1 = QQuadElem(
-        kp * kp * Fraction(2, 15) + kp * Fraction(14, 15) + Fraction(8, 15),
-        kp * kp * Fraction(-1, 15) + kp * Fraction(-1, 15) + Fraction(8, 15),
+    want1 = (
+        w * (k * k * Fraction(2, 15) + k * Fraction(14, 15) + Fraction(8, 15))
+        + k * k * Fraction(-1, 15) + k * Fraction(-1, 15) + Fraction(8, 15)
     )
     display1_ok = lhs1 == want1
 
-    lhs2 = g["gamma1"] * g["gamma2"] * 2 - g["gamma4"]
-    want2 = QQuadElem(
-        kp * kp * Fraction(-1, 15) + kp * Fraction(19, 15) + Fraction(2, 5),
-        kp * kp * Fraction(-1, 10) + kp * Fraction(-7, 30) + Fraction(1, 3),
+    lhs2 = _w_reduce(g["gamma1"] * g["gamma2"] * 2 - g["gamma4"])
+    want2 = (
+        w * (k * k * Fraction(-1, 15) + k * Fraction(19, 15) + Fraction(2, 5))
+        + k * k * Fraction(-1, 10) + k * Fraction(-7, 30) + Fraction(1, 3)
     )
     display2_ok = lhs2 == want2
 
     final = (lhs1 - lhs2) * 30
-    want_final = QQuadElem(
-        kp * kp * 6 - kp * 10 + 4,
-        kp * kp + kp * 5 + 6,
-    )
+    want_final = w * (k * k * 6 - k * 10 + 4) + k * k + k * 5 + 6
     final_ok = final == want_final
 
     # the degree-7 expansion in plain Q[a] and its collapse to -2/5
@@ -431,14 +433,8 @@ def lemma13_symbolic() -> Lemma13Report:
         + Fraction(1, 9)
     )
     expansion_ok = poly == printed
-    # reduce a^2 -> -1/2
-    collapsed = QQuadElem(0, 0)
-    acc = QQuadElem(0, 1)
-    for e in range(0, poly.degree("a") + 1):
-        c = poly.coefficient("a", e).eval_scalar()
-        collapsed = collapsed + acc * c
-        acc = acc * w
-    collapse_ok = collapsed == QQuadElem(0, Fraction(-2, 5))
+    # a is a root of 2a^2 + 1 here: reduce a^2 -> -1/2
+    collapse_ok = poly.rewrite("a", 2, _W_TAIL) == Fraction(-2, 5)
 
     return Lemma13Report(
         inv_g0_ok, inv2_ok, display1_ok, display2_ok, final_ok, expansion_ok, collapse_ok
@@ -530,12 +526,9 @@ def _cat_gauss_power() -> bool:
 
 
 def _cat_s5_multiplier() -> bool:
-    w = QQuadElem.generator()
-    k = QQuadElem.k()
-    kp = QPoly.var("k")
+    w, k = _W, _K
     lhs = ((k * 3 - 2) * (k - 1) * 2 * w + (k + 2) * (k + 3)) * (w * 6 - 1)
-    want = QQuadElem(kp * 40 + 32, kp * 25 - kp * kp * 19 - 18)
-    return lhs == want
+    return _w_reduce(lhs) == w * (k * 40 + 32) + k * 25 - k * k * 19 - 18
 
 
 def _cat_s5_discriminant() -> bool:
@@ -601,10 +594,10 @@ def _cat_lemma17_difference() -> bool:
 
 
 def _cat_lemma17_nm_sum() -> bool:
-    w = QQuadElem.generator()
+    w = _W
     lhs = (w * 10 - 5) * 19
     rhs = (w * 40 + 25) * (w * 6 + 1)
-    return lhs == rhs
+    return lhs == _w_reduce(rhs)
 
 
 def _cat_g_zero() -> bool:

@@ -271,6 +271,15 @@ class TestOutputModes:
         doc = json.loads(dest.read_text())
         assert doc["ok"] is True
 
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, missing_dir):
+        # a path under a missing directory, or a directory itself
+        dest = tmp_path / "absent" / "report.json" if missing_dir else tmp_path
+        code, out, err = run_cli(capsys, "verify-f41", "--out", str(dest))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "verify-f41", "--format", "csv")
         assert code == 0

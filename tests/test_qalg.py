@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mucrit.qalg import QPoly, QQuadElem, falling
+from mucrit.qalg import QPoly, falling
 
 small_fracs = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -50,9 +51,6 @@ class TestQPoly:
         with pytest.raises(ZeroDivisionError):
             (x / 3 + 1).eval_mod(3, x=1)
         assert (x / 3 + 1).eval_mod(5, x=1) == (2 + 1) % 5  # 1/3 = 2 mod 5
-        w = QQuadElem(QPoly.const(Fraction(1, 3), ("k",)), 1)
-        with pytest.raises(ZeroDivisionError):
-            w.eval_mod(3, 1)  # 2*1 + 1 = 0 mod 3
 
     def test_falling_factorial(self):
         a = QPoly.var("a")
@@ -165,59 +163,49 @@ class TestQPolyTrustedArithmetic:
         assert (x.derivative("x") - 1).terms == {}
 
 
-class TestQQuadElem:
-    def test_generator_square(self):
-        w = QQuadElem.generator()
-        assert w * w == QQuadElem(0, Fraction(-1, 2))
+def _to_sympy(f):
+    syms = sympy.symbols(f.vars)
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[v**x for v, x in zip(syms, e)])
+         for e, c in f.terms.items()),
+        sympy.Integer(0),
+    )
 
-    def test_inverse_of_constant_norm(self):
-        w = QQuadElem.generator()
-        x = 4 * w + 1
-        assert x.norm() == QPoly.const(9, ("k",))
-        assert x.inverse() == w * Fraction(-4, 9) + Fraction(1, 9)
-        assert x * x.inverse() == QQuadElem(0, 1)
 
-    def test_zero_inverse_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            QQuadElem(0, 0).inverse()
+@st.composite
+def polys_over(draw, vs, max_exp):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vs))
+    return QPoly(vs, draw(st.dictionaries(exps, small_fracs, max_size=6)))
 
-    @pytest.mark.parametrize("c", [0, 3, Fraction(1, 2)])
-    def test_scalar_components_match_const(self, c):
-        # scalar components go through the trusted constructor; they must be
-        # the polynomial QPoly.const builds, down to the stored terms
-        want = QPoly.const(c, ("k",))
-        x = QQuadElem(c, c)
-        for part in (x.u, x.v):
-            assert part == want
-            assert part.vars == want.vars and part.terms == want.terms
-            assert all(type(t) is Fraction for t in part.terms.values())
 
-    def test_inexact_division_rejected(self):
-        # norm of w + k is k^2 + 1/2, which does not divide the conjugate parts
-        x = QQuadElem.generator() + QQuadElem.k()
-        with pytest.raises(ValueError):
-            x.inverse()
+class TestRewrite:
+    """``rewrite`` is the remainder of polynomial division, checked against
+    ``sympy.rem`` for both quotient rings of the symbolic chains."""
 
-    def test_eval_mod(self):
-        # w = 3 satisfies 2*9 + 1 = 19 == 0 mod 19
-        x = QQuadElem(2, 5)
-        assert x.eval_mod(19, 3) == (2 * 3 + 5) % 19
-        with pytest.raises(ValueError):
-            x.eval_mod(19, 4)
+    @given(polys_over(("k", "w"), 6))
+    @settings(max_examples=80, deadline=None)
+    def test_w_ring_matches_sympy_rem(self, f):
+        w = sympy.Symbol("w")
+        got = f.rewrite("w", 2, Fraction(-1, 2))
+        assert got.vars == ("k", "w") and got.degree("w") < 2
+        assert all(type(c) is Fraction for c in got.terms.values())
+        want = sympy.rem(_to_sympy(f), 2 * w**2 + 1, w)
+        assert sympy.expand(_to_sympy(got) - want) == 0
 
-    @given(small_fracs, small_fracs, small_fracs, small_fracs)
-    @settings(max_examples=60, deadline=None)
-    def test_conjugate_product_is_norm(self, u1, v1, u2, v2):
-        x = QQuadElem(QPoly.const(u1, ("k",)), QPoly.const(v1, ("k",)))
-        prod = x * QQuadElem(-x.u, x.v)
-        assert prod.u.is_zero()
-        assert prod.v == x.norm() == QPoly.const(v1 * v1 + u1 * u1 / 2, ("k",))
-        y = QQuadElem(QPoly.const(u2, ("k",)), QPoly.const(v2, ("k",)))
-        assert (x * y).norm() == x.norm() * y.norm()
+    @given(polys_over(("xi",), 35))
+    @settings(max_examples=80, deadline=None)
+    def test_xi_ring_matches_sympy_rem(self, f):
+        xi = sympy.Symbol("xi")
+        tail = -1 - 11 * QPoly.var("xi") ** 5
+        got = f.rewrite("xi", 10, tail)
+        assert got.degree("xi") < 10
+        want = sympy.rem(_to_sympy(f), xi**10 + 11 * xi**5 + 1, xi)
+        assert sympy.expand(_to_sympy(got) - want) == 0
 
-    @given(small_fracs, small_fracs)
-    @settings(max_examples=40, deadline=None)
-    def test_inverse_roundtrip_rational(self, u, v):
-        x = QQuadElem(QPoly.const(u, ("k",)), QPoly.const(v, ("k",)))
-        if not x.is_zero():
-            assert x * x.inverse() == QQuadElem(0, 1)
+    def test_tail_must_lower_the_degree(self):
+        # a tail of degree >= n, or n < 1, would rewrite forever
+        x = QPoly.var("x")
+        for n, tail in ((0, 1), (-1, 1), (2, x**2), (2, x**3 + 1), (1, x)):
+            with pytest.raises(ValueError):
+                (x**5).rewrite("x", n, tail)
+

@@ -1,11 +1,15 @@
-"""The desk scripts under scripts/ run to completion and flag nothing."""
+"""The desk scripts under scripts/ run to completion and flag nothing, and
+the digest script tells apart exactly the jobs whose output changed."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from mucrit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +36,27 @@ def test_script_runs_clean(argv):
     assert out.returncode == 0, out.stderr
     assert out.stdout
     assert not [line for line in out.stdout.splitlines() if "!!" in line]
+
+
+def _load_output_digests():
+    path = ROOT / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_output_digests_change_only_for_the_changed_job(monkeypatch):
+    digests = _load_output_digests()
+    first = list(digests.digest_lines("desk", 0))
+    assert len(first) == 3 * len(digests.jobs.jobs("desk", 0))
+    assert list(digests.digest_lines("desk", 0)) == first
+
+    monkeypatch.setitem(cli.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
+    patched = list(digests.digest_lines("desk", 0))
+    assert len(patched) == len(first)
+    changed = [new for old, new in zip(first, patched) if old != new]
+    argvs = [line.split(" ", 3)[3] for line in changed]
+    assert [a.rsplit(" --format ", 1)[1] for a in argvs] == ["json", "text", "csv"]
+    assert all(a.startswith("check lemma1 ") for a in argvs)
+    assert all(line.split(" ")[2] == "1" for line in changed)

@@ -1,12 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mucrit import stepanov
 from mucrit.fp import FpSet
 from mucrit.poly import FpPoly
-from mucrit.qalg import QPoly, QQuadElem
+from mucrit.qalg import QPoly
 from mucrit.stepanov import (
     _solve_xi5,
+    _w_inverse,
+    _w_reduce,
     _xi,
     alpha11_obstruction,
     annihilated_poly,
@@ -146,6 +151,11 @@ class TestDAlphaL:
 
 
 class TestAlpha11:
+    def test_wrong_xi_relation_fails(self, monkeypatch):
+        # negative control: reducing by xi^10 + 10 xi^5 + 1 must break the chain
+        monkeypatch.setattr(stepanov, "_XI_TAIL", -1 - _xi(5, 10))
+        assert not alpha11_obstruction().final_reduction_ok
+
     def test_report(self):
         rep = alpha11_obstruction()
         assert not rep.printed_poly_annihilated
@@ -192,12 +202,17 @@ class TestAlpha11:
 class TestGammas:
     def test_symbolic_gamma0_inverse(self):
         g = gamma_symbolic()
-        w = QQuadElem.generator()
-        assert g["gamma0"].inverse() == 2 * w + 1
-        assert (2 * g["gamma0"].inverse() - 1).inverse() == w * Fraction(-4, 9) + Fraction(1, 9)
+        w = QPoly.var("w")
+        assert _w_inverse(g["gamma0"]) == 2 * w + 1
+        assert _w_inverse(2 * _w_inverse(g["gamma0"]) - 1) == w * Fraction(-4, 9) + Fraction(1, 9)
 
     def test_numeric_cross_check_p19(self):
         assert gamma_cross_check(19, 3, 3, 9)
+
+    def test_numeric_cross_check_requires_root(self):
+        # 2 * 4^2 + 1 = 33 is not 0 mod 19, so 4 is no value of w
+        with pytest.raises(ValueError):
+            gamma_cross_check(19, 4, 3, 9)
 
     def test_numeric_cross_check_requires_half_group(self):
         with pytest.raises(ValueError):
@@ -222,6 +237,77 @@ class TestLemma13:
         assert rep.final_ok
         assert rep.alpha7_expansion_ok and rep.alpha7_collapse_ok
         assert rep.inv_gamma0_ok and rep.inv_two_over_gamma0_minus_one_ok
+
+    def test_wrong_w_relation_fails(self, monkeypatch):
+        # negative control: in Q[k][w]/(2w^2 - 1) the chain must break; only
+        # the expansion in plain Q[a] does not use the relation
+        monkeypatch.setattr(stepanov, "_W_TAIL", Fraction(1, 2))
+        rep = lemma13_symbolic()
+        assert not rep.ok
+        assert [f for f in rep._fields if getattr(rep, f)] == ["alpha7_expansion_ok"]
+
+
+W = QPoly.var("w", ("k", "w"))
+K = QPoly.var("k", ("k", "w"))
+small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _conjugate(x):
+    """v - u w for x = u w + v."""
+    return x.coefficient("w", 0).with_vars(("k", "w")) - W * x.coefficient("w", 1)
+
+
+class TestWRing:
+    """The ring Q[k][w]/(2w^2 + 1) of the quadratic congruence: ``QPoly``s
+    over (k, w) reduced by ``_w_reduce``, and ``_w_inverse`` for elements
+    without k."""
+
+    def test_generator_square(self):
+        r = _w_reduce(W * W)
+        assert r == Fraction(-1, 2)
+        assert r.vars == ("k", "w") and r.terms == {(0, 0): Fraction(-1, 2)}
+
+    def test_inverse_of_constant_norm(self):
+        x = 4 * W + 1
+        assert _w_reduce(x * _conjugate(x)) == 9
+        assert _w_inverse(x) == W * Fraction(-4, 9) + Fraction(1, 9)
+        assert _w_reduce(x * _w_inverse(x)) == 1
+
+    def test_zero_inverse_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            _w_inverse(QPoly.const(0, ("k", "w")))
+
+    def test_k_input_rejected(self):
+        # w + k has norm k^2 + 1/2, which is no rational
+        for x in (W + K, K, W * K):
+            with pytest.raises(ValueError):
+                _w_inverse(x)
+
+    @pytest.mark.parametrize("c", [0, 3, Fraction(1, 2)])
+    def test_inverse_coefficients_are_fractions(self, c):
+        # u or v missing from the terms must not turn the norm into a float
+        for x in (c * W + 1, W + c):
+            inv = _w_inverse(x)
+            assert inv.vars == ("k", "w")
+            assert all(type(t) is Fraction for t in inv.terms.values())
+            assert _w_reduce(x * inv) == 1
+
+    @given(small_fracs, small_fracs, small_fracs, small_fracs)
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_product_is_norm(self, u1, v1, u2, v2):
+        x = u1 * W + v1
+        y = u2 * W + v2
+        norm_x = _w_reduce(x * _conjugate(x))
+        assert norm_x == v1 * v1 + u1 * u1 / 2
+        xy = _w_reduce(x * y)
+        assert _w_reduce(xy * _conjugate(xy)) == norm_x * _w_reduce(y * _conjugate(y))
+
+    @given(small_fracs, small_fracs)
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_roundtrip_rational(self, u, v):
+        x = u * W + v
+        if x:
+            assert _w_reduce(x * _w_inverse(x)) == 1
 
 
 class TestIdentityCatalog:
