@@ -13,8 +13,10 @@ byte-identical output at any ``--threads`` value.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import random
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -428,7 +430,8 @@ def _emit(
 ) -> int:
     """Write the report in ``ns.format`` to ``ns.out`` or stdout and return
     the exit code: 0 if ``ok``, else 1.  An unwritable ``ns.out`` raises
-    ``ValueError``, which ``run`` turns into exit code 2."""
+    ``ValueError``, which ``run`` turns into exit code 2; ``_check_out`` has
+    already ruled out the failures that can be seen before any work."""
     doc = {
         "schema": SCHEMA,
         "command": command,
@@ -460,6 +463,19 @@ def _emit(
     else:
         sys.stdout.write(text)
     return 0 if ok else 1
+
+
+def _check_out(path: str) -> None:
+    """Raise ``ValueError``, as ``_emit`` would, if ``path`` is a directory
+    or its parent is not one.  Nothing is created."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        err = errno.EISDIR
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ValueError(f"cannot write --out: {OSError(err, os.strerror(err), path)}")
 
 
 def _flatten(obj, prefix: str = "") -> Dict[str, object]:
@@ -539,6 +555,8 @@ def run(argv: Optional[List[str]] = None) -> int:
 def _dispatch(ns: argparse.Namespace) -> int:
     if ns.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {ns.threads}")
+    if ns.out:
+        _check_out(ns.out)
     if ns.command == "verify-f41":
         return _emit(ns, "verify-f41", {}, *run_verify_f41())
     if ns.command == "verify-identities":

@@ -23,6 +23,7 @@ from .fp import (
     roots_of_unity,
 )
 from .poly import FpPoly, from_roots
+from .symm import power_sums_int
 
 
 class HPCoeffs:
@@ -164,8 +165,6 @@ def power_sum_vanishing(A: FpSet, B: FpSet, d: int) -> bool:
     if rep.exact is None:
         raise ValueError("A+B is not exactly mu_d or mu_d u {0}")
     p = A.p
-    from .symm import power_sums_int
-
     pa = power_sums_int(A, d)
     pb = power_sums_int(B, d)
     inv = inverse_table(p, d)  # d | p - 1, so d < p

@@ -27,6 +27,7 @@ from .poly import (
     poly_gcd,
     taylor_at,
 )
+from .hp import criticality
 from .stepanov import gamma_numeric
 from .symm import power_sums_int
 
@@ -630,8 +631,6 @@ def _specialized_check(which, A, B, k, sums):
         rhs = (alpha * pkB + sgnk * beta % p * pA[k]) % p
         return failures, lhs, rhs
     # psi and omega21 additionally need the critical-pair setting
-    from .hp import criticality
-
     d = alpha * beta
     if alpha != beta:
         failures.append("alpha != beta")

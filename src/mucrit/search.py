@@ -11,7 +11,8 @@ results are canonicalized under the documented symmetry group:
   shift (A + t, B - t) also preserves A + B = mu_d; the search uses it to
   run once with 0 in B, but the report does not quotient it: the shifts of
   a pair are separate classes unless a scaling or the swap relates them;
-* the rat2 classification: the full affine group.
+* the rat2 classification: translations with scalings by F_p* = mu_(p-1),
+  the affine group; the difference-set form over that larger group.
 
 The two searches on mu_d run on its exponent index (``fp.subgroup_index``):
 mu_d = {eta^k : 0 <= k < d}, and a scaling by eta^j is the rotation
@@ -32,7 +33,7 @@ from bisect import bisect_left
 from itertools import combinations, compress
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fp import FpSet, inverse_mod, is_prime, roots_of_unity, sqrt_mod, subgroup_index
+from .fp import FpSet, is_prime, roots_of_unity, sqrt_mod, subgroup_index
 from .hp import criticality
 from .stepanov import rat2_check
 from .symm import minimal_indices, power_sums_int, recentering_shift
@@ -126,21 +127,6 @@ def canonical_pair(
     return best
 
 
-def _canonical_affine(A: Sequence[int], p: int) -> Tuple[int, ...]:
-    """Least sorted tuple over the full affine orbit, pinned by mapping an
-    ordered pair of elements to (0, 1)."""
-    best = None
-    for a in A:
-        for b in A:
-            if a == b:
-                continue
-            u = inverse_mod((b - a) % p, p)
-            t = tuple(sorted((x - a) * u % p for x in A))
-            if best is None or t < best:
-                best = t
-    return best
-
-
 # ---------------------------------------------------------------------------
 # difference sets
 
@@ -192,11 +178,7 @@ def diffset_search(p: int, d: int) -> SearchResult:
                 continue
             extend(K + [v], nxt)
 
-    if target == 1:
-        sols.append((0,))
-        nodes += 1
-    else:
-        extend([0], D)
+    extend([0], D)
 
     classes = sorted(
         {canonical_diffset((0,) + tuple(powers[k] for k in K), p, mu) for K in sols}
@@ -585,6 +567,36 @@ def _coset_leaders(p: int, mu: FpSet) -> List[int]:
     return sorted({min(x * u % p for u in mu.elems) for x in range(1, p)})
 
 
+def _pinned_classes(
+    p: int, mu: FpSet, sizes: Sequence[int], holds: Callable[[Sequence[int], int], bool]
+) -> Tuple[List[tuple], int]:
+    """The classes under translations and scalings by mu of the A with |A|
+    in ``sizes`` and ``holds(A, p)`` (invariant under them), as sorted
+    (canonical_diffset,) witnesses, and the number of sets tested.
+
+    Take the pair (a, a') of a member whose difference a' - a has the least
+    coset leader r (the least element of its coset r*mu).  Translating a to
+    0 and scaling a' - a onto r sends every other element y to x = u(y - a)
+    with u in mu, and x >= leader(x) = leader(y - a) >= r with x != r.  So
+    every class meets {0, r} u rest with rest above r, and only those sets
+    are tested.  With mu = F_p* the only leader is 1: the pinned {0, 1} of
+    the affine group."""
+    checked = 0
+    classes = set()
+    for r in _coset_leaders(p, mu):
+        for size in sizes:
+            for rest in combinations(range(r + 1, p), size - 2):
+                A = (0, r) + rest
+                checked += 1
+                if holds(A, p):
+                    classes.add(canonical_diffset(A, p, mu))
+    witnesses = []
+    for A in sorted(classes):
+        assert holds(A, p), f"witness {A} failed re-verification"
+        witnesses.append((A,))
+    return witnesses, checked
+
+
 def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
     """All classes of A (size alpha, alpha(alpha-1) = d) satisfying
     ``product_condition``; symmetry group is translations with mu_d
@@ -592,12 +604,7 @@ def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
 
     Both symmetries preserve the condition: a translation leaves every
     difference alone, and a scaling by u in mu_d multiplies each product by
-    u^(alpha(alpha-1)) = u^d = 1.  Take the pair (a, a') of a member whose
-    difference a' - a has the least coset leader r (the least element of
-    its coset r*mu_d).  Translating a to 0 and scaling a' - a onto r sends
-    every other element y to x = u(y - a) with u in mu_d, and x >= leader(x)
-    = leader(y - a) >= r with x != r.  So every class meets
-    {0, r} u rest with rest above r, and only those sets are checked."""
+    u^(alpha(alpha-1)) = u^d = 1 (``_pinned_classes``)."""
     _validate_subgroup_order(p, d)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
@@ -607,46 +614,33 @@ def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
             "problem2", p, d, [], {"sets_checked": 0},
             ("d is not of the form alpha*(alpha-1)",), (),
         )
-    mu = roots_of_unity(p, d)
-    checked = 0
-    classes = set()
-    for r in _coset_leaders(p, mu):
-        for rest in combinations(range(r + 1, p), alpha - 2):
-            A = (0, r) + rest
-            checked += 1
-            if product_condition(A, p):
-                classes.add(canonical_diffset(A, p, mu))
-    witnesses = []
-    for A in sorted(classes):
-        assert product_condition(A, p), f"witness {A} failed re-verification"
-        witnesses.append((A,))
+    witnesses, checked = _pinned_classes(p, roots_of_unity(p, d), (alpha,), product_condition)
     verdicts = ("no set satisfies the product condition",) if not witnesses else ()
     return SearchResult("problem2", p, d, witnesses, {"sets_checked": checked}, verdicts, ())
 
 
+def _rat2_everywhere(A: Sequence[int], p: int) -> bool:
+    """The quadratic reciprocal relation (``rat2_check``) at every a in A."""
+    S = FpSet(p, A)
+    return all(rat2_check(S, a) for a in S)
+
+
 def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
     """All affine classes of A, 2 <= |A| <= alpha_max, satisfying the
-    quadratic reciprocal relation at every element; normalized by pinning
-    {0, 1} inside A."""
+    quadratic reciprocal relation at every element; the affine group is
+    translations with scalings by F_p* = mu_(p-1) (``_pinned_classes``)."""
     if not is_prime(p):
         raise ValueError(f"p={p} is not prime")
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
+    if alpha_max >= p:
+        # the only set of size p is F_p, where the relation divides by |A| = 0
+        raise ValueError(f"alpha_max={alpha_max} must be below p={p}")
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
-    checked = 0
-    classes = set()
-    for alpha in range(2, alpha_max + 1):
-        for rest in combinations(range(2, p), alpha - 2):
-            A = FpSet(p, (0, 1) + rest)
-            checked += 1
-            if all(rat2_check(A, a) for a in A):
-                classes.add(_canonical_affine(A.elems, p))
-    witnesses = []
-    for A in sorted(classes):
-        S = FpSet(p, A)
-        assert all(rat2_check(S, a) for a in S), f"witness {A} failed re-verification"
-        witnesses.append((A,))
+    witnesses, checked = _pinned_classes(
+        p, roots_of_unity(p, p - 1), range(2, alpha_max + 1), _rat2_everywhere
+    )
     verdicts = ("no set satisfies the relation",) if not witnesses else ()
     return SearchResult("problem1", p, None, witnesses, {"sets_checked": checked}, verdicts, ())
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .fp import FpSet, _factorize, inverse_mod, inverse_power_sums, is_prime
+from .hp import criticality
 from .poly import FpPoly
 from .qalg import QPoly, falling
 from .symm import power_sums_int, recenter
@@ -677,8 +678,6 @@ def lemma5_lemma6_numeric(A: FpSet, d: int) -> Lemma56Report:
     """For a d-critical (A, -A): the un-centered second/third power-sum
     identities, and vanishing of p_1, p_2, p_3 after recentering (unless
     d is 2 or 6, the exempt orders)."""
-    from .hp import criticality
-
     p = A.p
     rep = criticality(A, -A, d)
     if not rep.critical:

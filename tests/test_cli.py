@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -56,6 +58,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "alpha_max must be >= 2" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--p", "5"], "error: alpha_max=5 must be below p=5\n"),
+            (["--p", "7", "--alpha-max", "9"], "error: alpha_max=9 must be below p=7\n"),
+        ],
+    )
+    def test_problem1_alpha_max_at_least_p_rejected(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "search", "problem1", *args)
+        assert (code, out, err) == (2, "", message)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -279,6 +292,30 @@ class TestOutputModes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_out_runs_nothing(self, capsys, monkeypatch, tmp_path, missing_dir):
+        def no_run(*_):
+            raise AssertionError("the report was computed for an unwritable --out")
+
+        monkeypatch.setattr(cli, "run_verify_residues", no_run)
+        dest = tmp_path / "absent" / "report.json" if missing_dir else tmp_path
+        code, out, err = run_cli(capsys, "verify-residues", "--out", str(dest))
+        assert (code, out) == (2, "")
+        num = errno.ENOENT if missing_dir else errno.EISDIR
+        assert err == f"error: cannot write --out: [Errno {num}] {os.strerror(num)}: '{dest}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_failing_at_write_still_exits_two(self, capsys, monkeypatch, tmp_path):
+        # failures that only opening shows, such as permissions, are caught late
+        denied = PermissionError(errno.EACCES, os.strerror(errno.EACCES), "report.json")
+
+        def refuse(*_):
+            raise denied
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        code, out, err = run_cli(capsys, "verify-f41", "--out", str(tmp_path / "report.json"))
+        assert (code, out, err) == (2, "", f"error: cannot write --out: {denied}\n")
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(capsys, "verify-f41", "--format", "csv")

@@ -533,6 +533,40 @@ def _problem2_classes_unquotiented(p, d):
     )
 
 
+def _affine_canonical(A, p):
+    """Least sorted image of A under the affine maps that send an ordered
+    pair of its elements to (0, 1); every affine orbit's least member
+    starts (0, 1), so this is the orbit's least member."""
+    return min(
+        tuple(sorted((x - a) * pow(b - a, -1, p) % p for x in A))
+        for a in A
+        for b in A
+        if a != b
+    )
+
+
+def _rat2_at_every_element(A, p):
+    S = FpSet(p, A)
+    return all(rat2_check(S, a) for a in S)
+
+
+@functools.lru_cache(maxsize=None)
+def _problem1_classes_unquotiented(p, alpha_max):
+    """The affine classes of every subset of F_p of size 2..alpha_max with
+    the rat2 relation at each element."""
+    return sorted(
+        {
+            _affine_canonical(A, p)
+            for size in range(2, alpha_max + 1)
+            for A in combinations(range(p), size)
+            if _rat2_at_every_element(A, p)
+        }
+    )
+
+
+PROBLEM1_PRIMES = [3, 5, 7, 11, 13, 17]
+
+
 class TestProblemScans:
     def test_problem2_f41(self):
         res = problem2_scan(41, 20)
@@ -563,10 +597,38 @@ class TestProblemScans:
 
     def test_problem1_contains_cross(self):
         res = problem1_scan(13, 5)
-        from mucrit.search import _canonical_affine
-
-        cross = _canonical_affine((0, 1, 12, 5, 8), 13)
+        cross = canonical_diffset((0, 1, 12, 5, 8), 13, roots_of_unity(13, 12))
         assert (cross,) in res.witnesses
+
+    @pytest.mark.parametrize("p", PROBLEM1_PRIMES)
+    def test_problem1_matches_unquotiented_enumeration(self, p):
+        res = problem1_scan(p, min(5, p - 1))
+        assert [A for (A,) in res.witnesses] == _problem1_classes_unquotiented(p, min(5, p - 1))
+
+    def test_problem1_cases_have_witnesses(self):
+        with_classes = [
+            p for p in PROBLEM1_PRIMES if _problem1_classes_unquotiented(p, min(5, p - 1))
+        ]
+        assert with_classes == [5, 7, 13, 17]
+
+    @pytest.mark.parametrize("p", [13, 17])
+    def test_problem1_negative_control_half_group(self, p):
+        # scalings by mu_((p-1)/2) alone leave affine classes split, so the
+        # shared enumeration over that smaller group must list more classes
+        half = roots_of_unity(p, (p - 1) // 2)
+        got, _ = search._pinned_classes(p, half, range(2, 6), search._rat2_everywhere)
+        want = _problem1_classes_unquotiented(p, 5)
+        assert len(got) > len(want)
+
+    @pytest.mark.parametrize("p, alpha_max", [(5, 5), (7, 9), (2, 2)])
+    def test_problem1_alpha_max_at_least_p_rejected(self, monkeypatch, p, alpha_max):
+        # the only set of size p is F_p, where the relation divides by |A| = 0
+        def no_scan(*_):
+            raise AssertionError("sets were enumerated for a rejected alpha_max")
+
+        monkeypatch.setattr(search, "_pinned_classes", no_scan)
+        with pytest.raises(ValueError, match=f"alpha_max={alpha_max} must be below p={p}"):
+            problem1_scan(p, alpha_max)
 
     def test_problem1_no_two_element_sets(self):
         for p in [13, 17]:
