@@ -7,7 +7,10 @@ the report); 2 usage or configuration errors.
 
 JSON reports are versioned ("schema": "mucrit/1"), key-sorted, and carry no
 timing or thread-count data, so a fixed configuration and seed produce
-byte-identical output at any ``--threads`` value.
+byte-identical output at any ``--threads`` value.  ``--threads N`` (at least
+1) is the number of processes ``search levson`` may scan in, capped by the
+CPUs this process may use and the number of primes; every other command runs
+in one process and only checks the value.
 """
 
 from __future__ import annotations
@@ -581,7 +584,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         if getattr(ns, "node_budget", 1) < 1:
             raise ValueError(f"--node-budget must be at least 1, got {ns.node_budget}")
         params = {k: v for k, v in vars(ns).items() if k in _JOB_FIELDS}
-        res = run_job(SearchJob(ns.kind, **params))
+        res = run_job(SearchJob(ns.kind, **params), workers=ns.threads)
         # the report is the result's fields as they are: _asdict() is a shallow
         # dict of them, and json.dumps renders each tuple in it as a list
         return _emit(ns, f"search-{ns.kind}", params, not res.violations, res._asdict())

@@ -28,7 +28,9 @@ to finish A.  Both rules are exact; ``_gap_anchored_summands`` states them.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 from bisect import bisect_left
 from itertools import combinations, compress
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -509,7 +511,99 @@ def _levson_alphas(alpha_max: int) -> List[int]:
     return list(compress(range(alpha_max + 1), keep))
 
 
-def levson_scan(alpha_max: int) -> SearchResult:
+def _fan_out(fn: Callable[[list], list], items: list, workers: int) -> List[list]:
+    """``fn`` of each share of ``items``, in share order, with the shares run
+    side by side in forked processes.
+
+    ``items`` is dealt round-robin into w = min(workers, the CPUs this process
+    may use, len(items)) shares.  Share 0 runs in this process and every other
+    share in an ``os.fork()`` child, which sends its part back over a pipe as
+    ``marshal`` bytes, so a part holds only ints, strings, tuples and lists.
+    With w = 1, or no ``os.fork``, nothing is forked; a share whose fork fails
+    runs in this process.
+
+    A child always leaves through ``os._exit``: it never returns into the
+    caller's stack or flushes the stdio buffers it inherited, and it exits 0
+    only once its whole part is written.  Any other exit status raises
+    ``RuntimeError``, never a shorter result.  Every child still running is
+    killed, and every child reaped, before the call returns or raises, also
+    when this process's own share raises.  A child runs only ``fn``, marshal
+    and os calls, so ``fn`` must take no lock that another thread of the
+    caller may hold."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    w = min(workers, cpus, len(items))
+    if w <= 1 or not hasattr(os, "fork"):
+        return [fn(items)]
+    shares = [items[i::w] for i in range(w)]
+    parts: List[list] = [[] for _ in shares]
+    local = [0]  # the shares run in this process
+    pids: Dict[int, int] = {}  # share -> child not yet reaped
+    pipes: Dict[int, int] = {}  # share -> read end of its child's pipe
+    try:
+        for i in range(1, w):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                local.append(i)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    out = memoryview(marshal.dumps(fn(shares[i])))
+                    while out:
+                        out = out[os.write(wfd, out):]
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            pids[i], pipes[i] = pid, rfd
+        for i in local:
+            parts[i] = fn(shares[i])
+        for i in list(pids):
+            chunks = []
+            while chunk := os.read(pipes[i], 1 << 16):
+                chunks.append(chunk)
+            status = os.waitpid(pids[i], 0)[1]
+            del pids[i]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"worker process for share {i} of {w} exited with status {code}")
+            parts[i] = marshal.loads(b"".join(chunks))
+    finally:
+        for rfd in pipes.values():
+            os.close(rfd)
+        if pids:
+            import signal  # only here, so that importing mucrit loads no signal module
+
+            for pid in pids.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return parts
+
+
+def _levson_hits(alphas: Sequence[int]) -> List[tuple]:
+    """The (p, alpha, n) that ``levson_scan`` reports for the given alpha,
+    ascending when the alpha are."""
+    hits = []
+    for alpha in alphas:
+        c = 2 * alpha - 1
+        p = (c * c + 1) // 2
+        odd = twice = 1
+        for a in range(3, c + 1, 2):  # step j: a = 2j + 1, 2(alpha + j) = a + c
+            odd = odd * a % p
+            twice = twice * (a + c) % p
+            if odd == twice:
+                hits.append((p, alpha, (a + 1) // 2))
+    return hits
+
+
+def levson_scan(alpha_max: int, workers: int = 1) -> SearchResult:
     """Scan alpha <= alpha_max with p = 2 alpha(alpha-1) + 1 prime, testing
     C(alpha^2-1, n-1+alpha) == (-1)^(n-1) C(alpha^2-1, alpha) mod p for
     1 < n <= alpha.
@@ -527,22 +621,16 @@ def levson_scan(alpha_max: int) -> SearchResult:
     c = 2 alpha - 1 (so 2p = c^2 + 1 and c^2 == -1 mod p) and a = 2j + 1,
     the second factor is 2(alpha + j) = a + c: a step is one addition, two
     multiplications mod p and one comparison, and n = (a + 1)/2 is formed
-    only on a hit.  The alpha with p prime come from ``_levson_alphas``.
-    p grows with alpha and n within each alpha, so the hits come out
-    sorted."""
+    only on a hit (``_levson_hits``).  The alpha with p prime come from
+    ``_levson_alphas``, and up to ``workers`` processes scan them
+    (``_fan_out``).  The merged hits are sorted, so the result is the same
+    for every ``workers``."""
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
-    hits = []
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     alphas = _levson_alphas(alpha_max)
-    for alpha in alphas:
-        c = 2 * alpha - 1
-        p = (c * c + 1) // 2
-        odd = twice = 1
-        for a in range(3, c + 1, 2):  # step j: a = 2j + 1, 2(alpha + j) = a + c
-            odd = odd * a % p
-            twice = twice * (a + c) % p
-            if odd == twice:
-                hits.append((p, alpha, (a + 1) // 2))
+    hits = sorted(hit for part in _fan_out(_levson_hits, alphas, workers) for hit in part)
     return SearchResult("levson", None, None, hits, {"primes_scanned": len(alphas)}, (), ())
 
 
@@ -645,9 +733,10 @@ def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
     return SearchResult("problem1", p, None, witnesses, {"sets_checked": checked}, verdicts, ())
 
 
-def run_job(job: SearchJob) -> SearchResult:
+def run_job(job: SearchJob, workers: int = 1) -> SearchResult:
     """Run the search that ``job.kind`` names with the job's fields that are
-    set; every other argument takes the search's own default."""
+    set; every other argument takes the search's own default.  ``workers``
+    goes to the levson scan, the one search that runs in several processes."""
     # built per call, so a search rebound in this module is the one that runs
     search = {
         "diffset": diffset_search,
@@ -659,4 +748,7 @@ def run_job(job: SearchJob) -> SearchResult:
     }.get(job.kind)
     if search is None:
         raise ValueError(f"unknown job kind {job.kind!r}")
-    return search(**{k: v for k, v in job._asdict().items() if k != "kind" and v is not None})
+    kwargs = {k: v for k, v in job._asdict().items() if k != "kind" and v is not None}
+    if job.kind == "levson":
+        kwargs["workers"] = workers
+    return search(**kwargs)

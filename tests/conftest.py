@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -25,3 +26,21 @@ def root_multiplicity(f, a):
             break
         m, f = m + 1, q
     return m
+
+
+def allow_cpus(monkeypatch, n):
+    """Let ``search._fan_out`` see n usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """Wrap os.fork in a counter that still forks; return the counter."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks

@@ -11,7 +11,7 @@ from mucrit.fp import FieldElem, FpSet
 from mucrit.poly import FpPoly, from_roots
 from mucrit.residues import RationalForm
 
-from conftest import random_subset
+from conftest import allow_cpus, count_forks, random_subset
 
 
 def run_cli(capsys, *args):
@@ -166,11 +166,21 @@ class TestJsonOutput:
 
     def test_search_runs_the_module_global(self, capsys, monkeypatch):
         # the CLI reaches every search through search.run_job, which looks it
-        # up at call time, so a search rebound in mucrit.search is the one run
+        # up at call time, so a search rebound in mucrit.search is the one
+        # run; --threads reaches the levson scan as its worker count
         fake = search.SearchResult("levson", None, None, [(7, 7, 7)], {"primes_scanned": 0}, (), ())
-        monkeypatch.setattr(search, "levson_scan", lambda alpha_max: fake)
-        _, out, _ = run_cli(capsys, "search", "levson", "--alpha-max", "10", "--format", "json")
+        calls = []
+
+        def fake_scan(alpha_max, workers):
+            calls.append((alpha_max, workers))
+            return fake
+
+        monkeypatch.setattr(search, "levson_scan", fake_scan)
+        _, out, _ = run_cli(
+            capsys, "search", "levson", "--alpha-max", "10", "--threads", "3", "--format", "json"
+        )
         assert json.loads(out)["report"]["witnesses"] == [[7, 7, 7]]
+        assert calls == [(10, 3)]
 
     def test_levson_json(self, capsys):
         _, out, _ = run_cli(
@@ -260,6 +270,43 @@ class TestDeterminism:
             )
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_threads_capped_by_usable_cpus(self, capsys, monkeypatch):
+        # a huge --threads starts one process per usable CPU, no more: with
+        # 3 CPUs, this process and 2 forked children
+        want = run_cli(capsys, "search", "levson", "--alpha-max", "200", "--format", "json")
+        allow_cpus(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        got = run_cli(
+            capsys, "search", "levson", "--alpha-max", "200", "--threads", "1000000",
+            "--format", "json",
+        )
+        assert got == want
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("threads, code", [("1", 0), ("2", 0), ("0", 2)])
+    def test_threads_without_fork(self, capsys, monkeypatch, threads, code):
+        # --threads 1 forks nothing, a refused fork runs its share in this
+        # process, and --threads 0 is rejected before any search
+        want = run_cli(capsys, "search", "levson", "--alpha-max", "200", "--format", "json")
+        allow_cpus(monkeypatch, 2)
+        forks = []
+
+        def refused_fork():
+            forks.append(1)
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refused_fork)
+        got = run_cli(
+            capsys, "search", "levson", "--alpha-max", "200", "--threads", threads,
+            "--format", "json",
+        )
+        assert got[0] == code
+        assert len(forks) == (threads == "2")
+        if code == 0:
+            assert got == want
+        else:
+            assert "--threads must be at least 1" in got[2]
 
     def test_seeded_residue_run_reproducible(self, capsys):
         a = run_cli(

@@ -1,5 +1,6 @@
 """The desk scripts under scripts/ run to completion and flag nothing, and
-the digest script tells apart exactly the jobs whose output changed."""
+the digest script tells apart exactly the jobs whose output changed and
+prints the same lines at any --threads value."""
 
 import importlib.util
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from mucrit import cli
+
+from conftest import allow_cpus, count_forks
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,3 +63,27 @@ def test_output_digests_change_only_for_the_changed_job(monkeypatch):
     assert [a.rsplit(" --format ", 1)[1] for a in argvs] == ["json", "text", "csv"]
     assert all(a.startswith("check lemma1 ") for a in argvs)
     assert all(line.split(" ")[2] == "1" for line in changed)
+
+
+def test_output_digests_same_at_one_and_two_threads(monkeypatch):
+    # with two usable CPUs, whatever the machine has, --threads 2 forks one
+    # worker for the levson job and none for any other job
+    digests = _load_output_digests()
+    allow_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    one = list(digests.digest_lines("desk", 0, threads=1))
+    assert forks == []
+    two = list(digests.digest_lines("desk", 0, threads=2))
+    assert len(forks) == len(digests.FORMATS)
+    assert one == two
+    assert one == list(digests.digest_lines("desk", 0))
+
+
+def test_output_digests_threads_replaced_or_added():
+    digests = _load_output_digests()
+    assert digests._with_threads(
+        ["search", "levson", "--threads", "2", "--seed", "0", "--format", "csv"], 7
+    ) == ["search", "levson", "--threads", "7", "--seed", "0", "--format", "csv"]
+    assert digests._with_threads(["verify-residues", "--seed", "0", "--format", "json"], 7) == [
+        "verify-residues", "--seed", "0", "--threads", "7", "--format", "json"
+    ]

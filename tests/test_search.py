@@ -1,6 +1,7 @@
 import functools
 import inspect
 import math
+import os
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,8 @@ from mucrit.search import (
     threefold_check,
 )
 from mucrit.stepanov import rat2_check
+
+from conftest import allow_cpus, count_forks
 
 
 class TestCanonicalForms:
@@ -403,6 +406,11 @@ class TestThreefold:
             assert got == list(target.elems)
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestLevson:
     def test_small_scan(self):
         res = levson_scan(100)
@@ -497,6 +505,81 @@ class TestLevson:
         assert scan_hits == {13, 41}
         # the one exception: p = 5 has d = 2, which the theorem allows
         assert with_witness - scan_hits == {5}
+
+    @pytest.mark.parametrize("alpha_max", [2, 3, 30, 400])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_workers_do_not_change_the_result(self, monkeypatch, alpha_max, workers):
+        # alpha_max = 2 and 3 have one and two primes, fewer than most worker
+        # counts here: the share count is capped by the number of primes
+        allow_cpus(monkeypatch, 8)
+        want = levson_scan(alpha_max)
+        forks = count_forks(monkeypatch)
+        assert levson_scan(alpha_max, workers=workers) == want
+        assert len(forks) == min(workers, want.counts["primes_scanned"]) - 1
+        _assert_no_child_left()
+
+    def test_full_range_on_two_workers(self, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        res = levson_scan(3000, workers=2)
+        assert res == levson_scan(3000)
+        assert res.witnesses == [(13, 3, 3), (41, 5, 4)]
+        assert res.counts["primes_scanned"] == 586
+
+    def test_negative_control_children_parts_dropped(self, monkeypatch):
+        # alpha = 2, 3, 5 are the first primes' alpha, dealt into shares
+        # [2, 5, ...] and [3, ...]: a merge that keeps only this process's
+        # share loses the alpha = 3 hit
+        allow_cpus(monkeypatch, 2)
+        fan_out = search._fan_out
+        monkeypatch.setattr(
+            search, "_fan_out", lambda fn, items, workers: fan_out(fn, items, workers)[:1]
+        )
+        assert levson_scan(30, workers=1).witnesses == [(13, 3, 3), (41, 5, 4)]
+        assert levson_scan(30, workers=2).witnesses == [(41, 5, 4)]
+
+    def _fail_share(self, monkeypatch, exc, in_child):
+        # the share of this process is the one that starts with alpha = 2
+        hits = search._levson_hits
+
+        def failing(alphas):
+            if (alphas[0] != 2) == in_child:
+                raise exc
+            return hits(alphas)
+
+        monkeypatch.setattr(search, "_levson_hits", failing)
+
+    def test_failing_child_raises(self, monkeypatch):
+        allow_cpus(monkeypatch, 3)
+        self._fail_share(monkeypatch, ValueError("share failed"), in_child=True)
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            levson_scan(400, workers=3)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_failing_own_share_raises_and_reaps(self, monkeypatch, exc):
+        # the children are still scanning alpha <= 3000 when this process's
+        # share fails at once, so they are killed, not just reaped
+        allow_cpus(monkeypatch, 3)
+        self._fail_share(monkeypatch, exc("own share failed"), in_child=False)
+        with pytest.raises(exc, match="own share failed"):
+            levson_scan(3000, workers=3)
+        _assert_no_child_left()
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            levson_scan(30, workers=0)
+
+    def test_fan_out_parts_larger_than_a_pipe_buffer(self, monkeypatch):
+        # each child's part is several pipe buffers of marshal bytes, and the
+        # parts come back in share order
+        allow_cpus(monkeypatch, 3)
+        items = list(range(30))
+
+        def fn(share):
+            return [(x, "y" * 1000) for x in share for _ in range(100)]
+
+        assert search._fan_out(fn, items, 3) == [fn(items[i::3]) for i in range(3)]
+        _assert_no_child_left()
 
 
 # every (p, d) with p <= 61 that problem2_scan accepts with d = alpha(alpha-1)
