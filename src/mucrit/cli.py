@@ -8,9 +8,11 @@ the report); 2 usage or configuration errors.
 JSON reports are versioned ("schema": "mucrit/1"), key-sorted, and carry no
 timing or thread-count data, so a fixed configuration and seed produce
 byte-identical output at any ``--threads`` value.  ``--threads N`` (at least
-1) is the number of processes ``search levson`` may scan in, capped by the
-CPUs this process may use and the number of primes; every other command runs
-in one process and only checks the value.
+1) is the number of processes ``verify-residues`` checks its instances in
+and ``search levson`` scans its primes in, capped by the CPUs this process
+may use and the amount of work (``search._fan_out``); every other command
+runs in one process and only checks the value.  Without ``--threads``, N is
+the number of CPUs this process may use, read when the command runs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import os
 import random
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fp import FpSet, binom_mod, is_prime, roots_of_unity
 from .hp import (
@@ -43,7 +45,14 @@ from .residues import (
     lemma_form_identity,
     sum_residues_check,
 )
-from .search import SearchBudgetExceeded, SearchJob, product_condition, run_job
+from .search import (
+    SearchBudgetExceeded,
+    SearchJob,
+    _fan_out,
+    _usable_cpus,
+    product_condition,
+    run_job,
+)
 from .stepanov import (
     alpha11_obstruction,
     gamma_cross_check,
@@ -138,13 +147,13 @@ def run_verify_identities() -> Tuple[bool, Dict[str, object]]:
     return all(checks.values()), report
 
 
-def _random_subset(rng: random.Random, p: int, size: int, avoid=()) -> FpSet:
+def _random_picks(rng: random.Random, p: int, size: int, avoid=()) -> List[int]:
     """``size`` distinct elements of F_p outside ``avoid``, drawn exactly as
     ``rng.sample`` draws from the increasing list of those elements.
 
     ``rng.sample`` picks positions from the population's length alone, so
     sampling positions in ``range`` and mapping each one to the element at
-    that position gives the same set and the same RNG state without
+    that position gives the same elements and the same RNG state without
     building the list.
     """
     skip = sorted({x for x in avoid if 0 <= x < p})
@@ -155,58 +164,125 @@ def _random_subset(rng: random.Random, p: int, size: int, avoid=()) -> FpSet:
                 break
             x += 1
         picks.append(x)
-    return FpSet(p, picks)
+    return picks
 
 
-def _random_split_form(rng: random.Random, p: int) -> RationalForm:
+def _random_subset(rng: random.Random, p: int, size: int, avoid=()) -> FpSet:
+    """The set of ``_random_picks``."""
+    return FpSet(p, _random_picks(rng, p, size, avoid))
+
+
+def _draw_split_form(rng: random.Random, p: int) -> Tuple[List[int], List[int], List[int]]:
+    """The RNG calls of one random split form, in order: its distinct roots,
+    the roots among them that are double, and the numerator's coefficients
+    (up to the denominator's degree plus one)."""
     roots = rng.sample(range(p), min(rng.randint(1, 4), p))
     doubled = [r for r in roots if rng.randint(1, 2) == 2]
+    coeffs = [rng.randrange(p) for _ in range(rng.randint(1, len(roots) + len(doubled) + 2))]
+    return roots, doubled, coeffs
+
+
+def _build_split_form(p: int, roots: List[int], doubled: List[int], coeffs: List[int]) -> RationalForm:
     den = from_roots(FpSet(p, roots))
     if doubled:
         den = den * from_roots(FpSet(p, doubled))
-    num = FpPoly(p, [rng.randrange(p) for _ in range(rng.randint(1, den.degree + 2))])
+    num = FpPoly(p, coeffs)
     if num.is_zero():
         num = FpPoly.one(p)
     return RationalForm(num, den)
 
 
-def run_verify_residues(
+def _random_split_form(rng: random.Random, p: int) -> RationalForm:
+    return _build_split_form(p, *_draw_split_form(rng, p))
+
+
+def _residue_draws(
     seed: int, primes: List[int], instances: int, form_instances: int
-) -> Tuple[bool, Dict[str, object]]:
+) -> Iterator[Optional[tuple]]:
+    """The draws of every ``verify-residues`` instance, in RNG order, with
+    every set a list of ints: ``instances`` (p, roots, doubled, coeffs) per
+    prime for the random split forms, then ``form_instances`` (which, p, k,
+    A, B) per prime and named form, with A None for a form that has none.
+    An instance whose A finds no room in F_p is None."""
     rng = random.Random(seed)
-    failures: List[str] = []
-    checked = 0
     for p in primes:
         for _ in range(instances):
-            form = _random_split_form(rng, p)
-            res = sum_residues_check(form)
-            checked += 1
-            if res.status != "zero":
-                failures.append(f"total residue {res.status} for {form!r}")
-    form_checked = 0
+            yield (p, *_draw_split_form(rng, p))
     for p in primes:
         for which in FORM_NAMES:
             for _ in range(form_instances):
                 k = rng.randint(0, 6)
-                B = _random_subset(rng, p, min(rng.randint(2, 6), p))
+                B = _random_picks(rng, p, min(rng.randint(2, 6), p))
                 A = None
                 if which in ("omega11", "psi", "omega21"):
                     # the poles -A of h'/h must miss B; F_p may have no room left
                     room = p - len(B)
                     if room == 0:
+                        yield None
                         continue
-                    A = _random_subset(rng, p, min(rng.randint(2, 6), room), avoid=-B)
-                rep = lemma_form_identity(which, A, B, k, mode="general")
-                form_checked += 1
-                if not rep.ok:
-                    failures.append(
-                        f"{which} general identity failed at p={p}, k={k}, "
-                        f"A={None if A is None else A.elems}, B={B.elems}"
-                    )
+                    avoid = [-b % p for b in B]
+                    A = _random_picks(rng, p, min(rng.randint(2, 6), room), avoid)
+                yield which, p, k, A, B
+
+
+def _check_residue_share(
+    share: Sequence[int], seed: int, primes: List[int], instances: int, form_instances: int
+) -> list:
+    """[random forms checked, named-form instances checked, failures] over
+    the instances whose index in ``_residue_draws`` is in ``share``, each
+    failure an (index, message) pair.  Every instance is drawn, so the RNG
+    runs as in one pass over all of them, but only those in ``share`` are
+    built and checked."""
+    n_random = len(primes) * instances
+    checked = form_checked = 0
+    failures = []
+    for i, draw in enumerate(_residue_draws(seed, primes, instances, form_instances)):
+        if draw is None or i not in share:
+            continue
+        if i < n_random:
+            form = _build_split_form(*draw)
+            res = sum_residues_check(form)
+            checked += 1
+            if res.status != "zero":
+                failures.append((i, f"total residue {res.status} for {form!r}"))
+            continue
+        which, p, k, A, B = draw
+        A = None if A is None else FpSet(p, A)
+        B = FpSet(p, B)
+        rep = lemma_form_identity(which, A, B, k, mode="general")
+        form_checked += 1
+        if not rep.ok:
+            message = (
+                f"{which} general identity failed at p={p}, k={k}, "
+                f"A={None if A is None else A.elems}, B={B.elems}"
+            )
+            failures.append((i, message))
+    return [checked, form_checked, failures]
+
+
+def run_verify_residues(
+    seed: int, primes: List[int], instances: int, form_instances: int, workers: int = 1
+) -> Tuple[bool, Dict[str, object]]:
+    """The residue theorem on ``instances`` random split forms per prime and
+    the general identity of every named form on ``form_instances`` random
+    instances per prime, checked in up to ``workers`` processes: the
+    instance indices are dealt round-robin to them (``_fan_out``), and the
+    failures merged in index order, so the report is the same for every
+    ``workers``."""
+    slots = len(primes) * (instances + len(FORM_NAMES) * form_instances)
+    parts = _fan_out(
+        functools.partial(
+            _check_residue_share, seed=seed, primes=primes, instances=instances,
+            form_instances=form_instances,
+        ),
+        range(slots),
+        workers,
+    )
+    failures = sorted(failure for part in parts for failure in part[2])
     report = {
-        "random_forms_checked": checked,
-        "named_form_instances": form_checked,
-        "failures": failures,
+        "random_forms_checked": sum(part[0] for part in parts),
+        "named_form_instances": sum(part[1] for part in parts),
+        "failures": [message for _, message in failures],
     }
     return not failures, report
 
@@ -499,7 +575,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None, help="write the report to a file")
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument(
+        "--threads", type=int, default=None,
+        help="processes for verify-residues and search levson "
+        "(default: the CPUs this process may use)",
+    )
     common.add_argument("--seed", type=int, default=0)
 
     ap = argparse.ArgumentParser(
@@ -556,7 +636,10 @@ def run(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(ns: argparse.Namespace) -> int:
-    if ns.threads < 1:
+    if ns.threads is None:
+        # read per run, not in the cached parser, so it follows the CPUs allowed now
+        ns.threads = _usable_cpus()
+    elif ns.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {ns.threads}")
     if ns.out:
         _check_out(ns.out)
@@ -578,7 +661,9 @@ def _dispatch(ns: argparse.Namespace) -> int:
             "instances": ns.instances,
             "form_instances": ns.form_instances,
         }
-        ok, report = run_verify_residues(ns.seed, primes, ns.instances, ns.form_instances)
+        ok, report = run_verify_residues(
+            ns.seed, primes, ns.instances, ns.form_instances, workers=ns.threads
+        )
         return _emit(ns, "verify-residues", params, ok, report)
     if ns.command == "search":
         if getattr(ns, "node_budget", 1) < 1:

@@ -511,12 +511,21 @@ def _levson_alphas(alpha_max: int) -> List[int]:
     return list(compress(range(alpha_max + 1), keep))
 
 
-def _fan_out(fn: Callable[[list], list], items: list, workers: int) -> List[list]:
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _fan_out(fn: Callable[[Sequence], list], items: Sequence, workers: int) -> List[list]:
     """``fn`` of each share of ``items``, in share order, with the shares run
     side by side in forked processes.
 
-    ``items`` is dealt round-robin into w = min(workers, the CPUs this process
-    may use, len(items)) shares.  Share 0 runs in this process and every other
+    ``items`` is dealt round-robin into w = min(workers, ``_usable_cpus()``,
+    len(items)) shares, share i being ``items[i::w]`` (a range for a range
+    of items).  Share 0 runs in this process and every other
     share in an ``os.fork()`` child, which sends its part back over a pipe as
     ``marshal`` bytes, so a part holds only ints, strings, tuples and lists.
     With w = 1, or no ``os.fork``, nothing is forked; a share whose fork fails
@@ -530,11 +539,7 @@ def _fan_out(fn: Callable[[list], list], items: list, workers: int) -> List[list
     when this process's own share raises.  A child runs only ``fn``, marshal
     and os calls, so ``fn`` must take no lock that another thread of the
     caller may hold."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        cpus = os.cpu_count() or 1
-    w = min(workers, cpus, len(items))
+    w = min(workers, _usable_cpus(), len(items))
     if w <= 1 or not hasattr(os, "fork"):
         return [fn(items)]
     shares = [items[i::w] for i in range(w)]

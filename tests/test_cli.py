@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -203,9 +204,10 @@ class TestSmallPrimes:
         assert json.loads(out)["report"]["random_forms_checked"] == 9
 
     def test_residues_negative_control(self, capsys, monkeypatch):
-        # one residue off by one, at the first pole of the run, fails the run
+        # one residue off by one, at the first pole of the run, fails the run;
+        # the fault counts calls in one process, so the run keeps to one
         args = ("verify-residues", "--instances", "20", "--form-instances", "2",
-                "--format", "json")
+                "--threads", "1", "--format", "json")
         code, out, _ = run_cli(capsys, *args)
         assert (code, json.loads(out)["report"]["failures"]) == (0, [])
         calls = []
@@ -221,6 +223,33 @@ class TestSmallPrimes:
         failures = json.loads(out)["report"]["failures"]
         assert code == 1
         assert len(failures) == 1 and failures[0].startswith("total residue nonzero")
+
+    def test_residues_negative_control_in_any_process(self, capsys, monkeypatch):
+        # one residue off by one, at the first pole of the random form with
+        # index 45 (p = 10007), fails the run whichever process checks it: at
+        # --threads 2 the odd indices go to the forked child
+        allow_cpus(monkeypatch, 2)
+        args = ("verify-residues", "--instances", "20", "--form-instances", "2",
+                "--format", "json")
+        draws = cli._residue_draws(0, [41, 97, 10007], 20, 2)
+        p, roots, doubled, coeffs = next(itertools.islice(draws, 45, None))
+        chosen = cli._build_split_form(p, roots, doubled, coeffs)
+        residue_at = residues.residue_at
+
+        def off_by_one(form, b, multiplicity=None):
+            value = residue_at(form, b, multiplicity)
+            hit = (form.num, form.den, b) == (chosen.num, chosen.den, min(roots))
+            return FieldElem(value.v + 1, value.p) if hit else value
+
+        monkeypatch.setattr(residues, "residue_at", off_by_one)
+        forks = count_forks(monkeypatch)
+        reports = [run_cli(capsys, *args, "--threads", t) for t in ("1", "2")]
+        assert len(forks) == 1
+        assert reports[0] == reports[1]
+        code, out, _ = reports[0]
+        failures = json.loads(out)["report"]["failures"]
+        assert code == 1
+        assert failures == [f"total residue nonzero for {chosen!r}"]
 
     @pytest.mark.parametrize("primes", ["2", "3", "5", "7", "2,3,5"])
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
@@ -274,17 +303,39 @@ class TestDeterminism:
     def test_threads_capped_by_usable_cpus(self, capsys, monkeypatch):
         # a huge --threads starts one process per usable CPU, no more: with
         # 3 CPUs, this process and 2 forked children
-        want = run_cli(capsys, "search", "levson", "--alpha-max", "200", "--format", "json")
         allow_cpus(monkeypatch, 3)
         forks = count_forks(monkeypatch)
-        got = run_cli(
-            capsys, "search", "levson", "--alpha-max", "200", "--threads", "1000000",
-            "--format", "json",
-        )
-        assert got == want
-        assert len(forks) == 2
+        for args in (
+            ("search", "levson", "--alpha-max", "200"),
+            ("verify-residues", "--instances", "20", "--form-instances", "2"),
+        ):
+            want = run_cli(capsys, *args, "--threads", "1", "--format", "json")
+            forks.clear()
+            got = run_cli(capsys, *args, "--threads", "1000000", "--format", "json")
+            assert got == want
+            assert len(forks) == 2
 
-    @pytest.mark.parametrize("threads, code", [("1", 0), ("2", 0), ("0", 2)])
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_default_threads_is_usable_cpus_at_run_time(self, capsys, monkeypatch, cpus):
+        # the parser is built once and cached; the default is read per run, so
+        # one of the two CPU counts differs from the machine's whatever it is
+        args = ("verify-residues", "--instances", "20", "--form-instances", "2",
+                "--format", "json")
+        want = run_cli(capsys, *args, "--threads", "1")
+        allow_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        assert run_cli(capsys, *args) == want
+        assert len(forks) == cpus - 1
+
+    def test_default_residue_run_forks_and_keeps_report(self, capsys, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        code, out, err = run_cli(capsys, "verify-residues", "--seed", "0", "--format", "json")
+        assert (code, err) == (0, "")
+        assert len(forks) == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == RESIDUE_REPORT_SHA256[("--seed", "0")]
+
+    @pytest.mark.parametrize("threads, code", [("1", 0), ("2", 0), ("0", 2), ("-1", 2)])
     def test_threads_without_fork(self, capsys, monkeypatch, threads, code):
         # --threads 1 forks nothing, a refused fork runs its share in this
         # process, and --threads 0 is rejected before any search

@@ -67,16 +67,18 @@ def test_output_digests_change_only_for_the_changed_job(monkeypatch):
 
 def test_output_digests_same_at_one_and_two_threads(monkeypatch):
     # with two usable CPUs, whatever the machine has, --threads 2 forks one
-    # worker for the levson job and none for any other job
+    # worker for the levson and the verify-residues job and none for any other
     digests = _load_output_digests()
     allow_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    one = list(digests.digest_lines("desk", 0, threads=1))
-    assert forks == []
-    two = list(digests.digest_lines("desk", 0, threads=2))
-    assert len(forks) == len(digests.FORMATS)
-    assert one == two
-    assert one == list(digests.digest_lines("desk", 0))
+    for workload in ("desk", "residues"):
+        forks.clear()
+        one = list(digests.digest_lines(workload, 0, threads=1))
+        assert forks == []
+        two = list(digests.digest_lines(workload, 0, threads=2))
+        assert len(forks) == len(digests.FORMATS)
+        assert one == two
+        assert one == list(digests.digest_lines(workload, 0))
 
 
 def test_output_digests_threads_replaced_or_added():
