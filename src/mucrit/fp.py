@@ -175,11 +175,6 @@ class FpSet:
         if self.p != other.p:
             raise ValueError(f"mixed moduli {self.p} and {other.p}")
 
-    def sumset(self, other: "FpSet") -> "FpSet":
-        self._same_field(other)
-        p = self.p
-        return FpSet(p, ((a + b) % p for a in self.elems for b in other.elems))
-
     def diffset(self, other: "FpSet") -> "FpSet":
         """The set {a - b : a in self, b in other}."""
         self._same_field(other)
@@ -265,8 +260,10 @@ def subgroup_index(p: int, d: int) -> Tuple[int, Tuple[int, ...], Dict[int, int]
     return eta, tuple(powers), log
 
 
+@functools.lru_cache(maxsize=None)
 def roots_of_unity(p: int, d: int) -> FpSet:
-    """The subgroup mu_d of d-th roots of unity in F_p*; requires d | p-1."""
+    """The subgroup mu_d of d-th roots of unity in F_p*; requires d | p-1.
+    Cached: an ``FpSet`` is immutable, so callers share one per (p, d)."""
     return FpSet(p, subgroup_index(p, d)[1])
 
 

@@ -132,25 +132,29 @@ def criticality(A: FpSet, B: FpSet, d: int) -> CriticalityReport:
     """Check A+B inside mu_d u {0} and the size identity |A||B| = d + |(-A) cap B|.
 
     ``exact`` records whether A+B equals mu_d or mu_d u {0} on the nose,
-    either of which forces criticality.
+    either of which forces criticality.  The sumset and -A are bitmasks
+    built from the elements: B + a is B's p-bit mask rotated up by a.
     """
     if A.p != B.p:
         raise ValueError("A and B live in different fields")
     p = A.p
     if len(A) <= 1 or len(B) <= 1:
         raise ValueError("need |A|, |B| > 1")
-    mu = roots_of_unity(p, d)
-    allowed = mu.mask | 1
-    sums = A.sumset(B)
-    sumset_ok = sums.mask & ~allowed == 0
-    negA = (-A).mask
-    overlap = (negA & B.mask).bit_count()
+    mumask = roots_of_unity(p, d).mask
+    bmask = B.mask
+    full = (1 << p) - 1
+    sums = negA = 0
+    for a in A.elems:
+        sums |= (bmask << a | bmask >> (p - a)) & full
+        negA |= 1 << (-a % p)
+    sumset_ok = sums & ~(mumask | 1) == 0
+    overlap = (negA & bmask).bit_count()
     critical = sumset_ok and len(A) * len(B) == d + overlap
     eps = {b: 1 if (negA >> b) & 1 else 0 for b in B.elems}
     exact = None
-    if sums.mask == mu.mask:
+    if sums == mumask:
         exact = "mu_d"
-    elif sums.mask == (mu.mask | 1):
+    elif sums == mumask | 1:
         exact = "mu_d_plus_zero"
     return CriticalityReport(A, B, d, sumset_ok, overlap, critical, eps, exact)
 

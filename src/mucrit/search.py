@@ -10,7 +10,9 @@ results are canonicalized under the documented symmetry group:
 * sumset pairs: scalings by mu_d and swapping the summands.  The opposite
   shift (A + t, B - t) also preserves A + B = mu_d; the search uses it to
   run once with 0 in B, but the report does not quotient it: the shifts of
-  a pair are separate classes unless a scaling or the swap relates them;
+  a pair are separate classes unless a scaling or the swap relates them.
+  A scaling maps shifts to shifts, so the expansion canonicalizes each
+  class once and skips the shifts whose pair is already in a listed class;
 * the rat2 classification: translations with scalings by F_p* = mu_(p-1),
   the affine group; the difference-set form over that larger group.
 
@@ -33,12 +35,12 @@ import math
 import os
 from bisect import bisect_left
 from itertools import combinations, compress
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .fp import FpSet, is_prime, roots_of_unity, sqrt_mod, subgroup_index
 from .hp import criticality
 from .stepanov import rat2_check
-from .symm import minimal_indices, power_sums_int, recentering_shift
+from .symm import minimal_indices, recentering_shift
 
 
 class SearchBudgetExceeded(Exception):
@@ -115,18 +117,26 @@ def canonical_diffset(A: Sequence[int], p: int, mu: FpSet) -> Tuple[int, ...]:
     return best
 
 
-def canonical_pair(
-    A: Sequence[int], B: Sequence[int], p: int, mu: FpSet
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+Pair = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _sorted_pair(A: List[int], B: List[int]) -> Pair:
+    """(sorted A, sorted B) as tuples; sorts the two new lists in place."""
+    A.sort()
+    B.sort()
+    return tuple(A), tuple(B)
+
+
+def _pair_orbit(A: Sequence[int], B: Sequence[int], p: int, mu: FpSet) -> List[Pair]:
+    """The pair's class: its images (sorted cA, sorted cB) under each
+    scaling c in mu, and their swaps."""
+    images = [_sorted_pair([x * c % p for x in A], [x * c % p for x in B]) for c in mu.elems]
+    return images + [(b, a) for a, b in images]
+
+
+def canonical_pair(A: Sequence[int], B: Sequence[int], p: int, mu: FpSet) -> Pair:
     """Least pair over scalings by mu and the swap; no translations."""
-    best = None
-    for c in mu:
-        sa = tuple(sorted(x * c % p for x in A))
-        sb = tuple(sorted(x * c % p for x in B))
-        for cand in ((sa, sb), (sb, sa)):
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(_pair_orbit(A, B, p, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +282,12 @@ def sumset_search(
     a^-1 rotates K so that a goes to exponent 0 (the element 1); a rotation
     keeps every gap, and the scaling keeps 0 in B.  One search over pairs
     with 0 in B and 0 in K starting a least gap therefore meets every
-    orbit; each pair it finds is expanded over its p shifts before
-    canonicalization.  The search grows K in increasing order and prunes it
-    by that gap rule and by forward checking (``_gap_anchored_summands``).
+    orbit.  The search grows K in increasing order and prunes it by that
+    gap rule and by forward checking (``_gap_anchored_summands``).
     Representations are unique (|A||B| = d), so completing B is an exact
-    cover by the tiles A + b.
+    cover by the tiles A + b.  The opposite shifts of each pair found are
+    then listed with one canonicalization per class (``_shift_classes``),
+    and each class is re-verified on bitmasks (``hp.criticality``).
 
     ``node_budget`` bounds the whole search.  An exceeded budget is reported
     in the verdicts, never conflated with "no decomposition exists"."""
@@ -292,7 +303,7 @@ def sumset_search(
         for a in range(2, d + 1)
         if d % a == 0 and a <= d // a and d // a > 1
     ]
-    found: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    found: List[Pair] = []
     nodes = 0
 
     def spend() -> None:
@@ -336,22 +347,10 @@ def sumset_search(
     except SearchBudgetExceeded:
         exhausted = True
 
-    # a pair whose class is already listed lies in the shift-and-scaling
-    # orbit of a pair expanded before it, so all its shifts are listed too
-    classes = set()
-    for A, B in found:
-        key = canonical_pair(A, B, p, mu)
-        if key in classes:
-            continue
-        classes.add(key)
-        for t in range(1, p):
-            classes.add(canonical_pair(
-                [(a + t) % p for a in A], [(b - t) % p for b in B], p, mu
-            ))
     witnesses = []
     violations: List[str] = []
     sqrt_d = math.isqrt(d)
-    for A, B in sorted(classes):
+    for A, B in sorted(_shift_classes(found, p, mu)):
         SA, SB = FpSet(p, A), FpSet(p, B)
         rep = criticality(SA, SB, d)
         assert rep.critical and rep.exact == "mu_d", f"witness {(A, B)} failed re-verification"
@@ -371,18 +370,43 @@ def sumset_search(
     return SearchResult("sumset", p, d, witnesses, {"nodes": nodes}, verdicts, tuple(violations))
 
 
+def _shift_classes(found: Sequence[Pair], p: int, mu: FpSet) -> Set[Pair]:
+    """The classes of the opposite shifts (A + t, B - t), t in F_p, of the
+    found pairs, each canonicalized once.
+
+    A found pair whose class is already listed lies in the shift-and-scaling
+    orbit of a pair expanded before it, so all its shifts are listed too.
+    Scaling by c sends shift t of (A, B) to shift ct of (cA, cB), so shifts
+    related by a scaling, or by a scaling and the swap, share a class.  The
+    walk over t records the whole orbit (``_pair_orbit``) of each shift it
+    canonicalizes, skips a shift whose sorted pair is already recorded, and
+    adds the least member of any other shift's orbit as its class; so each
+    class is canonicalized once."""
+    classes: Set[Pair] = set()
+    seen: Set[Pair] = set()  # every member of the classes listed from shifts
+    for A, B in found:
+        if canonical_pair(A, B, p, mu) in classes:
+            continue
+        for t in range(p):
+            pair = _sorted_pair([(a + t) % p for a in A], [(b - t) % p for b in B])
+            if pair in seen:
+                continue
+            orbit = _pair_orbit(*pair, p, mu)
+            seen.update(orbit)
+            classes.add(min(orbit))
+    return classes
+
+
 def _recentered_index_violation(A: FpSet, B: FpSet) -> Optional[str]:
     """After shifting A by -p_1(A)/alpha and B the opposite way, the least
     nonvanishing power-sum index n (and m, when present) must be even.  B
     takes A's shift, not its own: recentered alone, p_1(B) would vanish
-    whatever the pair."""
+    whatever the pair.  A surviving p_1 reads as n = 1."""
     t = recentering_shift(A)
-    A2 = A.translate(t)
-    B2 = B.translate(-t)
-    if power_sums_int(A2, 1)[1] != 0 or power_sums_int(B2, 1)[1] != 0:
+    recentered = [(S, minimal_indices(S)) for S in (A.translate(t), B.translate(-t))]
+    if any(n == 1 for _, (n, _) in recentered):
         return f"recentering failed to kill p_1 for {(A.elems, B.elems)}"
-    for S in (A2, B2):
-        n, m = minimal_indices(S)
+    for S, (n, m) in recentered:
         if n % 2 != 0:
             return f"odd minimal index n={n} for recentered {S.elems}"
         if m is not None and m % 2 != 0:
@@ -395,7 +419,7 @@ def _recentered_index_violation(A: FpSet, B: FpSet) -> Optional[str]:
 
 def decompose_two_summands(
     target: FpSet, node_budget: int = 2_000_000
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+) -> List[Pair]:
     """All (A, B_max) with A + B_max = target, |A|, |B_max| >= 2, B_max
     maximal for its A and normalized to contain 0.  Sums may collide, so this
     is a set cover, not an exact cover; suitable for arbitrary small targets."""
@@ -405,7 +429,7 @@ def decompose_two_summands(
     if not T:
         return []
     nodes = 0
-    out: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+    out: List[Pair] = []
     diff = _difference_masks(T, p)
 
     def extend(A: List[int], cand: int, start: int) -> None:
@@ -655,9 +679,21 @@ def product_condition(A: Sequence[int], p: int) -> bool:
     return True
 
 
+def _leader_table(p: int, mu: FpSet) -> List[int]:
+    """Index x in F_p* holds the coset leader of x, the least element of
+    x*mu; index 0 holds 0."""
+    lead = [0] * p
+    for x in range(1, p):
+        if not lead[x]:
+            coset = [x * u % p for u in mu.elems]
+            for y in coset:
+                lead[y] = x  # the first x met in a coset is its least element
+    return lead
+
+
 def _coset_leaders(p: int, mu: FpSet) -> List[int]:
     """The least element of each coset of mu in F_p*, ascending."""
-    return sorted({min(x * u % p for u in mu.elems) for x in range(1, p)})
+    return sorted(set(_leader_table(p, mu)[1:]))
 
 
 def _pinned_classes(
@@ -672,13 +708,22 @@ def _pinned_classes(
     0 and scaling a' - a onto r sends every other element y to x = u(y - a)
     with u in mu, and x >= leader(x) = leader(y - a) >= r with x != r.  So
     every class meets {0, r} u rest with rest above r, and only those sets
-    are tested.  With mu = F_p* the only leader is 1: the pinned {0, 1} of
-    the affine group."""
+    are tested.  Translations and scalings by mu keep the coset of every
+    difference, so each difference of that image still has a leader >= r:
+    an x whose x, -x, x - r or r - x has a smaller leader never joins rest
+    at r, since a set holding it is met at that smaller leader.  With
+    mu = F_p* the only leader is 1: the pinned {0, 1} of the affine group."""
     checked = 0
     classes = set()
+    lead = _leader_table(p, mu)
     for r in _coset_leaders(p, mu):
+        cands = [
+            x
+            for x in range(r + 1, p)
+            if min(lead[x], lead[p - x], lead[x - r], lead[p - x + r]) >= r
+        ]
         for size in sizes:
-            for rest in combinations(range(r + 1, p), size - 2):
+            for rest in combinations(cands, size - 2):
                 A = (0, r) + rest
                 checked += 1
                 if holds(A, p):

@@ -77,7 +77,7 @@ class TestFpSet:
 
     def test_mixed_moduli(self):
         with pytest.raises(ValueError):
-            FpSet(13, [1]).sumset(FpSet(11, [1]))
+            FpSet(13, [1]).diffset(FpSet(11, [1]))
 
 
 class TestRootsOfUnity:

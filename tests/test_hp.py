@@ -14,6 +14,7 @@ from mucrit.hp import (
     relation_y,
     vandermonde_solve,
 )
+from mucrit.search import sumset_search
 from mucrit.symm import complete_homogeneous
 
 from conftest import random_subset, root_multiplicity
@@ -129,6 +130,55 @@ class TestCriticality:
     def test_non_critical(self):
         rep = criticality(FpSet(13, [0, 2]), FpSet(13, [1, 3]), 4)
         assert not rep.critical
+
+    @staticmethod
+    def _oracle(A, B, d):
+        """Every report field from Python sets: the sumset as a set of sums,
+        -A as a set of negatives and mu_d as the x with x^d = 1."""
+        p = A.p
+        mu = {x for x in range(1, p) if pow(x, d, p) == 1}
+        sums = {(a + b) % p for a in A for b in B}
+        neg_a = {-a % p for a in A}
+        overlap = len(neg_a & set(B))
+        sumset_ok = sums <= mu | {0}
+        exact = "mu_d" if sums == mu else "mu_d_plus_zero" if sums == mu | {0} else None
+        return (
+            A, B, d, sumset_ok, overlap, sumset_ok and len(A) * len(B) == d + overlap,
+            {b: int(b in neg_a) for b in B}, exact,
+        )
+
+    def test_matches_set_oracle_on_random_pairs(self, rng):
+        for p in (2, 3, 13, 41, 97):
+            ds = [d for d in range(1, p) if (p - 1) % d == 0]
+            for _ in range(40):
+                A = random_subset(rng, p, rng.randrange(2, p + 1))
+                B = random_subset(rng, p, rng.randrange(2, p + 1))
+                d = rng.choice(ds)
+                assert tuple(criticality(A, B, d)) == self._oracle(A, B, d), (A, B, d)
+
+    def test_matches_set_oracle_on_exact_pairs(self):
+        # A + B = mu_d: the mu_4 pair's opposite shifts and the sumset
+        # witnesses at d = 4; A + B = mu_d u {0}: difference sets against
+        # their negatives.  F41 - F41 is a strict inclusion.
+        pairs = [(PAIR_A.translate(t), PAIR_B.translate(-t), 4) for t in range(13)]
+        for p in (17, 29, 41):
+            pairs += [(FpSet(p, A), FpSet(p, B), 4) for A, B in sumset_search(p, 4).witnesses]
+        pairs += [(F41, -F41, 20), (F13, -F13, 6), (FpSet(13, [0, 1]), FpSet(13, [0, 12]), 2)]
+        exacts = []
+        for A, B, d in pairs:
+            rep = criticality(A, B, d)
+            assert tuple(rep) == self._oracle(A, B, d), (A, B, d)
+            exacts.append(rep.exact)
+        assert exacts.count("mu_d") == len(pairs) - 3
+        assert exacts[-3:] == [None, "mu_d_plus_zero", "mu_d_plus_zero"]
+
+    def test_negative_control_moved_element(self):
+        # the mu_4 pair with one element of B moved off it: one sum leaves
+        # mu_4 u {0}, and the report must say so
+        moved = FpSet(13, [2, 12])
+        rep = criticality(PAIR_A, moved, 4)
+        assert not rep.sumset_ok and not rep.critical and rep.exact is None
+        assert tuple(rep) == self._oracle(PAIR_A, moved, 4)
 
 
 class TestPowerSumVanishing:

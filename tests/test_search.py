@@ -134,6 +134,23 @@ class TestRecenteredIndexViolation:
             "recentering failed to kill p_1 for ((0, 1), (0, 1))"
         )
 
+    def test_shift_patched_to_zero_leaves_p1(self, monkeypatch):
+        # with no recentering, a witness whose A has p_1 != 0 keeps it, and
+        # both the check and the search must report that
+        p, d = 13, 4
+        res = sumset_search(p, d)
+        assert res.violations == ()
+        monkeypatch.setattr(search, "recentering_shift", lambda A: 0)
+        uncentered = [(A, B) for A, B in res.witnesses if sum(A) % p]
+        assert uncentered
+        for A, B in uncentered:
+            assert _recentered_index_violation(FpSet(p, A), FpSet(p, B)) == (
+                f"recentering failed to kill p_1 for {(A, B)}"
+            )
+        assert set(sumset_search(p, d).violations) == {
+            f"recentering failed to kill p_1 for {pair}" for pair in uncentered
+        }
+
 
 class TestSumsetSearch:
     def test_brute_force_oracle_f13_d4(self):
@@ -361,6 +378,82 @@ class TestGapAnchoredSummands:
         res = sumset_search(241, 120, max_p=241, node_budget=20_000)
         assert res.witnesses == []
         assert res.verdicts == ("no decomposition exists",)
+
+
+# every (p, d) with p <= 127 that sumset_search accepts
+SUMSET_ORDERS = [
+    (p, d)
+    for p in range(3, 128)
+    if is_prime(p)
+    for d in range(2, p - 1)
+    if (p - 1) % d == 0
+]
+
+
+def _per_shift_classes(found, p, mu):
+    """The shift expansion with one ``canonical_pair`` per shift: the class
+    of every opposite shift (A + t, B - t) of every found pair."""
+    return {
+        search.canonical_pair([(a + t) % p for a in A], [(b - t) % p for b in B], p, mu)
+        for A, B in found
+        for t in range(p)
+    }
+
+
+class TestShiftClasses:
+    def test_matches_per_shift_oracle(self, monkeypatch):
+        # the orbit-marked walk lists the same classes, so every result,
+        # the three-summand check's included, is the same
+        got = {pq: (sumset_search(*pq), threefold_check(*pq)) for pq in SUMSET_ORDERS}
+        monkeypatch.setattr(search, "_shift_classes", _per_shift_classes)
+        for pq in SUMSET_ORDERS:
+            assert got[pq] == (sumset_search(*pq), threefold_check(*pq)), pq
+        assert len(SUMSET_ORDERS) == 154
+        assert sum(bool(pair.witnesses) for pair, _ in got.values()) == 13
+
+    def test_negative_control_class_keyed_by_own_pair(self, monkeypatch):
+        # keying a shift's class by its own pair instead of its least image
+        # leaves the listed pairs off the canonical form
+        src = inspect.getsource(search._shift_classes)
+        key = "classes.add(min(orbit))"
+        assert src.count(key) == 1
+        namespace = dict(vars(search))
+        exec(src.replace(key, "classes.add(pair)"), namespace)
+        want = sumset_search(13, 4)
+        monkeypatch.setattr(search, "_shift_classes", namespace["_shift_classes"])
+        assert sumset_search(13, 4).witnesses != want.witnesses
+
+    def test_one_canonicalization_per_class(self, monkeypatch):
+        # canonical_pair runs at most once per found pair, and the walk
+        # builds one orbit per class listed
+        calls, orbits, found_counts = [], [], []
+        canonical, orbit, expand = search.canonical_pair, search._pair_orbit, search._shift_classes
+
+        def counting(*args):
+            calls.append(args)
+            return canonical(*args)
+
+        def counting_orbits(*args):
+            orbits.append(args)
+            return orbit(*args)
+
+        def recording(found, p, mu):
+            found_counts.append(len(found))
+            return expand(found, p, mu)
+
+        monkeypatch.setattr(search, "canonical_pair", counting)
+        monkeypatch.setattr(search, "_pair_orbit", counting_orbits)
+        monkeypatch.setattr(search, "_shift_classes", recording)
+        res = sumset_search(89, 4)
+        assert len(res.witnesses) == 23
+        assert found_counts and 1 <= len(calls) <= found_counts[0]
+        assert len(orbits) == len(calls) + len(res.witnesses)
+        # the counters see the per-shift expansion's p calls per found pair
+        calls.clear()
+        orbits.clear()
+        expand = _per_shift_classes
+        assert sumset_search(89, 4) == res
+        assert len(calls) == len(orbits) == 89 * found_counts[1]
 
 
 class TestThreefold:
@@ -652,12 +745,20 @@ PROBLEM1_PRIMES = [3, 5, 7, 11, 13, 17]
 
 class TestProblemScans:
     def test_problem2_f41(self):
-        res = problem2_scan(41, 20)
-        mu = roots_of_unity(41, 20)
-        assert (canonical_diffset((0, 1, 9, 32, 40), 41, mu),) in res.witnesses
+        p = 41
+        res = problem2_scan(p, 20)
+        mu = roots_of_unity(p, 20)
+        assert (canonical_diffset((0, 1, 9, 32, 40), p, mu),) in res.witnesses
         # {0, r} u rest with rest a 3-subset above r, for the two coset
-        # leaders r = 1 and 3 of mu_20
-        assert res.counts["sets_checked"] == math.comb(39, 3) + math.comb(37, 3) == 16909
+        # leaders r = 1 and 3 of mu_20, the squares and the non-squares.
+        # At r = 1 every x > 1 may join rest.  At r = 3 an x joins only when
+        # x, -x, x - 3 and 3 - x are all non-squares; -1 is a square mod 41,
+        # so by Euler's criterion that is x^20 = (x - 3)^20 = -1.
+        nonsquare = [pow(x, 20, p) == p - 1 for x in range(p)]
+        assert not nonsquare[1] and nonsquare[3] and not nonsquare[p - 1]
+        above_3 = sum(nonsquare[x] and nonsquare[x - 3] for x in range(4, p))
+        assert above_3 == 9
+        assert res.counts["sets_checked"] == math.comb(39, 3) + math.comb(above_3, 3) == 9223
 
     @pytest.mark.parametrize("p, d", PROBLEM2_CASES)
     def test_problem2_matches_unquotiented_enumeration(self, p, d):
@@ -677,6 +778,26 @@ class TestProblemScans:
         got = [A for (A,) in problem2_scan(p, d).witnesses]
         want = _problem2_classes_unquotiented(p, d)
         assert set(got) < set(want)
+
+    def test_problem2_negative_control_strict_leader_cut(self):
+        # rebuild the enumerator with the leader cut made strict: a rest
+        # element may then not share the pinned difference's coset, and the
+        # scan must lose the classes that need one
+        src = inspect.getsource(search._pinned_classes)
+        cut = "lead[p - x + r]) >= r"
+        assert src.count(cut) == 1
+        namespace = dict(vars(search))
+        exec(src.replace(cut, "lead[p - x + r]) > r"), namespace)
+        mutant = namespace["_pinned_classes"]
+        lost = []
+        for p, d in PROBLEM2_CASES:
+            alpha = search._alpha_for(d)
+            got, _ = mutant(p, roots_of_unity(p, d), (alpha,), search.product_condition)
+            want = _problem2_classes_unquotiented(p, d)
+            assert {A for (A,) in got} <= set(want), (p, d)
+            if len(got) < len(want):
+                lost.append((p, d))
+        assert len(lost) == 8 and (41, 20) in lost, lost
 
     def test_problem1_contains_cross(self):
         res = problem1_scan(13, 5)
