@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print one digest line for every benchmark job in every report format.
+"""Print one digest line for every benchmark job in every report format, and
+for each of a fixed list of help and usage-error command lines.
 
     python3 scripts/output_digests.py [--workload W ...] [--seed N] [--threads N]
 
@@ -8,8 +9,15 @@ through ``mucrit.cli.run`` once per format (json, text, csv), and prints
 
     sha256(stdout) sha256(stderr) exit-code argv
 
+After the jobs, one more line of the same form follows for each command line
+of ``USAGE_ARGVS``: help at every level of the command tree and usage errors,
+so the parse and error paths are compared too.
+
 Run it in two checkouts and ``diff`` the output: no difference means the two
-versions print byte-identical reports, errors and exit codes for every job.
+versions print byte-identical reports, errors and exit codes for every job
+and every usage line.  Help text wraps to the terminal's width, so run both
+the same way (both into a pipe, say).
+
 With ``--threads N`` every job runs with ``--threads N`` in place of its own
 value (or added, where it has none), and the line still shows the job's argv
 as ``jobs.py`` lists it; so ``diff`` of the output at ``--threads 1`` and at
@@ -35,9 +43,48 @@ from mucrit import cli  # noqa: E402
 
 FORMATS = ("json", "text", "csv")
 
+# help at every level, and the usage errors of the parser and of dispatch
+USAGE_ARGVS = (
+    [],
+    ["--help"],
+    ["search"],
+    ["search", "--help"],
+    ["verify-f41", "--help"],
+    ["verify-identities", "--help"],
+    ["verify-residues", "--help"],
+    ["check", "--help"],
+    ["search", "diffset", "--help"],
+    ["search", "sumset", "--help"],
+    ["search", "threefold", "--help"],
+    ["search", "levson", "-h"],
+    ["search", "problem1", "--help"],
+    ["search", "problem2", "--help"],
+    ["frobnicate"],
+    ["search", "frobnicate"],
+    ["--format", "json", "verify-f41"],
+    ["search", "--p", "13", "sumset", "--d", "4"],
+    ["search", "sumset", "--d", "4"],
+    ["search", "sumset", "--p", "x", "--d", "4"],
+    ["search", "sumset", "--p", "13", "--d", "4", "--bogus"],
+    ["verify-f41", "extra"],
+    ["verify-f41", "--format", "xml"],
+    ["check"],
+    ["check", "lemma1", "extra"],
+    ["check", "lemma99"],
+    ["search", "levson", "--alpha-max", "10", "--threads", "0"],
+)
+
 
 def _sha(buf: io.StringIO) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def _digest_line(argv: List[str], shown: List[str]) -> str:
+    """Run ``argv`` in-process and return its digest line, showing ``shown``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return f"{_sha(out)} {_sha(err)} {code} {' '.join(shown)}"
 
 
 def _with_threads(argv: List[str], threads: int) -> List[str]:
@@ -57,10 +104,13 @@ def digest_lines(workload: str, seed: int, threads: Optional[int] = None) -> Ite
         for fmt in FORMATS:
             full = argv[:-1] + [fmt]
             run = full if threads is None else _with_threads(full, threads)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run(run)
-            yield f"{_sha(out)} {_sha(err)} {code} {' '.join(full)}"
+            yield _digest_line(run, full)
+
+
+def usage_lines() -> Iterator[str]:
+    """The digest line of every command line of ``USAGE_ARGVS``."""
+    for argv in USAGE_ARGVS:
+        yield _digest_line(list(argv), argv)
 
 
 def main() -> None:
@@ -78,6 +128,8 @@ def main() -> None:
     for workload in args.workload or jobs.WORKLOADS:
         for line in digest_lines(workload, args.seed, args.threads):
             print(line)
+    for line in usage_lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -295,7 +295,7 @@ def sumset_search(
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
     _, powers, _ = subgroup_index(p, d)
-    mu = FpSet(p, powers)
+    mu = roots_of_unity(p, d)
     mumask = mu.mask
     diff = _difference_masks(powers, p)  # indexed by exponent
     splits = [

@@ -1,9 +1,13 @@
+import contextlib
 import errno
 import hashlib
+import importlib.util
+import io
 import itertools
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from mucrit.poly import FpPoly, from_roots
 from mucrit.residues import RationalForm
 
 from conftest import allow_cpus, count_forks, random_subset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *args):
@@ -478,3 +484,171 @@ class TestRandomSplitForm:
             a, b = cli._random_split_form(fast, p), split_form_per_root(ref, p)
             assert (a.num, a.den) == (b.num, b.den)
             assert fast.getstate() == ref.getstate()
+
+
+# one valid command line per leaf parser
+LEAF_ARGVS = {
+    ("verify-f41",): ["verify-f41"],
+    ("verify-identities",): ["verify-identities", "--format", "json"],
+    ("verify-residues",): [
+        "verify-residues", "--primes", "2,3", "--instances", "2", "--form-instances", "1",
+        "--threads", "1",
+    ],
+    ("check",): ["check", "lemma3", "--format", "csv"],
+    ("search", "diffset"): ["search", "diffset", "--p", "13", "--d", "6"],
+    ("search", "sumset"): ["search", "sumset", "--p", "13", "--d", "4", "--format", "json"],
+    ("search", "threefold"): ["search", "threefold", "--p", "13", "--d", "4"],
+    ("search", "levson"): ["search", "levson", "--alpha-max", "20", "--threads", "1"],
+    ("search", "problem1"): ["search", "problem1", "--p", "7", "--alpha-max", "3"],
+    ("search", "problem2"): ["search", "problem2", "--p", "13", "--d", "6"],
+}
+
+# help at each level, parser and dispatch errors, abbreviations, and
+# command words out of place
+PARSE_ARGVS = list(LEAF_ARGVS.values()) + [
+    [],
+    ["-h"],
+    ["--help"],
+    ["search"],
+    ["search", "-h"],
+    ["search", "sumset", "-h"],
+    ["check", "--help"],
+    ["search", "sumset", "--d", "4"],
+    ["search", "sumset", "--p", "x", "--d", "4"],
+    ["search", "sumset", "--p", "13", "--d", "4", "--bogus"],
+    ["search", "sumset", "--p", "13", "--d", "4", "7"],
+    ["search", "sumset", "--p", "13", "--d", "4", "--thr", "1", "--form", "json"],
+    ["search", "sumset", "--p=13", "--d", "4", "--p", "17"],
+    ["search", "sumset", "--p", "-5", "--d", "4"],
+    ["search", "--p", "13", "sumset", "--d", "4"],
+    ["search", "frobnicate"],
+    ["frobnicate"],
+    ["--format", "json", "verify-f41"],
+    ["verify-f41", "--bogus"],
+    ["verify-f41", "--", "x"],
+    ["verify-f41", "--format", "xml"],
+    ["check"],
+    ["check", "lemma3", "extra"],
+    ["check", "--", "lemma3"],
+    ["check", "lemma99"],
+    ["search", "levson", "--alpha-max", "10", "--threads", "0"],
+]
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of ``cli.run(argv)``; an exception that
+    escapes it stands in for the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(list(argv))
+        except Exception as exc:  # noqa: BLE001 - a difference to report
+            code = repr(exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def nested_outcomes():
+    """The outcome of every ``PARSE_ARGVS`` line with the whole nested parser
+    parsing it, then ``_dispatch``, as before each command had its leaf."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+        return {tuple(argv): _outcome(argv) for argv in PARSE_ARGVS}
+
+
+def _differing(nested_outcomes):
+    return {argv for argv, want in nested_outcomes.items() if _outcome(argv) != want}
+
+
+def _patch_leaves(monkeypatch, wrap):
+    """Wrap ``parse_known_args`` of every leaf parser in ``wrap(real)``."""
+    for leaf in cli._build_parser().leaves.values():
+        monkeypatch.setattr(leaf, "parse_known_args", wrap(leaf.parse_known_args))
+
+
+class TestLeafParse:
+    def test_same_outcome_as_nested_parse(self, nested_outcomes):
+        assert _differing(nested_outcomes) == set()
+        codes = {want[0] for want in nested_outcomes.values()}
+        assert codes == {0, 2}
+
+    def test_negative_control_kind_not_set(self, monkeypatch, nested_outcomes):
+        def wrap(real):
+            def dropping_kind(args, namespace=None):
+                ns, extra = real(args, namespace)
+                vars(ns).pop("kind", None)
+                return ns, extra
+            return dropping_kind
+
+        _patch_leaves(monkeypatch, wrap)
+        differing = _differing(nested_outcomes)
+        assert tuple(LEAF_ARGVS[("search", "sumset")]) in differing
+        assert all(argv[0] == "search" for argv in differing)
+
+    def test_negative_control_leftovers_accepted(self, monkeypatch, nested_outcomes):
+        def wrap(real):
+            return lambda args, namespace=None: (real(args, namespace)[0], [])
+
+        # the reference outcomes were taken before the leaves were patched
+        _patch_leaves(monkeypatch, wrap)
+        leftovers = {
+            argv for argv, (_, _, err) in nested_outcomes.items()
+            if "unrecognized arguments" in err
+        }
+        assert len(leftovers) == 5
+        assert _differing(nested_outcomes) == leftovers
+
+
+def _load_jobs():
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class NestedParseUsed(AssertionError):
+    pass
+
+
+@pytest.fixture
+def nested_parse_refused(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise NestedParseUsed(args)
+
+    monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
+
+
+def _benchmark_mismatches(workload):
+    """The jobs of one benchmark pass whose exit code or report digest is
+    not the one the benchmark expects."""
+    jobs = _load_jobs()
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    bad = []
+    for argv in jobs.jobs(workload, 0):
+        code, out, _ = _outcome(argv)
+        want = expected[jobs.job_key(argv)]
+        if code != want["exit"] or jobs.digest(out) != want["sha256"]:
+            bad.append(argv)
+    return bad
+
+
+class TestLeafCoverage:
+    """Every benchmark job and every command is parsed by its leaf alone, so
+    a fallback to the nested parser cannot quietly undo the fast path."""
+
+    def test_every_leaf_has_a_valid_line(self):
+        assert set(LEAF_ARGVS) == set(cli._build_parser().leaves)
+
+    @pytest.mark.parametrize("workload", ["residues", "sumset", "desk"])
+    def test_benchmark_jobs_without_nested_parse(self, nested_parse_refused, workload):
+        assert _benchmark_mismatches(workload) == []
+
+    def test_each_leaf_without_nested_parse(self, nested_outcomes, nested_parse_refused):
+        for argv in LEAF_ARGVS.values():
+            assert _outcome(argv) == nested_outcomes[tuple(argv)]
+
+    def test_negative_control_leaf_missing(self, monkeypatch, nested_parse_refused):
+        monkeypatch.delitem(cli._build_parser().leaves, ("search", "threefold"))
+        mismatches = _benchmark_mismatches("sumset")
+        assert mismatches
+        assert all(argv[:2] == ["search", "threefold"] for argv in mismatches)

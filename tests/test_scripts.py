@@ -89,3 +89,16 @@ def test_output_digests_threads_replaced_or_added():
     assert digests._with_threads(["verify-residues", "--seed", "0", "--format", "json"], 7) == [
         "verify-residues", "--seed", "0", "--threads", "7", "--format", "json"
     ]
+
+
+def test_output_digests_usage_line_changes_with_its_message(monkeypatch):
+    digests = _load_output_digests()
+    first = list(digests.usage_lines())
+    assert len(first) == len(digests.USAGE_ARGVS)
+    assert {line.split(" ")[2] for line in first} == {"0", "2"}
+    assert list(digests.usage_lines()) == first
+
+    leaf = cli._build_parser().leaves[("search", "sumset")]
+    monkeypatch.setattr(leaf, "description", "a changed usage message")
+    changed = [new for old, new in zip(first, digests.usage_lines()) if old != new]
+    assert [line.split(" ", 3)[3] for line in changed] == ["search sumset --help"]
