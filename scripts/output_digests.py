@@ -10,8 +10,11 @@ through ``mucrit.cli.run`` once per format (json, text, csv), and prints
     sha256(stdout) sha256(stderr) exit-code argv
 
 After the jobs, one more line of the same form follows for each command line
-of ``USAGE_ARGVS``: help at every level of the command tree and usage errors,
-so the parse and error paths are compared too.
+of ``USAGE_ARGVS``: help at every level of the command tree, usage errors,
+and valid lines that only argparse parses (an abbreviation, ``--p=13``, a
+repeated option, a value that starts with ``-``, ``--``), so the parse and
+error paths, and where the plain parse hands a line to argparse, are
+compared too.
 
 Run it in two checkouts and ``diff`` the output: no difference means the two
 versions print byte-identical reports, errors and exit codes for every job
@@ -43,7 +46,8 @@ from mucrit import cli  # noqa: E402
 
 FORMATS = ("json", "text", "csv")
 
-# help at every level, and the usage errors of the parser and of dispatch
+# help at every level, the usage errors of the parser and of dispatch, and
+# valid lines that cli._parse_plain leaves to argparse
 USAGE_ARGVS = (
     [],
     ["--help"],
@@ -72,6 +76,11 @@ USAGE_ARGVS = (
     ["check", "lemma1", "extra"],
     ["check", "lemma99"],
     ["search", "levson", "--alpha-max", "10", "--threads", "0"],
+    ["search", "sumset", "--p", "13", "--d", "4", "--thr", "1"],
+    ["search", "sumset", "--p=13", "--d", "4"],
+    ["search", "sumset", "--p", "17", "--d", "4", "--p", "13"],
+    ["search", "sumset", "--p", "-5", "--d", "4"],
+    ["check", "--", "lemma3"],
 )
 
 

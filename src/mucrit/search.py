@@ -164,7 +164,7 @@ def diffset_search(p: int, d: int) -> SearchResult:
             ("d is not of the form alpha*(alpha-1); no witness possible",), (),
         )
     _, powers, log = subgroup_index(p, d)
-    mu = FpSet(p, powers)
+    mu = roots_of_unity(p, d)
     D = 0
     for j in range(1, d):
         if (powers[j] - 1) % p in log:

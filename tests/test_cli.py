@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -573,14 +574,15 @@ class TestLeafParse:
         assert codes == {0, 2}
 
     def test_negative_control_kind_not_set(self, monkeypatch, nested_outcomes):
-        def wrap(real):
-            def dropping_kind(args, namespace=None):
-                ns, extra = real(args, namespace)
-                vars(ns).pop("kind", None)
-                return ns, extra
-            return dropping_kind
+        real = cli._parse_plain
 
-        _patch_leaves(monkeypatch, wrap)
+        def dropping_kind(leaf, rest, words):
+            ns = real(leaf, rest, words)
+            if ns is not None:
+                vars(ns).pop("kind", None)
+            return ns
+
+        monkeypatch.setattr(cli, "_parse_plain", dropping_kind)
         differing = _differing(nested_outcomes)
         assert tuple(LEAF_ARGVS[("search", "sumset")]) in differing
         assert all(argv[0] == "search" for argv in differing)
@@ -596,7 +598,167 @@ class TestLeafParse:
             if "unrecognized arguments" in err
         }
         assert len(leftovers) == 5
+        # the plain parse leaves these lines to the nested parse, which hands
+        # the rest to the patched leaf
+        assert all(_plain(argv) is None for argv in leftovers)
         assert _differing(nested_outcomes) == leftovers
+
+
+def _plain(argv, parse_plain=None):
+    """``cli._parse_plain`` (or ``parse_plain``) on ``argv``, split after the
+    command words of its leaf."""
+    leaves = cli._build_parser().leaves
+    words = next(w for w in leaves if tuple(argv[: len(w)]) == w)
+    return (parse_plain or cli._parse_plain)(leaves[words], list(argv[len(words):]), words)
+
+
+def _store_actions(leaf):
+    return [a for a in leaf._actions if type(a) is argparse._StoreAction]
+
+
+def _value(action, other=False):
+    """A value ``action`` accepts; with ``other``, a second, different one."""
+    if action.choices:
+        return action.choices[-2 if other else -1]
+    if action.type is int:
+        return "17" if other else "13"
+    if not action.option_strings:
+        return "lemma4" if other else "lemma3"
+    return "y" if other else "x"
+
+
+def _items(actions, other=False):
+    """The tokens of each action given once: ``[opt, value]`` or ``[value]``."""
+    return [a.option_strings[:1] + [_value(a, other)] for a in actions]
+
+
+def _plain_parse_lines():
+    """Generated command lines for every leaf, each with its category."""
+    leaves = cli._build_parser().leaves
+    common = set.intersection(*({a.dest for a in _store_actions(l)} for l in leaves.values()))
+    lines = {}
+
+    def add(category, words, *chunks):
+        lines[tuple(words) + tuple(t for c in chunks for t in c)] = category
+
+    for words, leaf in leaves.items():
+        actions = _store_actions(leaf)
+        own = [a for a in actions if a.dest not in common or a.dest == "format"]
+        for order in itertools.permutations(_items(own)):
+            add("valid", words, *order)
+        full = _items(actions)
+        add("valid", words, *full)
+        add("valid", words, *full[::-1])
+        needed = [a for a in actions if a.required]
+        add("required only", words, *_items(needed))
+        for a in needed:
+            add("missing required", words, *_items(x for x in needed if x is not a))
+        for j, a in enumerate(actions):
+            rest = full[:j] + full[j + 1:]
+            if a.option_strings:
+                again = _items([a], other=True)[0]
+                add("repeat", words, *full, again)
+                add("abbreviation", words, *rest, [a.option_strings[0][:-1], _value(a)])
+                add("= form", words, *rest, [f"{a.option_strings[0]}={_value(a)}"])
+            if a.type is int:
+                add("bad type", words, *rest, a.option_strings + ["x"])
+                add("negative", words, *rest, a.option_strings + ["-5"])
+            if a.choices:
+                add("bad choice", words, *rest, a.option_strings + ["xml"])
+        for extra in (["extra"], ["--bogus"], ["--bogus", "x"], ["-h"], ["--help"]):
+            add("extra", words, *full, extra)
+        add("--", words, ["--"], *full)
+        add("--", words, *full, ["--"])
+        add("--", words, *_items(a for a in actions if a.option_strings), ["--"],
+            *_items(a for a in actions if not a.option_strings))
+        add("missing value", words, *full, [a.option_strings[0] for a in actions if a.option_strings][-1:])
+    return lines
+
+
+def _nested_items(argv):
+    """``vars()`` items of the nested parse of ``argv``, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return list(vars(cli._build_parser().parse_args(list(argv))).items())
+        except SystemExit:
+            return None
+
+
+@pytest.fixture(scope="module")
+def plain_lines():
+    """Every generated line with its category and its nested parse."""
+    return {argv: (cat, _nested_items(argv)) for argv, cat in _plain_parse_lines().items()}
+
+
+def _plain_mismatches(plain_lines, parse_plain=None):
+    """Categories of the lines where the plain parse accepts a line the
+    nested parse rejects, or gives a namespace other than the nested one."""
+    bad = {}
+    for argv, (cat, want) in plain_lines.items():
+        ns = _plain(argv, parse_plain)
+        if ns is not None and list(vars(ns).items()) != want:
+            bad[argv] = cat
+    return bad
+
+
+class TestPlainParse:
+    """``cli._parse_plain`` gives argparse's own namespace or defers."""
+
+    def test_lines_cover_every_category(self, plain_lines):
+        cats = {cat for cat, _ in plain_lines.values()}
+        assert cats == {
+            "valid", "required only", "missing required", "repeat", "abbreviation",
+            "= form", "bad type", "negative", "bad choice", "extra", "--",
+            "missing value",
+        }
+        # the nested parse exits on each kind of error the lines hold
+        for cat in ("missing required", "bad type", "bad choice", "extra", "missing value"):
+            assert any(want is None for c, want in plain_lines.values() if c == cat), cat
+
+    def test_same_namespace_or_deferred(self, plain_lines):
+        assert _plain_mismatches(plain_lines) == {}
+
+    def test_plain_lines_accepted(self, plain_lines):
+        for argv, (cat, want) in plain_lines.items():
+            if cat in ("valid", "required only"):
+                assert want is not None, argv
+                assert list(vars(_plain(argv)).items()) == want, argv
+
+    def test_unusual_lines_deferred(self, plain_lines):
+        for argv, (cat, _) in plain_lines.items():
+            if cat not in ("valid", "required only"):
+                assert _plain(argv) is None, argv
+
+    def test_negative_control_choices_skipped(self, plain_lines):
+        def skipping_choices(leaf, rest, words):
+            with pytest.MonkeyPatch.context() as mp:
+                for action in leaf._actions:
+                    mp.setattr(action, "choices", None)
+                return cli._parse_plain(leaf, rest, words)
+
+        assert set(_plain_mismatches(plain_lines, skipping_choices).values()) == {"bad choice"}
+
+    def test_negative_control_first_repeat_kept(self, plain_lines):
+        def keeping_first(leaf, rest, words):
+            rest = list(rest)
+            for j in reversed(range(len(rest) - 1)):
+                if rest[j].startswith("--") and rest[j] in rest[:j]:
+                    del rest[j : j + 2]
+            return cli._parse_plain(leaf, rest, words)
+
+        assert set(_plain_mismatches(plain_lines, keeping_first).values()) == {"repeat"}
+
+    def test_negative_control_required_ignored(self, plain_lines):
+        def ignoring_required(leaf, rest, words):
+            with pytest.MonkeyPatch.context() as mp:
+                for action in leaf._actions:
+                    if action.option_strings:
+                        mp.setattr(action, "required", False)
+                return cli._parse_plain(leaf, rest, words)
+
+        assert set(_plain_mismatches(plain_lines, ignoring_required).values()) == {
+            "missing required"
+        }
 
 
 def _load_jobs():

@@ -69,6 +69,23 @@ class TestDiffsetSearch:
         assert elems == canonical_diffset((0, 1, 9, 32, 40), 41, mu)
         assert res.violations == ()  # (41, 20) is the known exception
 
+    def test_mu_taken_from_the_cache(self, monkeypatch):
+        # past the alpha check the search uses the cached mu_d and builds no
+        # FpSet of its own for it
+        mu = roots_of_unity(13, 6)
+        built = []
+        real = FpSet.__init__
+
+        def recording(self, p, values=()):
+            values = tuple(values)
+            built.append(tuple(sorted({v % p for v in values})))
+            real(self, p, values)
+
+        monkeypatch.setattr(FpSet, "__init__", recording)
+        assert diffset_search(13, 6).witnesses
+        assert built
+        assert mu.elems not in built
+
     def test_f41_witness_is_the_cross(self):
         # {0, 1, 9, 32, 40} = {0, +-1, +-i} with i = 9, since 9^2 = -1 mod 41
         p = 41
