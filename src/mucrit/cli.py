@@ -755,7 +755,7 @@ def _dispatch(ns: argparse.Namespace) -> int:
         if ns.instances < 0 or ns.form_instances < 0:
             raise ValueError("--instances and --form-instances must be >= 0")
         for p in primes:
-            if not is_prime(p):
+            if p < 2 or not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         params = {
             "primes": primes,

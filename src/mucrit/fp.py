@@ -24,6 +24,9 @@ MAX_MODULUS_BITS = 63
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24,
 # which covers all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The witnesses are every prime up to 37, so trial division by them alone
+# decides primality below 41^2, the square of the next prime.
+_TRIAL_BOUND = 41 * 41
 
 
 def is_prime(n: int) -> bool:
@@ -39,6 +42,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % w == 0:
             return False
+    if n < _TRIAL_BOUND:
+        return True  # no prime factor up to 37, so none below sqrt(n) < 41
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -127,6 +132,17 @@ class FpSet:
         object.__setattr__(self, "elems", tuple(vals))
         object.__setattr__(self, "_mask", None)
 
+    @classmethod
+    def _make(cls, p: int, elems: Tuple[int, ...]) -> "FpSet":
+        """Trusted constructor for sets computed inside the package: ``p`` is a
+        modulus already checked prime and ``elems`` a sorted tuple of
+        distinct ints already in [0, p).  Nothing is re-checked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "p", p)
+        object.__setattr__(obj, "elems", elems)
+        object.__setattr__(obj, "_mask", None)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("FpSet is immutable")
 
@@ -165,11 +181,13 @@ class FpSet:
         return f"FpSet(p={self.p}, {{{', '.join(map(str, self.elems))}}})"
 
     def translate(self, t: int) -> "FpSet":
-        t = int(t) % self.p
-        return FpSet(self.p, ((v + t) % self.p for v in self.elems))
+        p = self.p
+        t = int(t) % p
+        return FpSet._make(p, tuple(sorted([(v + t) % p for v in self.elems])))
 
     def __neg__(self) -> "FpSet":
-        return FpSet(self.p, ((-v) % self.p for v in self.elems))
+        p = self.p
+        return FpSet._make(p, tuple(sorted([-v % p for v in self.elems])))
 
     def _same_field(self, other: "FpSet") -> None:
         if self.p != other.p:

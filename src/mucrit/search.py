@@ -25,7 +25,10 @@ exponents: scaling by the inverse of an element of A that starts such a
 gap moves it to 1 and keeps 0 in B, so every orbit is met.  It then keeps,
 for each exponent that may still join A, the count of b left with A + b
 inside mu_d (forward checking), and cuts a prefix whose domain is too small
-to finish A.  Both rules are exact; ``_gap_anchored_summands`` states them.
+to finish A.  Representations in A + B = mu_d are unique and 0 is in B, so
+no nonzero difference of A lies in B: the candidates for B drop each
+difference as A grows, and a prefix with fewer than |B| left is cut.  All
+three rules are exact; ``_gap_anchored_summands`` states them.
 """
 
 from __future__ import annotations
@@ -68,9 +71,14 @@ class SearchResult(NamedTuple):
     violations: Tuple[str, ...]
 
 
-def _validate_subgroup_order(p: int, d: int) -> None:
-    if not is_prime(p):
+def _validate_prime(p: int) -> None:
+    # is_prime rejects negative input with its own message; name p instead
+    if p < 2 or not is_prime(p):
         raise ValueError(f"p={p} is not prime")
+
+
+def _validate_subgroup_order(p: int, d: int) -> None:
+    _validate_prime(p)
     if d <= 1 or d >= p - 1 or (p - 1) % d != 0:
         raise ValueError(f"need d | p-1 with 1 < d < p-1, got p={p}, d={d}")
 
@@ -215,16 +223,22 @@ def diffset_search(p: int, d: int) -> SearchResult:
 # sumset decompositions of mu_d
 
 def _gap_anchored_summands(
-    diff: Sequence[int], alpha: int, beta: int, spend: Callable[[], None]
+    diff: Sequence[int],
+    powers: Sequence[int],
+    p: int,
+    alpha: int,
+    beta: int,
+    spend: Callable[[], None],
 ) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """The summands A = {eta^k : k in K} of size alpha that the anchored
     sumset search passes to its exact cover, as exponent tuples
-    K = (0 = k_0 < k_1 < ...), each with the mask of every b such that
-    A + b lies inside mu_d; at least beta such b, since B is among them.
+    K = (0 = k_0 < k_1 < ...), each with the mask ``cand`` of every b such
+    that A + b lies inside mu_d and b is not a nonzero difference of A; at
+    least beta such b, since B is among them.
 
-    ``diff[k]`` is the mask of the b with eta^k + b in mu_d, d is
-    ``len(diff)``, and ``spend`` is called once per node.  Two exact rules
-    prune the enumeration:
+    ``diff[k]`` is the mask of the b with eta^k + b in mu_d, ``powers[k]``
+    is eta^k mod p, d is ``len(diff)``, and ``spend`` is called once per
+    node.  Three exact rules prune the enumeration:
 
     * minimal cyclic gap: exponent 0 starts a least gap of K read
       cyclically mod d.  With g0 = k_1, each later k needs k - last >= g0.
@@ -235,7 +249,14 @@ def _gap_anchored_summands(
     * forward checking: once eta^e joins A, every b in B lies in
       cand & diff[e], so a later exponent e needs |cand & diff[e]| >= beta.
       The domain of such e shrinks with cand, and a prefix is pruned when
-      fewer domain elements remain than it still needs."""
+      fewer domain elements remain than it still needs.
+    * unique representation: |A||B| = d, so every z in A + B = mu_d is
+      a + b in one way only.  Were a - a' in B for a != a' in A, then
+      a = a + 0 = a' + (a - a') would be two ways, as 0 is in B.  So when
+      eta^k joins A, the new differences +-(eta^k - eta^j), j in K, leave
+      cand, and the child is skipped when fewer than beta b remain.  The
+      domain filter of forward checking does not apply this rule to each
+      later e: that costs more per child than the nodes it saves."""
     d = len(diff)
 
     def extend(K: List[int], cand: int, dom: List[int], g0: int):
@@ -248,7 +269,14 @@ def _gap_anchored_summands(
             g = g0 or k  # k_1 fixes the least gap g0
             if k + need * g > d:
                 break  # dom is ascending, and the bound grows with k
-            nc = cand & diff[k]
+            x = powers[k]
+            dm = 0  # the new differences of A
+            for j in K:
+                y = x - powers[j]
+                dm |= 1 << (y % p) | 1 << (-y % p)
+            nc = cand & diff[k] & ~dm
+            if nc.bit_count() < beta:
+                continue
             nxt: List[int] = []
             if need > 1:
                 later = dom[bisect_left(dom, k + g, i + 1) :]
@@ -283,7 +311,8 @@ def sumset_search(
     keeps every gap, and the scaling keeps 0 in B.  One search over pairs
     with 0 in B and 0 in K starting a least gap therefore meets every
     orbit.  The search grows K in increasing order and prunes it by that
-    gap rule and by forward checking (``_gap_anchored_summands``).
+    gap rule, by forward checking and by unique representation
+    (``_gap_anchored_summands``).
     Representations are unique (|A||B| = d), so completing B is an exact
     cover by the tiles A + b.  The opposite shifts of each pair found are
     then listed with one canonicalization per class (``_shift_classes``),
@@ -313,7 +342,7 @@ def sumset_search(
             raise SearchBudgetExceeded(f"sumset search exceeded {node_budget} nodes")
 
     def complete(A: Tuple[int, ...], cand: int, beta: int) -> None:
-        # cand holds every b with A + b inside mu_d, 0 among them
+        # cand holds every b that B may hold, 0 among them
         tiles = {}
         for b in _bits(cand):
             t = 0
@@ -342,7 +371,7 @@ def sumset_search(
     exhausted = False
     try:
         for alpha, beta in splits:
-            for K, cand in _gap_anchored_summands(diff, alpha, beta, spend):
+            for K, cand in _gap_anchored_summands(diff, powers, p, alpha, beta, spend):
                 complete(tuple(powers[k] for k in K), cand, beta)
     except SearchBudgetExceeded:
         exhausted = True
@@ -351,7 +380,8 @@ def sumset_search(
     violations: List[str] = []
     sqrt_d = math.isqrt(d)
     for A, B in sorted(_shift_classes(found, p, mu)):
-        SA, SB = FpSet(p, A), FpSet(p, B)
+        # each class is a pair of sorted tuples of residues mod p
+        SA, SB = FpSet._make(p, A), FpSet._make(p, B)
         rep = criticality(SA, SB, d)
         assert rep.critical and rep.exact == "mu_d", f"witness {(A, B)} failed re-verification"
         witnesses.append((A, B))
@@ -767,8 +797,7 @@ def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
     """All affine classes of A, 2 <= |A| <= alpha_max, satisfying the
     quadratic reciprocal relation at every element; the affine group is
     translations with scalings by F_p* = mu_(p-1) (``_pinned_classes``)."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
+    _validate_prime(p)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
     if alpha_max >= p:

@@ -79,6 +79,24 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", message)
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "diffset", "--p", "-5", "--d", "4"],
+            ["search", "sumset", "--p", "-5", "--d", "4"],
+            ["search", "threefold", "--p", "-5", "--d", "4"],
+            ["search", "problem1", "--p", "-5"],
+            ["search", "problem2", "--p", "-5", "--d", "4"],
+        ],
+    )
+    def test_negative_p_named_not_prime(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: p=-5 is not prime\n")
+
+    def test_negative_residue_prime_named_not_prime(self, capsys):
+        code, out, err = run_cli(capsys, "verify-residues", "--primes", "7,-5")
+        assert (code, out, err) == (2, "", "error: -5 is not prime\n")
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["--instances", "-3"], "--instances"),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mucrit import fp
 from mucrit.fp import (
     FieldElem,
     FpSet,
@@ -18,6 +19,15 @@ from mucrit.fp import (
 )
 
 SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+def sieve(n):
+    """Eratosthenes: index m is True iff m is prime, for m < n."""
+    flags = [False, False] + [True] * (n - 2)
+    for q in range(2, math.isqrt(n - 1) + 1):
+        if flags[q]:
+            flags[q * q :: q] = [False] * len(range(q * q, n, q))
+    return flags
 
 
 def trial_division_prime(n):
@@ -45,6 +55,17 @@ class TestIsPrime:
         assert is_prime(2**61 - 1)
         assert not is_prime(561)
         assert not is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
+
+    def test_agrees_with_a_sieve_below_5000(self):
+        # covers the trial-division exit below 41^2 and Miller-Rabin above it
+        assert [is_prime(n) for n in range(5000)] == sieve(5000)
+
+    def test_negative_control_trial_bound_43_squared(self, monkeypatch):
+        # trial division by the primes up to 37 misses 41^2 and 41 * 43
+        monkeypatch.setattr(fp, "_TRIAL_BOUND", 43 * 43)
+        flags = sieve(5000)
+        wrong = [n for n in range(5000) if is_prime(n) != flags[n]]
+        assert wrong == [41 * 41, 41 * 43]
 
     def test_rejects_negative_and_huge(self):
         with pytest.raises(ValueError):
@@ -78,6 +99,21 @@ class TestFpSet:
     def test_mixed_moduli(self):
         with pytest.raises(ValueError):
             FpSet(13, [1]).diffset(FpSet(11, [1]))
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 97])
+    def test_trusted_results_match_checked_constructor(self, p, rng):
+        # translate and negation build their results through FpSet._make
+        for _ in range(50):
+            vals = rng.sample(range(p), rng.randrange(p + 1))
+            S = FpSet(p, vals)
+            t = rng.randrange(-2 * p, 2 * p)
+            for got, want in (
+                (S.translate(t), FpSet(p, [v + t for v in vals])),
+                (-S, FpSet(p, [-v for v in vals])),
+                (FpSet._make(p, S.elems), S),
+            ):
+                assert (got.p, got.elems, got.mask) == (want.p, want.elems, want.mask)
+                assert type(got.elems) is tuple and got == want and hash(got) == hash(want)
 
 
 class TestRootsOfUnity:

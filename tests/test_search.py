@@ -282,6 +282,18 @@ class TestSumsetSearch:
         assert any("budget" in v for v in res.verdicts)
         assert "no decomposition exists" not in res.verdicts
 
+    def test_negative_control_non_witness_fails_reverification(self, monkeypatch):
+        # a listed class whose sumset misses mu_d stops the search: a real
+        # witness with B shifted by 1 has A + B = mu_d + 1
+        p, d = 13, 4
+        A, B = sumset_search(p, d).witnesses[0]
+        shifted = tuple(sorted((b + 1) % p for b in B))
+        monkeypatch.setattr(search, "_shift_classes", lambda found, p, mu: {(A, shifted)})
+        with pytest.raises(AssertionError, match="failed re-verification"):
+            sumset_search(p, d)
+        monkeypatch.setattr(search, "_shift_classes", lambda found, p, mu: {(A, B)})
+        assert sumset_search(p, d).witnesses == [(A, B)]
+
     def test_witnesses_satisfy_factorization(self):
         from mucrit.hp import factorization_check
 
@@ -310,42 +322,61 @@ def _rotation_class(K, d):
     return min(tuple(sorted((k - r) % d for k in K)) for r in K)
 
 
+def _summands(summands, p, d, alpha, beta):
+    """What ``summands`` yields for (p, d) and the split (alpha, beta)."""
+    _, powers, _ = subgroup_index(p, d)
+    diff = search._difference_masks(powers, p)
+    return list(summands(diff, powers, p, alpha, beta, lambda: None))
+
+
 def _summand_classes(summands, p, d, alpha, beta):
     """The rotation classes of the exponent tuples that ``summands`` yields
     for (p, d) and the split (alpha, beta), after checking that each comes
-    with the mask of every b such that A + b lies inside mu_d."""
+    with the mask of every b such that A + b lies inside mu_d and b is not
+    a nonzero difference of A."""
     _, powers, _ = subgroup_index(p, d)
     mu = set(powers)
     classes = set()
-    for K, cand in summands(search._difference_masks(powers, p), alpha, beta, lambda: None):
+    for K, cand in _summands(summands, p, d, alpha, beta):
         assert len(K) == alpha and K[0] == 0 and list(K) == sorted(set(K)), K
-        want = [b for b in range(p) if all((powers[k] + b) % p in mu for k in K)]
+        A = [powers[k] for k in K]
+        diffs = {(a - x) % p for a in A for x in A if a != x}
+        want = [b for b in range(p) if all((a + b) % p in mu for a in A) and b not in diffs]
         assert cand == sum(1 << b for b in want) and len(want) >= beta, K
         classes.add(_rotation_class(K, d))
     return classes
 
 
-def _unpruned_summand_classes(p, d, alpha, beta):
+def _unpruned_summands(p, d, alpha, beta, unique=True):
     """The unpruned enumeration, in value order and with no gap rule or
     forward checking: every A of size alpha in mu_d with 1 in A, grown in
-    increasing value, cut only when fewer than beta b have A + b inside
-    mu_d.  Returns the exponent sets of the A reached, up to rotation."""
+    increasing value, cut only when fewer than beta b remain that have
+    A + b inside mu_d and, with ``unique``, are no nonzero difference of A.
+    Returns the exponent sets of the A reached, up to rotation, each mapped
+    to one A of its class."""
     _, powers, log = subgroup_index(p, d)
     base = sorted(powers)
     mu = set(base)
     partners = {a: {b for b in range(p) if (a + b) % p in mu} for a in base}
-    classes = set()
+    reached = {}
 
     def extend(A, cand):
         if len(A) == alpha:
-            classes.add(_rotation_class([log[a] for a in A], d))
+            reached[_rotation_class([log[a] for a in A], d)] = A
             return
         for a in base[base.index(A[-1]) + 1 :]:
-            if len(cand & partners[a]) >= beta:
-                extend(A + [a], cand & partners[a])
+            nc = cand & partners[a]
+            if unique:
+                nc -= {(a - x) % p for x in A} | {(x - a) % p for x in A}
+            if len(nc) >= beta:
+                extend(A + [a], nc)
 
     extend([1], partners[1])
-    return classes
+    return reached
+
+
+def _unpruned_summand_classes(p, d, alpha, beta):
+    return set(_unpruned_summands(p, d, alpha, beta))
 
 
 class TestGapAnchoredSummands:
@@ -355,19 +386,61 @@ class TestGapAnchoredSummands:
 
     def test_matches_unpruned_enumeration_up_to_rotation(self):
         # the minimal-gap anchor and forward checking cut branches, never a
-        # class: the summands reached are the same up to scaling by mu_d
+        # class: the summands reached are the same up to scaling by mu_d as
+        # those of the value-order enumeration under the same
+        # unique-representation rule
         total = 0
         for p, d, alpha, beta in SUMSET_SPLITS:
             want = _unpruned_summand_classes(p, d, alpha, beta)
             got = _summand_classes(search._gap_anchored_summands, p, d, alpha, beta)
             assert got == want, (p, d, alpha, beta)
             total += len(want)
-        assert total == 105
+        assert total == 35
+
+    def test_unique_representation_cuts_only_summands_without_cover(self):
+        # brute force over every beta-set B with 0 in B of the b with A + b
+        # inside mu_d: no A that the rule cuts has A + B = mu_d, and the
+        # same brute force does find the B of the A it keeps at d = 4
+        cut = covered = 0
+        for p, d, alpha, beta in SUMSET_SPLITS:
+            mu = sorted(roots_of_unity(p, d))
+            every = _unpruned_summands(p, d, alpha, beta, unique=False)
+            kept = _unpruned_summands(p, d, alpha, beta)
+            assert kept.keys() <= every.keys()
+            for cls, A in every.items():
+                partners = [b for b in range(1, p) if all((a + b) % p in mu for a in A)]
+                has_cover = any(
+                    sorted((a + b) % p for a in A for b in (0,) + rest) == mu
+                    for rest in combinations(partners, beta - 1)
+                )
+                if cls not in kept:
+                    assert not has_cover, (p, d, A)
+                    cut += 1
+                covered += has_cover
+        assert cut == 70 and covered == 12
+
+    def test_negative_control_zero_also_forbidden(self):
+        # forbidding 0 as well, as if it were a difference of A, drops
+        # every A whose only candidates are its partner B and 0
+        src = inspect.getsource(search._gap_anchored_summands)
+        init = "dm = 0  # the new differences of A"
+        assert src.count(init) == 1
+        namespace = dict(vars(search))
+        exec(src.replace(init, "dm = 1"), namespace)
+        mutant = namespace["_gap_anchored_summands"]
+        lost = []
+        for case in SUMSET_SPLITS:
+            got = {_rotation_class(K, case[1]) for K, _ in _summands(mutant, *case)}
+            want = _unpruned_summand_classes(*case)
+            assert got <= want, case
+            if got != want:
+                lost.append(case)
+        assert len(lost) == 22 and (13, 4, 2, 2) in lost, lost
 
     def test_negative_control_tightened_gap_bound(self):
         # rebuild the generator from its source with the gap bound tightened
         # to k + need * g0 < d: it drops every A whose gaps from some element
-        # on are all the least gap g0, such as A = {1, -1} at (61, 30)
+        # on are all the least gap g0, such as A = {1, -1} at (29, 14)
         src = inspect.getsource(search._gap_anchored_summands)
         bound = "if k + need * g > d:"
         assert src.count(bound) == 1
@@ -379,8 +452,8 @@ class TestGapAnchoredSummands:
             for case in SUMSET_SPLITS
             if _summand_classes(mutant, *case) != _unpruned_summand_classes(*case)
         ]
-        assert len(lost) == 7 and (61, 30, 2, 15) in lost, lost
-        assert _summand_classes(mutant, 61, 30, 2, 15) < _unpruned_summand_classes(61, 30, 2, 15)
+        assert len(lost) == 3 and (29, 14, 2, 7) in lost, lost
+        assert _summand_classes(mutant, 29, 14, 2, 7) < _unpruned_summand_classes(29, 14, 2, 7)
 
     def test_difference_masks_match_the_definition(self, rng):
         for p in (2, 13, 97):
