@@ -7,7 +7,12 @@ for each of a fixed list of help and usage-error command lines.
 Each job of the benchmark workloads (``perfbench/jobs.py``) runs in-process
 through ``mucrit.cli.run`` once per format (json, text, csv), and prints
 
-    sha256(stdout) sha256(stderr) exit-code argv
+    sha256(report) sha256(stderr) exit-code effort argv
+
+where the report is stdout less the search-effort counts it holds
+(``counts.nodes`` and ``counts.sets_checked``), and effort lists those counts
+as ``nodes=N`` (``-`` if it has none).  An exact pruning changes only the
+effort field; a changed witness, verdict or message changes a digest.
 
 After the jobs, one more line of the same form follows for each command line
 of ``USAGE_ARGVS``: help at every level of the command tree, usage errors,
@@ -34,9 +39,11 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -45,6 +52,12 @@ import jobs  # noqa: E402
 from mucrit import cli  # noqa: E402
 
 FORMATS = ("json", "text", "csv")
+
+# the search-effort counts of a report: a line of them in text and csv
+EFFORT = ("nodes", "sets_checked")
+_EFFORT_LINE = re.compile(
+    rf'^(?:  |report\.)counts\.({"|".join(EFFORT)})(?: = |,")(\d+)"?\n', re.M
+)
 
 # help at every level, the usage errors of the parser and of dispatch, and
 # valid lines that cli._parse_plain leaves to argparse
@@ -84,8 +97,22 @@ USAGE_ARGVS = (
 )
 
 
-def _sha(buf: io.StringIO) -> str:
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _split_effort(text: str) -> Tuple[str, str]:
+    """``text``, the stdout of a run, without the effort counts of its
+    report, and those counts as ``name=N,...`` (``-`` if it has none)."""
+    if text[:1] == "{":  # a json report
+        doc = json.loads(text)
+        counts = doc["report"].get("counts", {})
+        effort = [(key, counts.pop(key)) for key in EFFORT if key in counts]
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        effort = _EFFORT_LINE.findall(text)
+        text = _EFFORT_LINE.sub("", text)
+    return text, ",".join(f"{key}={n}" for key, n in effort) or "-"
 
 
 def _digest_line(argv: List[str], shown: List[str]) -> str:
@@ -93,7 +120,8 @@ def _digest_line(argv: List[str], shown: List[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    return f"{_sha(out)} {_sha(err)} {code} {' '.join(shown)}"
+    report, effort = _split_effort(out.getvalue())
+    return f"{_sha(report)} {_sha(err.getvalue())} {code} {effort} {' '.join(shown)}"
 
 
 def _with_threads(argv: List[str], threads: int) -> List[str]:

@@ -14,28 +14,26 @@ may use and the amount of work (``search._fan_out``); every other command
 runs in one process and only checks the value.  Without ``--threads``, N is
 the number of CPUs this process may use, read when the command runs.
 
-Each command line is parsed by ``_parse``.  A plain line, exact
-``--option value`` pairs and positionals after the command words, is read
-straight from the actions of that command's leaf parser (``_parse_plain``),
-one of the leaf parsers that ``_build_parser`` records under their command
-words, so every option is declared once.  Argparse parses the rest: help,
-usage errors, and unusual but valid lines (an abbreviation, ``--p=13``, a
-repeated option, a value that starts with ``-``, ``--``), and it prints
-every message, byte for byte as before.  Over the benchmark's ``sumset``
-jobs that parses a command line in about 8 µs instead of 25 µs through the
-leaf's ``parse_known_args`` (best of 20 passes, Python 3.11.7, 2-CPU
-machine).
+Every option is declared once, as data: ``_COMMON`` holds the options of
+every command and ``_LEAVES`` those of each command, under its words.  Each
+command line is parsed by ``_parse``.  A plain line, exact ``--option
+value`` pairs and positionals after the command words, is read straight from
+the table (``_parse_plain``) without importing argparse.  Argparse, built
+from the same table by ``_build_parser``, parses the rest: help, usage
+errors, and unusual but valid lines (an abbreviation, ``--p=13``, a repeated
+option, a value that starts with ``-``, ``--``), so every message is
+argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import functools
 import json
 import os
 import random
 import sys
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fp import FpSet, binom_mod, is_prime, roots_of_unity
@@ -516,7 +514,7 @@ LEMMA_CHECKS = {
 # formatting and dispatch
 
 def _emit(
-    ns: argparse.Namespace, command: str, params: Dict[str, object], ok: bool,
+    ns: SimpleNamespace, command: str, params: Dict[str, object], ok: bool,
     report: Dict[str, object],
 ) -> int:
     """Write the report in ``ns.format`` to ``ns.out`` or stdout and return
@@ -581,147 +579,129 @@ def _flatten(obj, prefix: str = "") -> Dict[str, object]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then shared by every run.
-
-    Its ``leaves`` attribute maps the command words of every command, such
-    as ``("check",)`` or ``("search", "sumset")``, to that command's own
-    parser: the one the nested parse hands the rest of the command line to.
-    """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--out", default=None, help="write the report to a file")
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help="processes for verify-residues and search levson "
+# (flag, add_argument keywords) of every option: the common ones come first in
+# every command, then the command's own, in the order of help and namespace
+_COMMON: Tuple[Tuple[str, Dict[str, object]], ...] = (
+    ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    ("--out", {"default": None, "help": "write the report to a file"}),
+    ("--threads", {
+        "type": int, "default": None,
+        "help": "processes for verify-residues and search levson "
         "(default: the CPUs this process may use)",
-    )
-    common.add_argument("--seed", type=int, default=0)
+    }),
+    ("--seed", {"type": int, "default": 0}),
+)
 
+_P = ("--p", {"type": int, "required": True})
+_D = ("--d", {"type": int, "required": True})
+
+_LEAVES: Dict[Tuple[str, ...], Tuple[Tuple[str, Dict[str, object]], ...]] = {
+    ("verify-f41",): (),
+    ("verify-identities",): (),
+    ("verify-residues",): (
+        ("--primes", {"default": "41,97,10007"}),
+        ("--instances", {"type": int, "default": 1000}),
+        ("--form-instances", {"type": int, "default": 100}),
+    ),
+    ("search", "diffset"): (_P, _D),
+    ("search", "sumset"): (
+        _P, _D, ("--max-p", {"type": int, "default": 128}),
+        ("--node-budget", {"type": int, "default": 50_000_000}),
+    ),
+    ("search", "threefold"): (_P, _D, ("--max-p", {"type": int, "default": 128})),
+    ("search", "levson"): (("--alpha-max", {"type": int, "default": 3000}),),
+    ("search", "problem1"): (
+        _P, ("--alpha-max", {"type": int, "default": 5}),
+        ("--max-p", {"type": int, "default": 64}),
+    ),
+    ("search", "problem2"): (_P, _D, ("--max-p", {"type": int, "default": 64})),
+    ("check",): (("target", {"help": "lemma<N> for N in 1..17"}),),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _build_parser():
+    """The argparse tree of ``_COMMON`` and ``_LEAVES``, built on first use
+    and then shared by every run: a subparser per command word, and under
+    the last word of each command its options."""
+    import argparse
+
+    common = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in _COMMON:
+        common.add_argument(flag, **kwargs)
     ap = argparse.ArgumentParser(
         prog="mucrit",
         description="verification bundles and exhaustive searches for "
         "multiplicative-subgroup additive structure",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    leaves: Dict[Tuple[str, ...], argparse.ArgumentParser] = {}
-
-    def leaf(subparsers, *words: str) -> argparse.ArgumentParser:
-        leaves[words] = subparsers.add_parser(words[-1], parents=[common])
-        return leaves[words]
-
-    leaf(sub, "verify-f41")
-    leaf(sub, "verify-identities")
-    vr = leaf(sub, "verify-residues")
-    vr.add_argument("--primes", default="41,97,10007")
-    vr.add_argument("--instances", type=int, default=1000)
-    vr.add_argument("--form-instances", type=int, default=100)
-
-    se = sub.add_parser("search")
-    ssub = se.add_subparsers(dest="kind", required=True)
-    for kind in ("diffset", "sumset", "threefold"):
-        sp = leaf(ssub, "search", kind)
-        sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--d", type=int, required=True)
-        if kind in ("sumset", "threefold"):
-            sp.add_argument("--max-p", type=int, default=128)
-        if kind == "sumset":
-            sp.add_argument("--node-budget", type=int, default=50_000_000)
-    lv = leaf(ssub, "search", "levson")
-    lv.add_argument("--alpha-max", type=int, default=3000)
-    p1 = leaf(ssub, "search", "problem1")
-    p1.add_argument("--p", type=int, required=True)
-    p1.add_argument("--alpha-max", type=int, default=5)
-    p1.add_argument("--max-p", type=int, default=64)
-    p2 = leaf(ssub, "search", "problem2")
-    p2.add_argument("--p", type=int, required=True)
-    p2.add_argument("--d", type=int, required=True)
-    p2.add_argument("--max-p", type=int, default=64)
-
-    ck = leaf(sub, "check")
-    ck.add_argument("target", help="lemma<N> for N in 1..17")
-    ap.leaves = leaves
+    subparsers = {(): ap.add_subparsers(dest="command", required=True)}
+    for words, options in _LEAVES.items():
+        if words[:-1] not in subparsers:
+            group = subparsers[()].add_parser(words[0])
+            subparsers[words[:-1]] = group.add_subparsers(dest="kind", required=True)
+        leaf = subparsers[words[:-1]].add_parser(words[-1], parents=[common])
+        for flag, kwargs in options:
+            leaf.add_argument(flag, **kwargs)
     return ap
 
 
-def _parse_plain(
-    leaf: argparse.ArgumentParser, rest: List[str], words: Tuple[str, ...]
-) -> Optional[argparse.Namespace]:
-    """``words + rest`` parsed as the nested parser parses it, read straight
-    from the actions of ``words``' leaf parser, or None if the line is not
-    plain.
+def _parse_plain(argv: List[str]) -> Optional[SimpleNamespace]:
+    """``argv`` parsed as argparse parses it, read straight from the table,
+    or None if the line is not plain.
 
-    A plain line is exact ``--option value`` pairs and positionals, each
-    given once, with every value converted by its action's ``type`` and in
-    its ``choices``, and every required argument given.  For anything else
-    (help, an abbreviation, ``--p=13``, a repeated option, a value that
-    starts with ``-``, ``--``, a missing or leftover argument, a value the
-    leaf would reject) this returns None and argparse takes the line."""
-    options = leaf._option_string_actions
-    positionals = [a for a in leaf._actions if not a.option_strings]
-    given: Dict[argparse.Action, object] = {}
-    i = 0
-    while i < len(rest):
-        token = rest[i]
+    A plain line is the words of a command in ``_LEAVES`` followed by exact
+    ``--option value`` pairs and positionals, each given once, with every
+    value converted by its ``type`` and in its ``choices``, and every
+    required argument given.  For anything else (help, an abbreviation,
+    ``--p=13``, a repeated option, a value that starts with ``-``, ``--``, a
+    missing or leftover argument, a value argparse would reject) this
+    returns None and argparse takes the line."""
+    words = tuple(argv[:1])
+    if words not in _LEAVES:
+        words = tuple(argv[:2])
+        if words not in _LEAVES:
+            return None
+    table = _COMMON + _LEAVES[words]
+    options = {flag: kwargs for flag, kwargs in table if flag[0] == "-"}
+    positionals = [spec for spec in table if spec[0][0] != "-"]
+    given: Dict[str, object] = {}
+    tokens = iter(argv[len(words):])
+    for token in tokens:
         if token[:1] == "-":
-            action = options.get(token)
-            i += 1
-            if action is None or i == len(rest) or rest[i][:1] == "-":
+            flag, token = token, next(tokens, "-")  # "-": no value follows
+            if flag not in options or token[:1] == "-":
                 return None
-            token = rest[i]
+            kwargs = options[flag]
         elif positionals:
-            action = positionals.pop(0)
+            flag, kwargs = positionals.pop(0)
         else:
             return None
-        i += 1
-        if type(action) is not argparse._StoreAction or action.nargs is not None or action in given:
+        if flag in given:
             return None
         try:
-            value = token if action.type is None else action.type(token)
-        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            value = kwargs["type"](token) if "type" in kwargs else token
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if "choices" in kwargs and value not in kwargs["choices"]:
             return None
-        given[action] = value
-    values: Dict[str, object] = {}
-    for action in leaf._actions:
-        # argparse fails on a missing required argument and converts a typed
-        # str default: leave both to it
-        if action not in given and (
-            action.required
-            or not action.option_strings
-            or action.type is not None and isinstance(action.default, str)
-        ):
-            return None
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            values.setdefault(action.dest, action.default)
-    for dest, value in leaf._defaults.items():
-        values.setdefault(dest, value)
-    for action, value in given.items():
-        values[action.dest] = value
-    # the names and order the nested parse gives: command, kind, the leaf's
+        given[flag] = value
+    # the names and order argparse gives: command, kind, then each option
     ns = dict(zip(("command", "kind"), words))
-    ns.update(values)
-    return argparse.Namespace(**ns)
+    for flag, kwargs in table:
+        if flag not in given and (kwargs.get("required") or flag[0] != "-"):
+            return None
+        ns[flag.lstrip("-").replace("-", "_")] = given.get(flag, kwargs.get("default"))
+    return SimpleNamespace(**ns)
 
 
-def _parse(argv: List[str]) -> argparse.Namespace:
-    """``argv`` parsed as the nested parser parses it: by ``_parse_plain``
-    from the actions of the leaf its first words name, when the rest is
-    plain, and by the whole nested parser otherwise.
-
-    So argparse parses only what is not plain, such as help, usage errors,
-    abbreviations and ``--opt=value``, and it prints every message."""
-    ap = _build_parser()
-    for n in (1, 2):
-        words = tuple(argv[:n])
-        if words in ap.leaves:
-            ns = _parse_plain(ap.leaves[words], argv[n:], words)
-            if ns is not None:
-                return ns
-            break
-    return ap.parse_args(argv)
+def _parse(argv: List[str]) -> SimpleNamespace:
+    """``argv`` parsed by ``_parse_plain`` when it is plain, and by argparse
+    otherwise, so argparse parses only help, usage errors and unusual but
+    valid lines such as ``--opt=value``, and it prints every message."""
+    ns = _parse_plain(argv)
+    if ns is None:
+        ns = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
+    return ns
 
 
 def run(argv: Optional[List[str]] = None) -> int:
@@ -736,7 +716,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
-def _dispatch(ns: argparse.Namespace) -> int:
+def _dispatch(ns: SimpleNamespace) -> int:
     if ns.threads is None:
         # read per run, not in the cached parser, so it follows the CPUs allowed now
         ns.threads = _usable_cpus()

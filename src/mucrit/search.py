@@ -208,7 +208,8 @@ def diffset_search(p: int, d: int) -> SearchResult:
     for A in classes:
         S = FpSet(p, A)
         rep = criticality(S, -S, d)  # S + (-S) is the difference set
-        assert rep.critical, f"witness {A} failed re-verification"
+        if not rep.critical:
+            raise AssertionError(f"witness {A} failed re-verification")
         exact = rep.exact == "mu_d_plus_zero"
         witnesses.append((A, exact))
         if d not in (2, 6) and (p, d) != (41, 20):
@@ -319,7 +320,10 @@ def sumset_search(
     and each class is re-verified on bitmasks (``hp.criticality``).
 
     ``node_budget`` bounds the whole search.  An exceeded budget is reported
-    in the verdicts, never conflated with "no decomposition exists"."""
+    in the verdicts, never conflated with "no decomposition exists"; a
+    budget below 1 raises ``ValueError``, since it would search nothing."""
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be at least 1, got {node_budget}")
     _validate_subgroup_order(p, d)
     if p > max_p:
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
@@ -383,7 +387,8 @@ def sumset_search(
         # each class is a pair of sorted tuples of residues mod p
         SA, SB = FpSet._make(p, A), FpSet._make(p, B)
         rep = criticality(SA, SB, d)
-        assert rep.critical and rep.exact == "mu_d", f"witness {(A, B)} failed re-verification"
+        if not (rep.critical and rep.exact == "mu_d"):
+            raise AssertionError(f"witness {(A, B)} failed re-verification")
         witnesses.append((A, B))
         if not (sqrt_d * sqrt_d == d and len(SA) == sqrt_d and len(SB) == sqrt_d):
             violations.append(f"witness {(A, B)} with |A|={len(SA)}, |B|={len(SB)} != sqrt(d)")
@@ -721,11 +726,6 @@ def _leader_table(p: int, mu: FpSet) -> List[int]:
     return lead
 
 
-def _coset_leaders(p: int, mu: FpSet) -> List[int]:
-    """The least element of each coset of mu in F_p*, ascending."""
-    return sorted(set(_leader_table(p, mu)[1:]))
-
-
 def _pinned_classes(
     p: int, mu: FpSet, sizes: Sequence[int], holds: Callable[[Sequence[int], int], bool]
 ) -> Tuple[List[tuple], int]:
@@ -746,7 +746,7 @@ def _pinned_classes(
     checked = 0
     classes = set()
     lead = _leader_table(p, mu)
-    for r in _coset_leaders(p, mu):
+    for r in sorted(set(lead[1:])):
         cands = [
             x
             for x in range(r + 1, p)
@@ -760,7 +760,8 @@ def _pinned_classes(
                     classes.add(canonical_diffset(A, p, mu))
     witnesses = []
     for A in sorted(classes):
-        assert holds(A, p), f"witness {A} failed re-verification"
+        if not holds(A, p):
+            raise AssertionError(f"witness {A} failed re-verification")
         witnesses.append((A,))
     return witnesses, checked
 

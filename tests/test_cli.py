@@ -8,6 +8,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -568,8 +570,8 @@ def _outcome(argv):
 
 @pytest.fixture(scope="module")
 def nested_outcomes():
-    """The outcome of every ``PARSE_ARGVS`` line with the whole nested parser
-    parsing it, then ``_dispatch``, as before each command had its leaf."""
+    """The outcome of every ``PARSE_ARGVS`` line with argparse parsing it,
+    then ``_dispatch``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
         return {tuple(argv): _outcome(argv) for argv in PARSE_ARGVS}
@@ -577,12 +579,6 @@ def nested_outcomes():
 
 def _differing(nested_outcomes):
     return {argv for argv, want in nested_outcomes.items() if _outcome(argv) != want}
-
-
-def _patch_leaves(monkeypatch, wrap):
-    """Wrap ``parse_known_args`` of every leaf parser in ``wrap(real)``."""
-    for leaf in cli._build_parser().leaves.values():
-        monkeypatch.setattr(leaf, "parse_known_args", wrap(leaf.parse_known_args))
 
 
 class TestLeafParse:
@@ -594,8 +590,8 @@ class TestLeafParse:
     def test_negative_control_kind_not_set(self, monkeypatch, nested_outcomes):
         real = cli._parse_plain
 
-        def dropping_kind(leaf, rest, words):
-            ns = real(leaf, rest, words)
+        def dropping_kind(argv):
+            ns = real(argv)
             if ns is not None:
                 vars(ns).pop("kind", None)
             return ns
@@ -606,95 +602,101 @@ class TestLeafParse:
         assert all(argv[0] == "search" for argv in differing)
 
     def test_negative_control_leftovers_accepted(self, monkeypatch, nested_outcomes):
-        def wrap(real):
-            return lambda args, namespace=None: (real(args, namespace)[0], [])
+        real = argparse.ArgumentParser.parse_known_args
 
-        # the reference outcomes were taken before the leaves were patched
-        _patch_leaves(monkeypatch, wrap)
+        def dropping_leftovers(self, args=None, namespace=None):
+            return real(self, args, namespace)[0], []
+
+        # the reference outcomes were taken before argparse was patched
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", dropping_leftovers)
         leftovers = {
             argv for argv, (_, _, err) in nested_outcomes.items()
             if "unrecognized arguments" in err
         }
         assert len(leftovers) == 5
-        # the plain parse leaves these lines to the nested parse, which hands
-        # the rest to the patched leaf
-        assert all(_plain(argv) is None for argv in leftovers)
+        # the plain parse leaves these lines to argparse
+        assert all(cli._parse_plain(list(argv)) is None for argv in leftovers)
         assert _differing(nested_outcomes) == leftovers
 
 
-def _plain(argv, parse_plain=None):
-    """``cli._parse_plain`` (or ``parse_plain``) on ``argv``, split after the
-    command words of its leaf."""
-    leaves = cli._build_parser().leaves
-    words = next(w for w in leaves if tuple(argv[: len(w)]) == w)
-    return (parse_plain or cli._parse_plain)(leaves[words], list(argv[len(words):]), words)
+def _table(words):
+    """The (flag, add_argument keywords) of every option of a command."""
+    return cli._COMMON + cli._LEAVES[words]
 
 
-def _store_actions(leaf):
-    return [a for a in leaf._actions if type(a) is argparse._StoreAction]
+def _is_option(spec):
+    return spec[0][0] == "-"
 
 
-def _value(action, other=False):
-    """A value ``action`` accepts; with ``other``, a second, different one."""
-    if action.choices:
-        return action.choices[-2 if other else -1]
-    if action.type is int:
+def _required(spec):
+    return not _is_option(spec) or spec[1].get("required", False)
+
+
+def _value(spec, other=False):
+    """A value ``spec`` accepts; with ``other``, a second, different one."""
+    kwargs = spec[1]
+    if "choices" in kwargs:
+        return kwargs["choices"][-2 if other else -1]
+    if kwargs.get("type") is int:
         return "17" if other else "13"
-    if not action.option_strings:
+    if not _is_option(spec):
         return "lemma4" if other else "lemma3"
     return "y" if other else "x"
 
 
-def _items(actions, other=False):
-    """The tokens of each action given once: ``[opt, value]`` or ``[value]``."""
-    return [a.option_strings[:1] + [_value(a, other)] for a in actions]
+def _flag(spec):
+    """``[flag]`` for an option, ``[]`` for a positional."""
+    return [spec[0]] if _is_option(spec) else []
+
+
+def _items(specs, other=False):
+    """The tokens of each option given once: ``[flag, value]`` or ``[value]``."""
+    return [_flag(spec) + [_value(spec, other)] for spec in specs]
 
 
 def _plain_parse_lines():
-    """Generated command lines for every leaf, each with its category."""
-    leaves = cli._build_parser().leaves
-    common = set.intersection(*({a.dest for a in _store_actions(l)} for l in leaves.values()))
+    """Generated command lines for every command, each with its category."""
     lines = {}
 
     def add(category, words, *chunks):
         lines[tuple(words) + tuple(t for c in chunks for t in c)] = category
 
-    for words, leaf in leaves.items():
-        actions = _store_actions(leaf)
-        own = [a for a in actions if a.dest not in common or a.dest == "format"]
+    for words in cli._LEAVES:
+        specs = _table(words)
+        own = [s for s in specs if s[0] == "--format" or s not in cli._COMMON]
         for order in itertools.permutations(_items(own)):
             add("valid", words, *order)
-        full = _items(actions)
+        full = _items(specs)
         add("valid", words, *full)
         add("valid", words, *full[::-1])
-        needed = [a for a in actions if a.required]
+        needed = [s for s in specs if _required(s)]
         add("required only", words, *_items(needed))
-        for a in needed:
-            add("missing required", words, *_items(x for x in needed if x is not a))
-        for j, a in enumerate(actions):
+        for s in needed:
+            add("missing required", words, *_items(x for x in needed if x is not s))
+        for j, s in enumerate(specs):
             rest = full[:j] + full[j + 1:]
-            if a.option_strings:
-                again = _items([a], other=True)[0]
+            if _is_option(s):
+                again = _items([s], other=True)[0]
                 add("repeat", words, *full, again)
-                add("abbreviation", words, *rest, [a.option_strings[0][:-1], _value(a)])
-                add("= form", words, *rest, [f"{a.option_strings[0]}={_value(a)}"])
-            if a.type is int:
-                add("bad type", words, *rest, a.option_strings + ["x"])
-                add("negative", words, *rest, a.option_strings + ["-5"])
-            if a.choices:
-                add("bad choice", words, *rest, a.option_strings + ["xml"])
+                add("abbreviation", words, *rest, [s[0][:-1], _value(s)])
+                add("= form", words, *rest, [f"{s[0]}={_value(s)}"])
+            if s[1].get("type") is int:
+                add("bad type", words, *rest, _flag(s) + ["x"])
+                add("negative", words, *rest, _flag(s) + ["-5"])
+            if "choices" in s[1]:
+                add("bad choice", words, *rest, _flag(s) + ["xml"])
         for extra in (["extra"], ["--bogus"], ["--bogus", "x"], ["-h"], ["--help"]):
             add("extra", words, *full, extra)
         add("--", words, ["--"], *full)
         add("--", words, *full, ["--"])
-        add("--", words, *_items(a for a in actions if a.option_strings), ["--"],
-            *_items(a for a in actions if not a.option_strings))
-        add("missing value", words, *full, [a.option_strings[0] for a in actions if a.option_strings][-1:])
+        add("--", words, *_items(filter(_is_option, specs)), ["--"],
+            *_items(s for s in specs if not _is_option(s)))
+        add("missing value", words, *full, [s[0] for s in specs if _is_option(s)][-1:])
     return lines
 
 
 def _nested_items(argv):
-    """``vars()`` items of the nested parse of ``argv``, or None if it exits."""
+    """``vars()`` items of argparse's parse of ``argv``, or None if it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return list(vars(cli._build_parser().parse_args(list(argv))).items())
@@ -704,19 +706,28 @@ def _nested_items(argv):
 
 @pytest.fixture(scope="module")
 def plain_lines():
-    """Every generated line with its category and its nested parse."""
+    """Every generated line with its category and argparse's parse of it."""
     return {argv: (cat, _nested_items(argv)) for argv, cat in _plain_parse_lines().items()}
 
 
 def _plain_mismatches(plain_lines, parse_plain=None):
-    """Categories of the lines where the plain parse accepts a line the
-    nested parse rejects, or gives a namespace other than the nested one."""
+    """Categories of the lines where the plain parse accepts a line argparse
+    rejects, or gives a namespace other than argparse's."""
     bad = {}
     for argv, (cat, want) in plain_lines.items():
-        ns = _plain(argv, parse_plain)
+        ns = (parse_plain or cli._parse_plain)(list(argv))
         if ns is not None and list(vars(ns).items()) != want:
             bad[argv] = cat
     return bad
+
+
+def _without(monkeypatch, key):
+    """Patch ``key`` out of the keywords of every option in the table."""
+    def strip(specs):
+        return tuple((flag, {k: v for k, v in kw.items() if k != key}) for flag, kw in specs)
+
+    monkeypatch.setattr(cli, "_COMMON", strip(cli._COMMON))
+    monkeypatch.setattr(cli, "_LEAVES", {w: strip(specs) for w, specs in cli._LEAVES.items()})
 
 
 class TestPlainParse:
@@ -729,7 +740,7 @@ class TestPlainParse:
             "= form", "bad type", "negative", "bad choice", "extra", "--",
             "missing value",
         }
-        # the nested parse exits on each kind of error the lines hold
+        # argparse exits on each kind of error the lines hold
         for cat in ("missing required", "bad type", "bad choice", "extra", "missing value"):
             assert any(want is None for c, want in plain_lines.values() if c == cat), cat
 
@@ -740,43 +751,29 @@ class TestPlainParse:
         for argv, (cat, want) in plain_lines.items():
             if cat in ("valid", "required only"):
                 assert want is not None, argv
-                assert list(vars(_plain(argv)).items()) == want, argv
+                assert list(vars(cli._parse_plain(list(argv))).items()) == want, argv
 
     def test_unusual_lines_deferred(self, plain_lines):
         for argv, (cat, _) in plain_lines.items():
             if cat not in ("valid", "required only"):
-                assert _plain(argv) is None, argv
+                assert cli._parse_plain(list(argv)) is None, argv
 
-    def test_negative_control_choices_skipped(self, plain_lines):
-        def skipping_choices(leaf, rest, words):
-            with pytest.MonkeyPatch.context() as mp:
-                for action in leaf._actions:
-                    mp.setattr(action, "choices", None)
-                return cli._parse_plain(leaf, rest, words)
-
-        assert set(_plain_mismatches(plain_lines, skipping_choices).values()) == {"bad choice"}
+    def test_negative_control_choices_skipped(self, monkeypatch, plain_lines):
+        _without(monkeypatch, "choices")
+        assert set(_plain_mismatches(plain_lines).values()) == {"bad choice"}
 
     def test_negative_control_first_repeat_kept(self, plain_lines):
-        def keeping_first(leaf, rest, words):
-            rest = list(rest)
-            for j in reversed(range(len(rest) - 1)):
-                if rest[j].startswith("--") and rest[j] in rest[:j]:
-                    del rest[j : j + 2]
-            return cli._parse_plain(leaf, rest, words)
+        def keeping_first(argv):
+            for j in reversed(range(len(argv) - 1)):
+                if argv[j].startswith("--") and argv[j] in argv[:j]:
+                    del argv[j : j + 2]
+            return cli._parse_plain(argv)
 
         assert set(_plain_mismatches(plain_lines, keeping_first).values()) == {"repeat"}
 
-    def test_negative_control_required_ignored(self, plain_lines):
-        def ignoring_required(leaf, rest, words):
-            with pytest.MonkeyPatch.context() as mp:
-                for action in leaf._actions:
-                    if action.option_strings:
-                        mp.setattr(action, "required", False)
-                return cli._parse_plain(leaf, rest, words)
-
-        assert set(_plain_mismatches(plain_lines, ignoring_required).values()) == {
-            "missing required"
-        }
+    def test_negative_control_required_ignored(self, monkeypatch, plain_lines):
+        _without(monkeypatch, "required")
+        assert set(_plain_mismatches(plain_lines).values()) == {"missing required"}
 
 
 def _load_jobs():
@@ -795,7 +792,7 @@ def nested_parse_refused(monkeypatch):
     def refuse(*args, **kwargs):
         raise NestedParseUsed(args)
 
-    monkeypatch.setattr(cli._build_parser(), "parse_args", refuse)
+    monkeypatch.setattr(cli, "_build_parser", refuse)
 
 
 def _benchmark_mismatches(workload):
@@ -813,11 +810,11 @@ def _benchmark_mismatches(workload):
 
 
 class TestLeafCoverage:
-    """Every benchmark job and every command is parsed by its leaf alone, so
-    a fallback to the nested parser cannot quietly undo the fast path."""
+    """Every benchmark job and every command is parsed from the table alone,
+    so a fallback to argparse cannot quietly undo the fast path."""
 
     def test_every_leaf_has_a_valid_line(self):
-        assert set(LEAF_ARGVS) == set(cli._build_parser().leaves)
+        assert set(LEAF_ARGVS) == set(cli._LEAVES)
 
     @pytest.mark.parametrize("workload", ["residues", "sumset", "desk"])
     def test_benchmark_jobs_without_nested_parse(self, nested_parse_refused, workload):
@@ -828,7 +825,28 @@ class TestLeafCoverage:
             assert _outcome(argv) == nested_outcomes[tuple(argv)]
 
     def test_negative_control_leaf_missing(self, monkeypatch, nested_parse_refused):
-        monkeypatch.delitem(cli._build_parser().leaves, ("search", "threefold"))
+        # a copy: deleting and restoring the key would reorder the table
+        leaves = {w: options for w, options in cli._LEAVES.items() if w != ("search", "threefold")}
+        monkeypatch.setattr(cli, "_LEAVES", leaves)
         mismatches = _benchmark_mismatches("sumset")
         assert mismatches
         assert all(argv[:2] == ["search", "threefold"] for argv in mismatches)
+
+    def test_argparse_imported_only_for_help(self):
+        # a fresh interpreter: this one has argparse loaded already
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from mucrit import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.run(list(argv)) for argv in %r]\n"
+            "    before = 'argparse' in sys.modules\n"
+            "    codes.append(cli.run(['search', 'sumset', '--help']))\n"
+            "print(json.dumps([codes, before, 'argparse' in sys.modules]))\n"
+        ) % (list(LEAF_ARGVS.values()),)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [[0] * (len(LEAF_ARGVS) + 1), False, True]

@@ -2,6 +2,7 @@
 the digest script tells apart exactly the jobs whose output changed and
 prints the same lines at any --threads value."""
 
+import functools
 import importlib.util
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mucrit import cli
+from mucrit import cli, search
 
 from conftest import allow_cpus, count_forks
 
@@ -59,7 +60,7 @@ def test_output_digests_change_only_for_the_changed_job(monkeypatch):
     patched = list(digests.digest_lines("desk", 0))
     assert len(patched) == len(first)
     changed = [new for old, new in zip(first, patched) if old != new]
-    argvs = [line.split(" ", 3)[3] for line in changed]
+    argvs = [line.split(" ", 4)[4] for line in changed]
     assert [a.rsplit(" --format ", 1)[1] for a in argvs] == ["json", "text", "csv"]
     assert all(a.startswith("check lemma1 ") for a in argvs)
     assert all(line.split(" ")[2] == "1" for line in changed)
@@ -98,7 +99,48 @@ def test_output_digests_usage_line_changes_with_its_message(monkeypatch):
     assert {line.split(" ")[2] for line in first} == {"0", "2"}
     assert list(digests.usage_lines()) == first
 
-    leaf = cli._build_parser().leaves[("search", "sumset")]
-    monkeypatch.setattr(leaf, "description", "a changed usage message")
+    # a help string only search sumset has, in a parser built afresh from it
+    words = ("search", "sumset")
+    *options, (flag, kwargs) = cli._LEAVES[words]
+    assert flag == "--node-budget"
+    changed_help = (flag, {**kwargs, "help": "a changed usage message"})
+    monkeypatch.setitem(cli._LEAVES, words, (*options, changed_help))
+    monkeypatch.setattr(cli, "_build_parser", functools.lru_cache()(cli._build_parser.__wrapped__))
     changed = [new for old, new in zip(first, digests.usage_lines()) if old != new]
-    assert [line.split(" ", 3)[3] for line in changed] == ["search sumset --help"]
+    assert [line.split(" ", 4)[4] for line in changed] == ["search sumset --help"]
+
+
+def _patch_sumset(monkeypatch, change):
+    """Make every sumset search (threefold's included) return ``change(result)``."""
+    real = search.sumset_search
+    monkeypatch.setattr(search, "sumset_search", lambda *a, **kw: change(real(*a, **kw)))
+
+
+def _changed_fields(first, patched):
+    """For each line that differs, the indices of its fields that differ."""
+    assert len(patched) == len(first)
+    return [
+        [i for i, (x, y) in enumerate(zip(old.split(" ", 4), new.split(" ", 4))) if x != y]
+        for old, new in zip(first, patched)
+        if old != new
+    ]
+
+
+def test_output_digests_effort_apart_from_digest(monkeypatch):
+    # a node count is effort: a pruning that changes it changes no digest
+    digests = _load_output_digests()
+    first = list(digests.digest_lines("sumset", 0))
+    assert all(line.split(" ")[3].startswith("nodes=") for line in first)
+    _patch_sumset(monkeypatch, lambda res: res._replace(counts={"nodes": res.counts["nodes"] + 1}))
+    changed = _changed_fields(first, list(digests.digest_lines("sumset", 0)))
+    assert changed == [[3]] * len(first)
+
+
+def test_output_digests_witness_changes_digest(monkeypatch):
+    digests = _load_output_digests()
+    first = list(digests.digest_lines("sumset", 0))
+    _patch_sumset(monkeypatch, lambda res: res._replace(witnesses=res.witnesses[1:]))
+    changed = _changed_fields(first, list(digests.digest_lines("sumset", 0)))
+    # the jobs with a witness, in each format; sumset and threefold alike
+    assert len(changed) >= 2 * len(digests.FORMATS)
+    assert all(fields == [0] for fields in changed)

@@ -2,7 +2,10 @@ import functools
 import inspect
 import math
 import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,8 @@ from mucrit.search import (
 from mucrit.stepanov import rat2_check
 
 from conftest import allow_cpus, count_forks
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCanonicalForms:
@@ -281,6 +286,13 @@ class TestSumsetSearch:
         res = sumset_search(61, 30, node_budget=1)
         assert any("budget" in v for v in res.verdicts)
         assert "no decomposition exists" not in res.verdicts
+
+    @pytest.mark.parametrize("check", [sumset_search, threefold_check])
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, check, budget):
+        # a budget that admits no node would return a vacuous pass
+        with pytest.raises(ValueError, match=f"node_budget must be at least 1, got {budget}$"):
+            check(13, 4, node_budget=budget)
 
     def test_negative_control_non_witness_fails_reverification(self, monkeypatch):
         # a listed class whose sumset misses mu_d stops the search: a real
@@ -861,11 +873,18 @@ class TestProblemScans:
         assert sum(bool(_problem2_classes_unquotiented(p, d)) for p, d in PROBLEM2_CASES) > 10
 
     @pytest.mark.parametrize("p, d", [(13, 2), (61, 20)])
-    def test_problem2_negative_control_one_coset(self, monkeypatch, p, d):
+    def test_problem2_negative_control_one_coset(self, p, d):
         # a class need not meet the coset of 1 once 0 is in it, so keeping
         # only that coset's leader must lose classes
-        monkeypatch.setattr(search, "_coset_leaders", lambda p, mu: [1])
-        got = [A for (A,) in problem2_scan(p, d).witnesses]
+        src = inspect.getsource(search._pinned_classes)
+        leaders = "sorted(set(lead[1:]))"
+        assert src.count(leaders) == 1
+        namespace = dict(vars(search))
+        exec(src.replace(leaders, "[1]"), namespace)
+        got, _ = namespace["_pinned_classes"](
+            p, roots_of_unity(p, d), (search._alpha_for(d),), search.product_condition
+        )
+        got = [A for (A,) in got]
         want = _problem2_classes_unquotiented(p, d)
         assert set(got) < set(want)
 
@@ -974,6 +993,13 @@ class TestRunJob:
         assert any("budget" in v for v in tight.verdicts)
         assert "no three-summand decomposition exists" not in tight.verdicts
 
+    @pytest.mark.parametrize("kind", ["sumset", "threefold"])
+    def test_node_budget_below_one_raises(self, kind):
+        from mucrit.search import SearchJob, run_job
+
+        with pytest.raises(ValueError, match="node_budget must be at least 1, got 0$"):
+            run_job(SearchJob(kind=kind, p=13, d=4, node_budget=0))
+
     @pytest.mark.parametrize(
         "job",
         [
@@ -986,3 +1012,45 @@ class TestRunJob:
 
         with pytest.raises(ValueError, match="feasibility bound 0"):
             run_job(SearchJob(**job))
+
+
+# each search with its witnesses made to fail re-verification: a listed
+# class that is no witness (the sumset one shifts B by 1, so that A + B is
+# mu_d + 1), or a canonical form that is no member of the class
+_UNVERIFIED = {
+    "sumset": (
+        "A, B = search.sumset_search(13, 4).witnesses[0]\n"
+        "B = tuple(sorted((b + 1) % 13 for b in B))\n"
+        "search._shift_classes = lambda found, p, mu: {(A, B)}\n"
+        "search.sumset_search(13, 4)\n"
+    ),
+    "diffset": (
+        "search.canonical_diffset = lambda A, p, mu: (0, 1, 2)\n"
+        "search.diffset_search(13, 6)\n"
+    ),
+    "problem2": (
+        "search.canonical_diffset = lambda A, p, mu: (0, 1, 2)\n"
+        "search.problem2_scan(13, 6)\n"
+    ),
+}
+
+
+def _run_optimized(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", "from mucrit import search\n" + code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(_UNVERIFIED))
+def test_reverification_survives_optimize_flag(kind):
+    # python -O strips assert statements; the re-verification still raises
+    out = _run_optimized(_UNVERIFIED[kind])
+    assert out.returncode == 1, out.stderr
+    last = out.stderr.rstrip().splitlines()[-1]
+    assert last.startswith("AssertionError: witness ") and last.endswith("failed re-verification")
+    # the control: -O is in effect, and the search unpatched runs clean
+    search_call = _UNVERIFIED[kind].splitlines()[-1]
+    assert _run_optimized("assert False\n" + search_call).returncode == 0
