@@ -94,6 +94,12 @@ USAGE_ARGVS = (
     ["search", "sumset", "--p", "17", "--d", "4", "--p", "13"],
     ["search", "sumset", "--p", "-5", "--d", "4"],
     ["check", "--", "lemma3"],
+    ["check", "lemma1_7"],
+    ["check", "lemma+3"],
+    ["check", "lemma 3"],
+    ["check", "lemma05"],
+    ["check", "lemma\u0663"],
+    ["verify-residues", "--primes", "1,x"],
 )
 
 

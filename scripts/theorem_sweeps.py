@@ -37,7 +37,7 @@ def main():
 
     print("== sumset decompositions ==")
     for p, d in subgroup_orders(ns.sumset_max_p):
-        res = sumset_search(p, d)
+        res = sumset_search(p, d, max_p=ns.sumset_max_p)
         for A, B in res.witnesses:
             print(f"  p={p:3d} d={d:3d}  A={A} B={B}")
         for v in res.violations:
@@ -46,7 +46,7 @@ def main():
     print("== three-summand checks ==")
     found = 0
     for p, d in subgroup_orders(ns.sumset_max_p):
-        res = threefold_check(p, d)
+        res = threefold_check(p, d, max_p=ns.sumset_max_p)
         found += len(res.witnesses)
         for w in res.witnesses:
             print(f"  !! p={p} d={d}: {w}")

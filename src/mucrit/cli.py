@@ -729,7 +729,12 @@ def _dispatch(ns: SimpleNamespace) -> int:
     if ns.command == "verify-identities":
         return _emit(ns, "verify-identities", {}, *run_verify_identities())
     if ns.command == "verify-residues":
-        primes = [int(x) for x in ns.primes.split(",") if x]
+        primes = []
+        for x in filter(None, ns.primes.split(",")):
+            try:
+                primes.append(int(x))
+            except ValueError:
+                raise ValueError(f"--primes entry {x!r} is not an integer") from None
         if not primes:
             raise ValueError("--primes names no prime")
         if ns.instances < 0 or ns.form_instances < 0:
@@ -755,12 +760,11 @@ def _dispatch(ns: SimpleNamespace) -> int:
         # dict of them, and json.dumps renders each tuple in it as a list
         return _emit(ns, f"search-{ns.kind}", params, not res.violations, res._asdict())
     if ns.command == "check":
-        if not ns.target.startswith("lemma"):
+        # a plain decimal numeral; int() alone also reads "1_7", "+3", "05", non-ASCII digits
+        digits = ns.target[5:]
+        if ns.target[:5] != "lemma" or not digits.isdecimal() or str(int(digits)) != digits:
             raise ValueError(f"unknown check target {ns.target!r}")
-        try:
-            num = int(ns.target[5:])
-        except ValueError:
-            raise ValueError(f"unknown check target {ns.target!r}")
+        num = int(digits)
         if num not in LEMMA_CHECKS:
             raise ValueError(f"no check registered for lemma {num}")
         ok, detail = LEMMA_CHECKS[num](random.Random(ns.seed))

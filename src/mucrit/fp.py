@@ -274,7 +274,8 @@ def subgroup_index(p: int, d: int) -> Tuple[int, Tuple[int, ...], Dict[int, int]
     for k in range(1, d):
         powers[k] = powers[k - 1] * eta % p
     log = {x: k for k, x in enumerate(powers)}
-    assert len(log) == d
+    if len(log) != d:
+        raise AssertionError(f"eta = {eta} has order below d = {d} mod {p}")
     return eta, tuple(powers), log
 
 

@@ -113,8 +113,19 @@ def hp_polynomial(A: FpSet, d: int) -> FpPoly:
     out = _shifted_power_sum(((cs.c[a].v, a) for a in A.elems), n, p)
     out[0] = (out[0] - 1) % p
     f = FpPoly(p, out)
-    assert f.degree == d, f"degree of the polynomial is {f.degree}, expected {d}"
+    if f.degree != d:
+        raise AssertionError(f"degree of the polynomial is {f.degree}, expected {d}")
     return f
+
+
+def _sum_mask(elems: Iterable[int], bmask: int, p: int) -> int:
+    """The p-bit mask of A + B for A = ``elems`` and B the set of ``bmask``:
+    B + a is the mask of B rotated up by a."""
+    full = (1 << p) - 1
+    sums = 0
+    for a in elems:
+        sums |= (bmask << a | bmask >> (p - a)) & full
+    return sums
 
 
 class CriticalityReport(NamedTuple):
@@ -132,8 +143,8 @@ def criticality(A: FpSet, B: FpSet, d: int) -> CriticalityReport:
     """Check A+B inside mu_d u {0} and the size identity |A||B| = d + |(-A) cap B|.
 
     ``exact`` records whether A+B equals mu_d or mu_d u {0} on the nose,
-    either of which forces criticality.  The sumset and -A are bitmasks
-    built from the elements: B + a is B's p-bit mask rotated up by a.
+    either of which forces criticality.  The sumset (``_sum_mask``) and -A
+    are p-bit masks built from the elements.
     """
     if A.p != B.p:
         raise ValueError("A and B live in different fields")
@@ -142,11 +153,8 @@ def criticality(A: FpSet, B: FpSet, d: int) -> CriticalityReport:
         raise ValueError("need |A|, |B| > 1")
     mumask = roots_of_unity(p, d).mask
     bmask = B.mask
-    full = (1 << p) - 1
-    sums = negA = 0
-    for a in A.elems:
-        sums |= (bmask << a | bmask >> (p - a)) & full
-        negA |= 1 << (-a % p)
+    sums = _sum_mask(A.elems, bmask, p)
+    negA = sum(1 << (-a % p) for a in A.elems)  # the elements are distinct
     sumset_ok = sums & ~(mumask | 1) == 0
     overlap = (negA & bmask).bit_count()
     critical = sumset_ok and len(A) * len(B) == d + overlap

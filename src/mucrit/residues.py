@@ -501,7 +501,8 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int, sums):
             )
         ) % p
         return fin, inf
-    assert A is not None
+    if A is None:
+        raise AssertionError(f"{which} needs the set A")
     pA = power_sums_int(A, k + 2)
     sgnk = 1 if k % 2 == 0 else p - 1
     fin = {}

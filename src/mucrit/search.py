@@ -28,7 +28,8 @@ inside mu_d (forward checking), and cuts a prefix whose domain is too small
 to finish A.  Representations in A + B = mu_d are unique and 0 is in B, so
 no nonzero difference of A lies in B: the candidates for B drop each
 difference as A grows, and a prefix with fewer than |B| left is cut.  All
-three rules are exact; ``_gap_anchored_summands`` states them.
+three rules are exact; ``_gap_anchored_summands`` states them.  The
+candidates left for a finished A are then B itself (``sumset_search``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from itertools import combinations, compress
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .fp import FpSet, is_prime, roots_of_unity, sqrt_mod, subgroup_index
-from .hp import criticality
+from .hp import _sum_mask, criticality
 from .stepanov import rat2_check
 from .symm import minimal_indices, recentering_shift
 
@@ -232,10 +233,10 @@ def _gap_anchored_summands(
     spend: Callable[[], None],
 ) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """The summands A = {eta^k : k in K} of size alpha that the anchored
-    sumset search passes to its exact cover, as exponent tuples
-    K = (0 = k_0 < k_1 < ...), each with the mask ``cand`` of every b such
-    that A + b lies inside mu_d and b is not a nonzero difference of A; at
-    least beta such b, since B is among them.
+    sumset search completes, as exponent tuples K = (0 = k_0 < k_1 < ...),
+    each with the mask ``cand`` of every b such that A + b lies inside mu_d
+    and b is not a nonzero difference of A: at least beta such b, since B
+    is among them, and at most beta by Hanson-Petridis (``sumset_search``).
 
     ``diff[k]`` is the mask of the b with eta^k + b in mu_d, ``powers[k]``
     is eta^k mod p, d is ``len(diff)``, and ``spend`` is called once per
@@ -314,14 +315,21 @@ def sumset_search(
     orbit.  The search grows K in increasing order and prunes it by that
     gap rule, by forward checking and by unique representation
     (``_gap_anchored_summands``).
-    Representations are unique (|A||B| = d), so completing B is an exact
-    cover by the tiles A + b.  The opposite shifts of each pair found are
-    then listed with one canonicalization per class (``_shift_classes``),
-    and each class is re-verified on bitmasks (``hp.criticality``).
 
-    ``node_budget`` bounds the whole search.  An exceeded budget is reported
-    in the verdicts, never conflated with "no decomposition exists"; a
-    budget below 1 raises ``ValueError``, since it would search nothing."""
+    The partner of a finished A is forced.  ``cand`` lies in
+    C = {b : A + b inside mu_d}, which misses -A as 0 is not in mu_d, so the
+    Hanson-Petridis bound |A||C| <= d + |(-A) cap C| (Proc. LMS 2021) gives
+    |C| <= beta; ``cand`` comes with at least beta elements, so exactly beta.
+    Every B holds 0, lies in C and holds no difference of A, so B = ``cand``,
+    and the pair is found when the A + ``cand`` mask is mu_d.  Another size
+    is reported as a violation of the bound, and that A is skipped.  The
+    opposite shifts of each pair found are then listed with one
+    canonicalization per class (``_shift_classes``), and each class is
+    re-verified on bitmasks (``hp.criticality``).
+
+    ``node_budget`` bounds the enumeration of A.  Neither an exceeded budget
+    (a verdict) nor a violation is conflated with "no decomposition exists";
+    a budget below 1 raises ``ValueError``, since it would search nothing."""
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
     _validate_subgroup_order(p, d)
@@ -329,7 +337,6 @@ def sumset_search(
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
     _, powers, _ = subgroup_index(p, d)
     mu = roots_of_unity(p, d)
-    mumask = mu.mask
     diff = _difference_masks(powers, p)  # indexed by exponent
     splits = [
         (a, d // a)
@@ -345,43 +352,23 @@ def sumset_search(
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"sumset search exceeded {node_budget} nodes")
 
-    def complete(A: Tuple[int, ...], cand: int, beta: int) -> None:
-        # cand holds every b that B may hold, 0 among them
-        tiles = {}
-        for b in _bits(cand):
-            t = 0
-            for a in A:
-                t |= 1 << ((a + b) % p)
-            tiles[b] = t
-
-        def cover(covered: int, chosen: Tuple[int, ...]) -> None:
-            spend()
-            if covered == mumask:
-                if len(chosen) == beta:
-                    found.append((A, tuple(sorted(chosen))))
-                return
-            if len(chosen) == beta:
-                return
-            rem = mumask & ~covered
-            z = (rem & -rem).bit_length() - 1  # least uncovered element
-            # branching on the unique tile through z makes every exact
-            # cover reachable along exactly one path; no ordering needed
-            for b, t in tiles.items():
-                if (t >> z) & 1 and not (t & covered):
-                    cover(covered | t, chosen + (b,))
-
-        cover(tiles[0], (0,))
-
+    violations: List[str] = []
     exhausted = False
     try:
         for alpha, beta in splits:
             for K, cand in _gap_anchored_summands(diff, powers, p, alpha, beta, spend):
-                complete(tuple(powers[k] for k in K), cand, beta)
+                A = tuple(powers[k] for k in K)
+                if cand.bit_count() != beta:
+                    violations.append(
+                        f"summand {A} has candidate partners {tuple(_bits(cand))}, "
+                        f"not |B| = {beta}: the Hanson-Petridis bound fails"
+                    )
+                elif _sum_mask(A, cand, p) == mu.mask:
+                    found.append((A, tuple(_bits(cand))))
     except SearchBudgetExceeded:
         exhausted = True
 
     witnesses = []
-    violations: List[str] = []
     sqrt_d = math.isqrt(d)
     for A, B in sorted(_shift_classes(found, p, mu)):
         # each class is a pair of sorted tuples of residues mod p
@@ -398,7 +385,7 @@ def sumset_search(
     verdicts: Tuple[str, ...]
     if exhausted:
         verdicts = ("node budget exhausted; results may be incomplete",)
-    elif not witnesses:
+    elif not witnesses and not violations:
         verdicts = ("no decomposition exists",)
     else:
         verdicts = ()
@@ -472,21 +459,15 @@ def decompose_two_summands(
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"two-summand scan exceeded {node_budget} nodes")
-        if len(A) >= 2 and cand & 1:
-            covered = 0
-            for b in _bits(cand):
-                for a in A:
-                    covered |= 1 << ((a + b) % p)
-            if covered == tmask and cand.bit_count() >= 2:
-                out.append((tuple(A), tuple(_bits(cand))))
+        if len(A) >= 2 and cand & 1 and _sum_mask(A, cand, p) == tmask and cand.bit_count() >= 2:
+            out.append((tuple(A), tuple(_bits(cand))))
         for i in range(start, len(T)):
             nc = cand & diff[i]
             if nc.bit_count() < 2:
                 continue
             extend(A + [T[i]], nc, i + 1)
 
-    full = (1 << p) - 1
-    extend([], full, 0)
+    extend([], (1 << p) - 1, 0)
     return out
 
 

@@ -44,6 +44,32 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "check", "lemma99")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "target", ["lemma1_7", "lemma+3", "lemma 3", "lemma05", "lemma\u0663", "lemma", "Lemma3"]
+    )
+    def test_check_target_not_a_plain_numeral_rejected(self, capsys, monkeypatch, target):
+        # int() reads each of these suffixes, "1_7" as 17 and the rest as 3
+        def no_check(rng):
+            raise AssertionError(f"a lemma check ran for {target!r}")
+
+        monkeypatch.setattr(cli, "LEMMA_CHECKS", dict.fromkeys(cli.LEMMA_CHECKS, no_check))
+        code, out, err = run_cli(capsys, "check", target)
+        assert (code, out, err) == (2, "", f"error: unknown check target {target!r}\n")
+
+    @pytest.mark.parametrize("num", [0, 18, 99])
+    def test_check_unregistered_lemma_named(self, capsys, num):
+        code, out, err = run_cli(capsys, "check", f"lemma{num}")
+        assert (code, out, err) == (2, "", f"error: no check registered for lemma {num}\n")
+
+    def test_check_plain_numeral_runs_its_lemma(self, capsys, monkeypatch):
+        ran = []
+        checks = {n: (lambda rng, n=n: ran.append(n) or (True, {})) for n in cli.LEMMA_CHECKS}
+        monkeypatch.setattr(cli, "LEMMA_CHECKS", checks)
+        for n in (3, 10, 17):
+            code, out, _ = run_cli(capsys, "check", f"lemma{n}")
+            assert code == 0 and out.startswith(f"[check-lemma{n}] PASS")
+        assert ran == [3, 10, 17]
+
     def test_malformed_flags(self, capsys):
         code = cli.run(["search", "sumset", "--p", "not-a-number", "--d", "2"])
         capsys.readouterr()
@@ -93,6 +119,12 @@ class TestExitCodes:
     def test_negative_p_named_not_prime(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "error: p=-5 is not prime\n")
+
+    @pytest.mark.parametrize("primes", ["1,x", "41,,4.1", "x"])
+    def test_residue_prime_not_an_integer_named(self, capsys, primes):
+        entry = [x for x in primes.split(",") if x][-1]
+        code, out, err = run_cli(capsys, "verify-residues", "--primes", primes)
+        assert (code, out, err) == (2, "", f"error: --primes entry {entry!r} is not an integer\n")
 
     def test_negative_residue_prime_named_not_prime(self, capsys):
         code, out, err = run_cli(capsys, "verify-residues", "--primes", "7,-5")

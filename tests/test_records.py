@@ -119,10 +119,12 @@ class TestRecordContract:
 
 # SHA-256 of each command's `--format json` report, recorded at commit
 # 6490e48, while the records were still dataclasses, before they became
-# NamedTuples: the reports must not change by a byte.
+# NamedTuples: the reports must not change by a byte.  The sumset pin was
+# recorded again when the search stopped spending nodes on completing B
+# (nodes 4 -> 2); SUMSET_PIN_NODES_4 is the one at 6490e48.
 REPORT_PINS = {
     ("search", "sumset", "--p", "13", "--d", "4"):
-        "5ce5b2769490bc0c802d615bd95db04678c386c47adc0c04fa3019a9dc1d71a1",
+        "0d5051ab506f13737ab15dabff219e284eeab6e1504affc967dd6cc045e06638",
     ("search", "levson", "--alpha-max", "50"):
         "e8c43903b3e50a1b9dec9149454c816ba6ecd89f3e42e82a2e89fb4e0b81c231",
     ("check", "lemma9"):
@@ -132,11 +134,23 @@ REPORT_PINS = {
 }
 
 
+SUMSET_PIN_NODES_4 = "5ce5b2769490bc0c802d615bd95db04678c386c47adc0c04fa3019a9dc1d71a1"
+
+
 @pytest.mark.parametrize("argv", list(REPORT_PINS), ids=" ".join)
 def test_report_bytes_pinned(capsys, argv):
     assert cli.run(list(argv) + ["--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_PINS[argv]
+
+
+def test_sumset_pin_differs_only_in_nodes(capsys):
+    # every byte but the node count is the report pinned at 6490e48
+    assert cli.run(["search", "sumset", "--p", "13", "--d", "4", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('{"nodes":2}') == 1
+    old = out.replace('{"nodes":2}', '{"nodes":4}')
+    assert hashlib.sha256(old.encode()).hexdigest() == SUMSET_PIN_NODES_4
 
 
 # the modules behind dataclasses that importing the CLI must not load

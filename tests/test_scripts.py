@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ["f41_demo.py"],
         ["theorem_sweeps.py", "--diffset-max-p", "41", "--sumset-max-p", "41"],
+        # above the searches' default feasibility bound of 128
+        ["theorem_sweeps.py", "--diffset-max-p", "3", "--sumset-max-p", "131"],
     ],
 )
 def test_script_runs_clean(argv):

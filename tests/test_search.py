@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mucrit import search
+from mucrit import cli, search
 from mucrit.fp import FpSet, is_prime, roots_of_unity, subgroup_index
 from mucrit.hp import criticality
 from mucrit.search import (
@@ -411,25 +411,59 @@ class TestGapAnchoredSummands:
 
     def test_unique_representation_cuts_only_summands_without_cover(self):
         # brute force over every beta-set B with 0 in B of the b with A + b
-        # inside mu_d: no A that the rule cuts has A + B = mu_d, and the
-        # same brute force does find the B of the A it keeps at d = 4
-        cut = covered = 0
+        # inside mu_d: no A that the rule cuts has A + B = mu_d.  Every A
+        # the search yields comes with exactly beta candidates, as the
+        # Hanson-Petridis bound says, and the brute force finds B = cand
+        # for it or no B at all: the covers found are exactly those cand
+        cut = 0
+        covered, forced = set(), set()
         for p, d, alpha, beta in SUMSET_SPLITS:
             mu = sorted(roots_of_unity(p, d))
+
+            def covers(A):
+                partners = [b for b in range(1, p) if all((a + b) % p in mu for a in A)]
+                return [
+                    (0,) + rest
+                    for rest in combinations(partners, beta - 1)
+                    if sorted((a + b) % p for a in A for b in (0,) + rest) == mu
+                ]
+
             every = _unpruned_summands(p, d, alpha, beta, unique=False)
             kept = _unpruned_summands(p, d, alpha, beta)
             assert kept.keys() <= every.keys()
             for cls, A in every.items():
-                partners = [b for b in range(1, p) if all((a + b) % p in mu for a in A)]
-                has_cover = any(
-                    sorted((a + b) % p for a in A for b in (0,) + rest) == mu
-                    for rest in combinations(partners, beta - 1)
-                )
+                has_cover = bool(covers(A))
                 if cls not in kept:
                     assert not has_cover, (p, d, A)
                     cut += 1
-                covered += has_cover
-        assert cut == 70 and covered == 12
+                if has_cover:
+                    covered.add((p, d, cls))
+            _, powers, _ = subgroup_index(p, d)
+            for K, cand in _summands(search._gap_anchored_summands, p, d, alpha, beta):
+                assert cand.bit_count() == beta, (p, d, K)
+                found = covers([powers[k] for k in K])
+                assert found in ([], [tuple(search._bits(cand))]), (p, d, K)
+                if found:
+                    forced.add((p, d, _rotation_class(K, d)))
+        assert cut == 70 and len(covered) == 12 and forced == covered
+
+    def test_negative_control_extra_candidate_is_a_violation(self, monkeypatch, capsys):
+        # one more candidate than the bound allows is reported as a
+        # Hanson-Petridis violation, never as "no decomposition exists"
+        summands = search._gap_anchored_summands
+
+        def widened(diff, powers, p, alpha, beta, spend):
+            for K, cand in summands(diff, powers, p, alpha, beta, spend):
+                yield K, cand | ~cand & cand + 1  # and the least b not in cand
+
+        assert sumset_search(29, 14).verdicts == ("no decomposition exists",)
+        monkeypatch.setattr(search, "_gap_anchored_summands", widened)
+        res = sumset_search(29, 14)
+        assert res.witnesses == [] and res.verdicts == ()
+        assert len(res.violations) == 2
+        assert all("Hanson-Petridis bound fails" in v for v in res.violations)
+        assert cli.run(["search", "sumset", "--p", "29", "--d", "14"]) == 1
+        assert "Hanson-Petridis" in capsys.readouterr().out
 
     def test_negative_control_zero_also_forbidden(self):
         # forbidding 0 as well, as if it were a difference of A, drops
