@@ -100,6 +100,8 @@ USAGE_ARGVS = (
     ["check", "lemma05"],
     ["check", "lemma\u0663"],
     ["verify-residues", "--primes", "1,x"],
+    ["verify-residues", "--primes", "4_1, 97"],
+    ["verify-residues", "--primes", "\u0664\u0661"],
 )
 
 

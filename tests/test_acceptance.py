@@ -25,6 +25,7 @@ import time
 import pytest
 
 from mucrit import cli
+from mucrit.checks import run_verify_f41, run_verify_identities, run_verify_residues
 from mucrit.fp import is_prime
 from mucrit.hp import hp_coeffs, vandermonde_solve
 from mucrit.qalg import QPoly
@@ -43,7 +44,7 @@ def _report(name, t0):
 
 def test_criterion1_f41_bundle():
     t0 = time.time()
-    ok, report = cli.run_verify_f41()
+    ok, report = run_verify_f41()
     assert ok, report
     checks = report["checks"]
     assert checks["critical_with_overlap_5"]
@@ -113,7 +114,7 @@ def test_criterion2_levson_hits_as_pinned():
 
 def test_criterion3_symbolic_suite():
     t0 = time.time()
-    ok, report = cli.run_verify_identities()
+    ok, report = run_verify_identities()
     failing = [k for k, v in report["checks"].items() if not v]
     assert ok, failing
     assert report["checks"]["g_operator_zero"]
@@ -203,7 +204,7 @@ def test_criterion4_obstruction_terminates():
 
 def test_criterion5_residue_suite():
     t0 = time.time()
-    ok, report = cli.run_verify_residues(
+    ok, report = run_verify_residues(
         seed=0, primes=[41, 97, 10007], instances=1000, form_instances=100
     )
     assert ok, report["failures"][:5]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mucrit import cli, residues, search
+from mucrit import checks, cli, residues, search
 from mucrit.fp import FieldElem, FpSet
 from mucrit.poly import FpPoly, from_roots
 from mucrit.residues import RationalForm
@@ -22,6 +22,14 @@ from mucrit.residues import RationalForm
 from conftest import allow_cpus, count_forks, random_subset
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _levson_alpha_cap() -> int:
+    """The largest alpha with p = 2 alpha(alpha-1) + 1 within 63 bits."""
+    top = 2**31 + 1
+    while (2 * top * (top - 1) + 1).bit_length() > 63:
+        top -= 1
+    return top
 
 
 def run_cli(capsys, *args):
@@ -45,14 +53,16 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "target", ["lemma1_7", "lemma+3", "lemma 3", "lemma05", "lemma\u0663", "lemma", "Lemma3"]
+        "target",
+        ["lemma1_7", "lemma+3", "lemma 3", "lemma05", "lemma\u0663", "lemma", "Lemma3",
+         pytest.param("lemma" + "1" * 4301, id="lemma-past-int-digit-limit")],
     )
     def test_check_target_not_a_plain_numeral_rejected(self, capsys, monkeypatch, target):
         # int() reads each of these suffixes, "1_7" as 17 and the rest as 3
         def no_check(rng):
             raise AssertionError(f"a lemma check ran for {target!r}")
 
-        monkeypatch.setattr(cli, "LEMMA_CHECKS", dict.fromkeys(cli.LEMMA_CHECKS, no_check))
+        monkeypatch.setattr(checks, "LEMMA_CHECKS", dict.fromkeys(checks.LEMMA_CHECKS, no_check))
         code, out, err = run_cli(capsys, "check", target)
         assert (code, out, err) == (2, "", f"error: unknown check target {target!r}\n")
 
@@ -63,8 +73,8 @@ class TestExitCodes:
 
     def test_check_plain_numeral_runs_its_lemma(self, capsys, monkeypatch):
         ran = []
-        checks = {n: (lambda rng, n=n: ran.append(n) or (True, {})) for n in cli.LEMMA_CHECKS}
-        monkeypatch.setattr(cli, "LEMMA_CHECKS", checks)
+        fake = {n: (lambda rng, n=n: ran.append(n) or (True, {})) for n in checks.LEMMA_CHECKS}
+        monkeypatch.setattr(checks, "LEMMA_CHECKS", fake)
         for n in (3, 10, 17):
             code, out, _ = run_cli(capsys, "check", f"lemma{n}")
             assert code == 0 and out.startswith(f"[check-lemma{n}] PASS")
@@ -120,11 +130,71 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", "error: p=-5 is not prime\n")
 
-    @pytest.mark.parametrize("primes", ["1,x", "41,,4.1", "x"])
+    # int() alone reads "4_1" to "\u0664\u0661" as 41 or 97
+    @pytest.mark.parametrize(
+        "primes",
+        ["1,x", "41,,4.1", "x", "97,4_1", "97, 97", "97,+41", "97,041", "97,\u0664\u0661",
+         pytest.param("9" * 4301, id="past-int-digit-limit")],
+    )
     def test_residue_prime_not_an_integer_named(self, capsys, primes):
         entry = [x for x in primes.split(",") if x][-1]
         code, out, err = run_cli(capsys, "verify-residues", "--primes", primes)
         assert (code, out, err) == (2, "", f"error: --primes entry {entry!r} is not an integer\n")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--instances", "99999999999999999999"],
+            ["--form-instances", "99999999999999999999"],
+            ["--primes", "2", "--instances", str(sys.maxsize + 1), "--form-instances", "0"],
+        ],
+    )
+    def test_residue_instances_past_maxsize_rejected(self, capsys, monkeypatch, args):
+        # they would overflow len(range(...)) in search._fan_out
+        def no_sampling(*_, **__):
+            raise AssertionError("instances were sampled past sys.maxsize")
+
+        monkeypatch.setattr(checks, "run_verify_residues", no_sampling)
+        code, out, err = run_cli(capsys, "verify-residues", *args)
+        message = f"error: --instances and --form-instances make over {sys.maxsize} instances\n"
+        assert (code, out, err) == (2, "", message)
+
+    def test_residue_instances_at_maxsize_pass_the_bound(self, capsys, monkeypatch):
+        # negative control, with the run replaced: the bound is not one too low
+        seen = []
+        monkeypatch.setattr(
+            checks, "run_verify_residues", lambda *args, **_: seen.append(args) or (True, {})
+        )
+        argv = ["--primes", "2", "--instances", str(sys.maxsize), "--form-instances", "0"]
+        assert run_cli(capsys, "verify-residues", *argv)[0] == 0
+        assert seen == [(0, [2], sys.maxsize, 0)]
+
+    def test_levson_alpha_max_past_modulus_cap_builds_no_sieve(self, capsys, monkeypatch):
+        # p = 2 alpha(alpha-1) + 1 for the largest alpha must fit the modulus cap
+        def no_sieve(alpha_max):
+            raise AssertionError("the sieve was built past the modulus cap")
+
+        monkeypatch.setattr(search, "_levson_alphas", no_sieve)
+        top = _levson_alpha_cap()
+        for alpha_max in (top + 1, 99999999999999999999):
+            code, out, err = run_cli(capsys, "search", "levson", "--alpha-max", str(alpha_max))
+            message = f"error: --alpha-max {alpha_max} gives p = 2a(a-1)+1 over 63 bits\n"
+            assert (code, out, err) == (2, "", message)
+
+    def test_levson_alpha_max_at_modulus_cap_passes_the_bound(self, capsys, monkeypatch):
+        # negative control, with the scan replaced: the bound is not one too low
+        class Reached(Exception):
+            pass
+
+        def reached(job, workers):
+            raise Reached(job.alpha_max)
+
+        monkeypatch.setattr(cli, "run_job", reached)
+        top = _levson_alpha_cap()
+        assert (2 * top * (top - 1) + 1).bit_length() == 63
+        with pytest.raises(Reached) as exc:
+            cli.run(["search", "levson", "--alpha-max", str(top)])
+        assert exc.value.args == (top,)
 
     def test_negative_residue_prime_named_not_prime(self, capsys):
         code, out, err = run_cli(capsys, "verify-residues", "--primes", "7,-5")
@@ -143,7 +213,7 @@ class TestExitCodes:
         def no_sampling(*_):
             raise AssertionError("instances were sampled for a rejected configuration")
 
-        monkeypatch.setattr(cli, "run_verify_residues", no_sampling)
+        monkeypatch.setattr(checks, "run_verify_residues", no_sampling)
         code, out, err = run_cli(capsys, "verify-residues", *args)
         assert code == 2
         assert out == ""
@@ -173,7 +243,7 @@ class TestExitCodes:
         ]
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
+        monkeypatch.setitem(checks.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
         code, out, _ = run_cli(capsys, "check", "lemma1")
         assert code == 1
         assert "FAIL" in out
@@ -290,9 +360,9 @@ class TestSmallPrimes:
         allow_cpus(monkeypatch, 2)
         args = ("verify-residues", "--instances", "20", "--form-instances", "2",
                 "--format", "json")
-        draws = cli._residue_draws(0, [41, 97, 10007], 20, 2)
+        draws = checks._residue_draws(0, [41, 97, 10007], 20, 2)
         p, roots, doubled, coeffs = next(itertools.islice(draws, 45, None))
-        chosen = cli._build_split_form(p, roots, doubled, coeffs)
+        chosen = checks._build_split_form(p, roots, doubled, coeffs)
         residue_at = residues.residue_at
 
         def off_by_one(form, b, multiplicity=None):
@@ -455,7 +525,7 @@ class TestOutputModes:
         def no_run(*_):
             raise AssertionError("the report was computed for an unwritable --out")
 
-        monkeypatch.setattr(cli, "run_verify_residues", no_run)
+        monkeypatch.setattr(checks, "run_verify_residues", no_run)
         dest = tmp_path / "absent" / "report.json" if missing_dir else tmp_path
         code, out, err = run_cli(capsys, "verify-residues", "--out", str(dest))
         assert (code, out) == (2, "")
@@ -492,6 +562,30 @@ class TestLemmaRegistry:
         assert code == 0, out
 
 
+class TestChecksModule:
+    """The checks run without the CLI, as ``mucrit.checks`` alone."""
+
+    @pytest.mark.parametrize("n", list(range(1, 18)))
+    def test_lemma_check_returns_what_the_cli_reports(self, capsys, n):
+        for seed in (0, 7):
+            ok, report = checks.LEMMA_CHECKS[n](random.Random(seed))
+            argv = ["check", f"lemma{n}", "--seed", str(seed), "--format", "json"]
+            doc = json.loads(run_cli(capsys, *argv)[1])
+            assert (doc["ok"], doc["report"]) == (ok, json.loads(json.dumps(report)))
+
+    @pytest.mark.parametrize("module, loads_cli", [("mucrit.checks", False), ("mucrit.cli", True)])
+    def test_checks_import_leaves_cli_unloaded(self, module, loads_cli):
+        # a fresh interpreter; importing mucrit.cli itself is the negative control
+        code = f"import sys, {module}\nprint('mucrit.cli' in sys.modules)\n"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == f"{loads_cli}\n"
+
+
 class TestRandomSubset:
     @pytest.mark.parametrize("p", [2, 3, 5, 41, 97, 10007])
     def test_matches_list_pool_sampler(self, p):
@@ -505,12 +599,13 @@ class TestRandomSubset:
                 room = p - len({x for x in av if 0 <= x < p})
                 size = rng.randint(1, min(room, 8))
                 fast, ref = random.Random(seed), random.Random(seed)
-                assert cli._random_subset(fast, p, size, av) == random_subset(ref, p, size, av)
+                picks = checks._random_picks(fast, p, size, av)
+                assert FpSet(p, picks) == random_subset(ref, p, size, av)
                 assert fast.getstate() == ref.getstate()
 
     def test_oversized_sample_rejected_alike(self):
         with pytest.raises(ValueError) as fast:
-            cli._random_subset(random.Random(0), 5, 4, avoid={1, 2})
+            FpSet(5, checks._random_picks(random.Random(0), 5, 4, avoid={1, 2}))
         with pytest.raises(ValueError) as ref:
             random_subset(random.Random(0), 5, 4, avoid={1, 2})
         assert str(fast.value) == str(ref.value)
@@ -534,7 +629,8 @@ class TestRandomSplitForm:
         # same form and same RNG state as multiplying one factor per root
         for seed in range(60):
             fast, ref = random.Random(seed), random.Random(seed)
-            a, b = cli._random_split_form(fast, p), split_form_per_root(ref, p)
+            a = checks._build_split_form(p, *checks._draw_split_form(fast, p))
+            b = split_form_per_root(ref, p)
             assert (a.num, a.den) == (b.num, b.den)
             assert fast.getstate() == ref.getstate()
 

@@ -282,6 +282,7 @@ class TestLemma9:
             assert rep.sign == -1  # alpha = 2 is even
 
     def test_c0_binomial_negative_control(self, monkeypatch, tmp_path):
+        import mucrit.checks as checks
         import mucrit.cli as cli
         import mucrit.hp as hp
 
@@ -294,7 +295,7 @@ class TestLemma9:
         # and a failed flag alone fails the CLI check
         real = hp.lemma9_check
         monkeypatch.setattr(
-            cli,
+            checks,
             "lemma9_check",
             lambda A, B, b: real(A, B, b)._replace(c0_binomial_ok=False),
         )

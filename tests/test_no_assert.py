@@ -20,7 +20,7 @@ def test_no_assert_statement(path):
 
 
 def test_package_is_scanned():
-    assert {"cli.py", "fp.py", "hp.py", "residues.py", "search.py"} <= {
+    assert {"checks.py", "cli.py", "fp.py", "hp.py", "residues.py", "search.py"} <= {
         path.name for path in PACKAGE.rglob("*.py")
     }
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mucrit import cli, search
+from mucrit import checks, cli, search
 
 from conftest import allow_cpus, count_forks
 
@@ -58,7 +58,7 @@ def test_output_digests_change_only_for_the_changed_job(monkeypatch):
     assert len(first) == 3 * len(digests.jobs.jobs("desk", 0))
     assert list(digests.digest_lines("desk", 0)) == first
 
-    monkeypatch.setitem(cli.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
+    monkeypatch.setitem(checks.LEMMA_CHECKS, 1, lambda rng: (False, {"forced": True}))
     patched = list(digests.digest_lines("desk", 0))
     assert len(patched) == len(first)
     changed = [new for old, new in zip(first, patched) if old != new]
