@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 MAX_MODULUS_BITS = 63
@@ -118,19 +119,20 @@ class FieldElem:
 
 
 class FpSet:
-    """Sorted duplicate-free subset of F_p, shared modulus.
+    """Sorted duplicate-free subset of F_p, shared modulus: the modulus and
+    the sorted tuple ``elems``, nothing else, so its size never grows with p.
 
     Input values are reduced mod p and deduplicated (set semantics).
+    Membership bisects ``elems``.
     """
 
-    __slots__ = ("p", "elems", "_mask")
+    __slots__ = ("p", "elems")
 
     def __init__(self, p: int, values: Iterable[int] = ()):
         _require_prime(p)
         vals = sorted({int(v) % p for v in values})
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "elems", tuple(vals))
-        object.__setattr__(self, "_mask", None)
 
     @classmethod
     def _make(cls, p: int, elems: Tuple[int, ...]) -> "FpSet":
@@ -140,21 +142,10 @@ class FpSet:
         obj = object.__new__(cls)
         object.__setattr__(obj, "p", p)
         object.__setattr__(obj, "elems", elems)
-        object.__setattr__(obj, "_mask", None)
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError("FpSet is immutable")
-
-    @property
-    def mask(self) -> int:
-        """Bitset of membership, bit v set iff v in the set."""
-        if self._mask is None:
-            m = 0
-            for v in self.elems:
-                m |= 1 << v
-            object.__setattr__(self, "_mask", m)
-        return self._mask
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -167,7 +158,10 @@ class FpSet:
             if v.p != self.p:
                 raise ValueError(f"mixed moduli {self.p} and {v.p}")
             v = v.v
-        return (self.mask >> (int(v) % self.p)) & 1 == 1
+        v = int(v) % self.p
+        elems = self.elems
+        i = bisect_left(elems, v)
+        return i < len(elems) and elems[i] == v
 
     def __eq__(self, other):
         return (

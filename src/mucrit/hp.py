@@ -118,16 +118,6 @@ def hp_polynomial(A: FpSet, d: int) -> FpPoly:
     return f
 
 
-def _sum_mask(elems: Iterable[int], bmask: int, p: int) -> int:
-    """The p-bit mask of A + B for A = ``elems`` and B the set of ``bmask``:
-    B + a is the mask of B rotated up by a."""
-    full = (1 << p) - 1
-    sums = 0
-    for a in elems:
-        sums |= (bmask << a | bmask >> (p - a)) & full
-    return sums
-
-
 class CriticalityReport(NamedTuple):
     A: FpSet
     B: FpSet
@@ -143,27 +133,26 @@ def criticality(A: FpSet, B: FpSet, d: int) -> CriticalityReport:
     """Check A+B inside mu_d u {0} and the size identity |A||B| = d + |(-A) cap B|.
 
     ``exact`` records whether A+B equals mu_d or mu_d u {0} on the nose,
-    either of which forces criticality.  The sumset (``_sum_mask``) and -A
-    are p-bit masks built from the elements.
+    either of which forces criticality.  The sumset, -A and the overlap are
+    sets of elements: the cost is O(|A||B|) besides mu_d itself, whatever p.
     """
     if A.p != B.p:
         raise ValueError("A and B live in different fields")
     p = A.p
     if len(A) <= 1 or len(B) <= 1:
         raise ValueError("need |A|, |B| > 1")
-    mumask = roots_of_unity(p, d).mask
-    bmask = B.mask
-    sums = _sum_mask(A.elems, bmask, p)
-    negA = sum(1 << (-a % p) for a in A.elems)  # the elements are distinct
-    sumset_ok = sums & ~(mumask | 1) == 0
-    overlap = (negA & bmask).bit_count()
+    mu = roots_of_unity(p, d).elems
+    sums = {(a + b) % p for a in A.elems for b in B.elems}
+    with_zero = 0 in sums
+    sums.discard(0)
+    sumset_ok = sums.issubset(mu)
+    negA = {-a % p for a in A.elems}
+    overlap = len(negA.intersection(B.elems))
     critical = sumset_ok and len(A) * len(B) == d + overlap
-    eps = {b: 1 if (negA >> b) & 1 else 0 for b in B.elems}
+    eps = {b: 1 if b in negA else 0 for b in B.elems}
     exact = None
-    if sums == mumask:
-        exact = "mu_d"
-    elif sums == mumask | 1:
-        exact = "mu_d_plus_zero"
+    if sumset_ok and len(sums) == d:  # then A+B minus 0 is all of mu_d
+        exact = "mu_d_plus_zero" if with_zero else "mu_d"
     return CriticalityReport(A, B, d, sumset_ok, overlap, critical, eps, exact)
 
 

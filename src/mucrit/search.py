@@ -42,7 +42,7 @@ from itertools import combinations, compress
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .fp import FpSet, is_prime, roots_of_unity, sqrt_mod, subgroup_index
-from .hp import _sum_mask, criticality
+from .hp import criticality
 from .stepanov import rat2_check
 from .symm import minimal_indices, recentering_shift
 
@@ -99,13 +99,29 @@ def _bits(x: int) -> List[int]:
     return vals
 
 
+def _mask(T: Sequence[int]) -> int:
+    """The bitmask of a set of residues: bit z set iff z is in ``T``."""
+    m = 0
+    for z in T:
+        m |= 1 << z
+    return m
+
+
+def _sum_mask(elems: Sequence[int], bmask: int, p: int) -> int:
+    """The p-bit mask of A + B for A = ``elems`` and B the set of ``bmask``:
+    B + a is the mask of B rotated up by a."""
+    full = (1 << p) - 1
+    sums = 0
+    for a in elems:
+        sums |= (bmask << a | bmask >> (p - a)) & full
+    return sums
+
+
 def _difference_masks(T: Sequence[int], p: int) -> List[int]:
     """For each a = T[i], at index i, the bitmask of {z - a : z in T}: the b
     with a + b in T.  Subtracting a mod p rotates the p-bit mask of T down
     by a."""
-    tmask = 0
-    for z in T:
-        tmask |= 1 << z
+    tmask = _mask(T)
     full = (1 << p) - 1
     return [(tmask >> a | tmask << (p - a)) & full for a in T]
 
@@ -325,7 +341,7 @@ def sumset_search(
     is reported as a violation of the bound, and that A is skipped.  The
     opposite shifts of each pair found are then listed with one
     canonicalization per class (``_shift_classes``), and each class is
-    re-verified on bitmasks (``hp.criticality``).
+    re-verified on its elements (``hp.criticality``).
 
     ``node_budget`` bounds the enumeration of A.  Neither an exceeded budget
     (a verdict) nor a violation is conflated with "no decomposition exists";
@@ -337,6 +353,7 @@ def sumset_search(
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
     _, powers, _ = subgroup_index(p, d)
     mu = roots_of_unity(p, d)
+    mumask = _mask(powers)
     diff = _difference_masks(powers, p)  # indexed by exponent
     splits = [
         (a, d // a)
@@ -363,7 +380,7 @@ def sumset_search(
                         f"summand {A} has candidate partners {tuple(_bits(cand))}, "
                         f"not |B| = {beta}: the Hanson-Petridis bound fails"
                     )
-                elif _sum_mask(A, cand, p) == mu.mask:
+                elif _sum_mask(A, cand, p) == mumask:
                     found.append((A, tuple(_bits(cand))))
     except SearchBudgetExceeded:
         exhausted = True
@@ -447,7 +464,7 @@ def decompose_two_summands(
     is a set cover, not an exact cover; suitable for arbitrary small targets."""
     p = target.p
     T = target.elems
-    tmask = target.mask
+    tmask = _mask(T)
     if not T:
         return []
     nodes = 0

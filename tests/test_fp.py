@@ -112,8 +112,24 @@ class TestFpSet:
                 (-S, FpSet(p, [-v for v in vals])),
                 (FpSet._make(p, S.elems), S),
             ):
-                assert (got.p, got.elems, got.mask) == (want.p, want.elems, want.mask)
+                assert (got.p, got.elems) == (want.p, want.elems)
+                assert [x in got for x in range(p)] == [x in want for x in range(p)]
                 assert type(got.elems) is tuple and got == want and hash(got) == hash(want)
+
+    @pytest.mark.parametrize("p", [2, 13, 97, 10007])
+    def test_membership_is_residue_in_elems(self, p, rng):
+        for _ in range(20):
+            S = FpSet(p, rng.sample(range(p), rng.randrange(min(p, 60) + 1)))
+            members = set(S.elems)
+            probes = range(-2 * p, 2 * p)
+            if p > 100:  # each element in every lift, and a sample of the rest
+                probes = [v + k * p for v in S.elems for k in (-2, -1, 0, 1)]
+                probes += rng.sample(range(-2 * p, 2 * p), 2000)
+            for x in probes:
+                assert (x in S) == (x % p in members)
+                assert (FieldElem(x, p) in S) == (x % p in members)
+            with pytest.raises(ValueError):
+                FieldElem(1, 3) in S  # another modulus
 
 
 class TestRootsOfUnity:

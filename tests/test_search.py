@@ -1,5 +1,6 @@
 import functools
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -113,11 +114,11 @@ class TestDiffsetSearch:
         # exhaustive over all 3-subsets of F_13
         p, d = 13, 6
         mu = roots_of_unity(p, d)
-        allowed = mu.mask | 1
+        allowed = set(mu) | {0}
         classes = set()
         for A in combinations(range(p), 3):
             S = FpSet(p, A)
-            if S.diffset(S).mask & ~allowed == 0:
+            if set(S.diffset(S)) <= allowed:
                 classes.add(canonical_diffset(A, p, mu))
         res = diffset_search(p, d)
         assert sorted(classes) == sorted(w[0] for w in res.witnesses)
@@ -1088,3 +1089,48 @@ def test_reverification_survives_optimize_flag(kind):
     # the control: -O is in effect, and the search unpatched runs clean
     search_call = _UNVERIFIED[kind].splitlines()[-1]
     assert _run_optimized("assert False\n" + search_call).returncode == 0
+
+
+# p = 10^12 + 39 is inside the 63-bit cap; one p-bit mask of it is about 125 GB
+_LARGE_P = 1_000_000_000_039
+
+
+def _run_capped(*args):
+    """``python *args`` with the child's address space capped at 1 GiB, so a
+    p-bit mask at ``_LARGE_P`` ends in ``MemoryError`` rather than paging."""
+    resource = pytest.importorskip("resource")
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, preexec_fn=limit, capture_output=True, text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "d, witnesses", [(6, [[[0, 1, 70003149781], True]]), (2, [[[0, 1], True]])]
+)
+def test_diffset_at_a_large_prime_fits_in_one_gib(d, witnesses):
+    argv = ["search", "diffset", "--p", str(_LARGE_P), "--d", str(d), "--format", "json"]
+    out = _run_capped("-m", "mucrit.cli", *argv)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["report"]["witnesses"] == witnesses
+
+
+def test_criticality_at_a_large_prime_fits_in_one_gib():
+    # {0, 1} + {0, -1} = {0, 1, -1} = mu_2 u {0}, with overlap 2: 2 * 2 = 2 + 2
+    code = (
+        "from mucrit.fp import FpSet\n"
+        "from mucrit.hp import criticality\n"
+        f"p = {_LARGE_P}\n"
+        "rep = criticality(FpSet(p, [0, 1]), FpSet(p, [0, p - 1]), 2)\n"
+        "print(rep.critical, rep.overlap, rep.exact)\n"
+    )
+    out = _run_capped("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True 2 mu_d_plus_zero\n"
