@@ -4,7 +4,7 @@ the searches (``search.run_job``), and the text/json/csv reports.
 
 Exit codes: 0 all checks passed or search completed clean; 1 a verification
 failed or an unexpected witness appeared (the counterexample is serialized in
-the report); 2 usage or configuration errors.
+the report); 2 usage or configuration errors, and running out of memory.
 
 JSON reports are versioned ("schema": "mucrit/1"), key-sorted, and carry no
 timing or thread-count data, so a fixed configuration and seed produce
@@ -251,6 +251,9 @@ def run(argv: Optional[List[str]] = None) -> int:
         return _dispatch(ns)
     except (ValueError, ZeroDivisionError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # such as the p-bit masks of a sumset search at a large p
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -99,29 +99,14 @@ def _bits(x: int) -> List[int]:
     return vals
 
 
-def _mask(T: Sequence[int]) -> int:
-    """The bitmask of a set of residues: bit z set iff z is in ``T``."""
-    m = 0
-    for z in T:
-        m |= 1 << z
-    return m
-
-
-def _sum_mask(elems: Sequence[int], bmask: int, p: int) -> int:
-    """The p-bit mask of A + B for A = ``elems`` and B the set of ``bmask``:
-    B + a is the mask of B rotated up by a."""
-    full = (1 << p) - 1
-    sums = 0
-    for a in elems:
-        sums |= (bmask << a | bmask >> (p - a)) & full
-    return sums
-
-
 def _difference_masks(T: Sequence[int], p: int) -> List[int]:
     """For each a = T[i], at index i, the bitmask of {z - a : z in T}: the b
     with a + b in T.  Subtracting a mod p rotates the p-bit mask of T down
-    by a."""
-    tmask = _mask(T)
+    by a.  The sumset candidate index, whose popcounts prune, is the one
+    p-bit structure in the package; completions compare element sets."""
+    tmask = 0
+    for z in T:
+        tmask |= 1 << z
     full = (1 << p) - 1
     return [(tmask >> a | tmask << (p - a)) & full for a in T]
 
@@ -336,12 +321,13 @@ def sumset_search(
     C = {b : A + b inside mu_d}, which misses -A as 0 is not in mu_d, so the
     Hanson-Petridis bound |A||C| <= d + |(-A) cap C| (Proc. LMS 2021) gives
     |C| <= beta; ``cand`` comes with at least beta elements, so exactly beta.
-    Every B holds 0, lies in C and holds no difference of A, so B = ``cand``,
-    and the pair is found when the A + ``cand`` mask is mu_d.  Another size
-    is reported as a violation of the bound, and that A is skipped.  The
-    opposite shifts of each pair found are then listed with one
-    canonicalization per class (``_shift_classes``), and each class is
-    re-verified on its elements (``hp.criticality``).
+    Every B holds 0, lies in C and holds no difference of A, so B = ``cand``.
+    Every a + b with b in ``cand`` already lies in mu_d, so the pair is found
+    when A + ``cand`` has d distinct elements.  Another size is reported as a
+    violation of the bound, and that A is skipped.  The opposite shifts of
+    each pair found are then listed with one canonicalization per class
+    (``_shift_classes``), and each class is re-verified on its elements
+    (``hp.criticality``).
 
     ``node_budget`` bounds the enumeration of A.  Neither an exceeded budget
     (a verdict) nor a violation is conflated with "no decomposition exists";
@@ -353,7 +339,6 @@ def sumset_search(
         raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
     _, powers, _ = subgroup_index(p, d)
     mu = roots_of_unity(p, d)
-    mumask = _mask(powers)
     diff = _difference_masks(powers, p)  # indexed by exponent
     splits = [
         (a, d // a)
@@ -375,13 +360,14 @@ def sumset_search(
         for alpha, beta in splits:
             for K, cand in _gap_anchored_summands(diff, powers, p, alpha, beta, spend):
                 A = tuple(powers[k] for k in K)
-                if cand.bit_count() != beta:
+                B = tuple(_bits(cand))
+                if len(B) != beta:
                     violations.append(
-                        f"summand {A} has candidate partners {tuple(_bits(cand))}, "
+                        f"summand {A} has candidate partners {B}, "
                         f"not |B| = {beta}: the Hanson-Petridis bound fails"
                     )
-                elif _sum_mask(A, cand, p) == mumask:
-                    found.append((A, tuple(_bits(cand))))
+                elif len({(a + b) % p for a in A for b in B}) == d:
+                    found.append((A, B))
     except SearchBudgetExceeded:
         exhausted = True
 
@@ -458,34 +444,41 @@ def _recentered_index_violation(A: FpSet, B: FpSet) -> Optional[str]:
 
 def decompose_two_summands(
     target: FpSet, node_budget: int = 2_000_000
-) -> List[Pair]:
-    """All (A, B_max) with A + B_max = target, |A|, |B_max| >= 2, B_max
-    maximal for its A and normalized to contain 0.  Sums may collide, so this
-    is a set cover, not an exact cover; suitable for arbitrary small targets."""
-    p = target.p
-    T = target.elems
-    tmask = _mask(T)
-    if not T:
-        return []
-    nodes = 0
-    out: List[Pair] = []
-    diff = _difference_masks(T, p)
+) -> Optional[Pair]:
+    """The first (A, B_max) met with A + B_max = target and |A|, |B_max| >= 2,
+    or None if there is none.  B_max is the largest partner of A: every b
+    with A + b inside the target.  Sums may collide, so this is a set cover,
+    not an exact cover; suitable for arbitrary small targets.
 
-    def extend(A: List[int], cand: int, start: int) -> None:
+    A grows from the target's least element t through the later elements
+    in increasing order, and the partners are kept as a set of at most
+    |target| residues.  Starting at t loses nothing: if t = a + b in a split
+    A + B, the shifted split (A + b, B - b) has t in A and 0 in B, and B - b
+    lies in the partners of A + b.  Each prefix of A is one node of
+    ``node_budget``."""
+    p, T = target.p, target.elems
+    if not T:
+        return None
+    nodes = 0
+    diff = [{(z - a) % p for z in T} for a in T]  # the b with a + b in T
+
+    def extend(A: List[int], cand: Set[int], start: int) -> Optional[Pair]:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
             raise SearchBudgetExceeded(f"two-summand scan exceeded {node_budget} nodes")
-        if len(A) >= 2 and cand & 1 and _sum_mask(A, cand, p) == tmask and cand.bit_count() >= 2:
-            out.append((tuple(A), tuple(_bits(cand))))
+        # every a + b already lies in the target, so counting them decides
+        if len(A) >= 2 and len({(a + b) % p for a in A for b in cand}) == len(T):
+            return tuple(A), tuple(sorted(cand))
         for i in range(start, len(T)):
             nc = cand & diff[i]
-            if nc.bit_count() < 2:
-                continue
-            extend(A + [T[i]], nc, i + 1)
+            if len(nc) >= 2:
+                split = extend(A + [T[i]], nc, i + 1)
+                if split:
+                    return split
+        return None
 
-    extend([], (1 << p) - 1, 0)
-    return out
+    return extend([T[0]], diff[0], 1)
 
 
 def threefold_check(
@@ -509,12 +502,12 @@ def threefold_check(
     for A, B in base.witnesses:
         for first, second in ((A, B), (B, A)):
             try:
-                splits = decompose_two_summands(FpSet(p, second), split_budget)
+                split = decompose_two_summands(FpSet(p, second), split_budget)
             except SearchBudgetExceeded:
                 split_exhausted = True
                 continue
-            if splits:
-                trip = (tuple(first),) + splits[0]
+            if split:
+                trip = (tuple(first),) + split
                 witnesses.append(trip)
                 violations.append(f"three-summand decomposition {trip} of mu_{d}")
     if any("budget" in v for v in base.verdicts):

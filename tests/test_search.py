@@ -593,6 +593,40 @@ class TestShiftClasses:
         assert len(calls) == len(orbits) == 89 * found_counts[1]
 
 
+def _random_split_targets(rng):
+    """300 targets T (p in {13, 29, 53}, 2-6 elements) as (p, sorted T);
+    about half are a random 2-set plus a random 2- or 3-set."""
+    targets = []
+    while len(targets) < 300:
+        p = rng.choice((13, 29, 53))
+        if rng.random() < 0.5:
+            Y, Z = rng.sample(range(p), 2), rng.sample(range(p), rng.choice((2, 3)))
+            T = sorted({(y + z) % p for y in Y for z in Z})
+        else:
+            T = sorted(rng.sample(range(p), rng.randrange(2, 7)))
+        if 2 <= len(T) <= 6:
+            targets.append((p, T))
+    return targets
+
+
+def _splits_by_brute_force(p, T):
+    """Whether some Y, Z with |Y|, |Z| >= 2 have Y + Z = T, by trying all
+    subsets: a split (Y, Z) shifts to (Y - y, Z + y) for any y in Y, with
+    Z + y inside T and Y - y inside T - z for the least z of Z + y."""
+    want = set(T)
+    return any(
+        {(y + z) % p for y in Y for z in Z} == want
+        for k in range(2, len(T) + 1)
+        for Z in combinations(T, k)
+        for j in range(2, len(T) + 1)
+        for Y in combinations(sorted((t - Z[0]) % p for t in T), j)
+    )
+
+
+# a pair witness of mu_4 at p = 13 whose second summand splits as {0, 1} + {0, 2}
+_PLANTED = SearchResult("sumset", 13, 4, [((0, 5), (0, 1, 2, 3))], {"nodes": 1}, (), ())
+
+
 class TestThreefold:
     def test_budget_exhaustion_is_a_verdict(self):
         pair_nodes = sumset_search(13, 4).counts["nodes"]
@@ -613,8 +647,7 @@ class TestThreefold:
         # a planted pair witness whose second summand splits as {0, 1} + {0, 2}:
         # the three-summand check must list the triple and flag it
         p, d = 13, 4
-        planted = SearchResult("sumset", p, d, [((0, 5), (0, 1, 2, 3))], {"nodes": 1}, (), ())
-        monkeypatch.setattr(search, "sumset_search", lambda *args, **kwargs: planted)
+        monkeypatch.setattr(search, "sumset_search", lambda *args, **kwargs: _PLANTED)
         res = threefold_check(p, d)
         assert len(res.witnesses) == 1
         first, B, C = res.witnesses[0]
@@ -624,6 +657,17 @@ class TestThreefold:
         assert any("three-summand decomposition" in v for v in res.violations)
         assert "no three-summand decomposition exists" not in res.verdicts
 
+    @pytest.mark.parametrize("budget", range(3, 16))
+    def test_found_split_survives_the_budget(self, monkeypatch, budget):
+        # the planted summand {0, 1, 2, 3} splits at the second node of its
+        # search; a budget that runs out later must not lose that split
+        p, d = 13, 4
+        monkeypatch.setattr(search, "sumset_search", lambda *args, **kwargs: _PLANTED)
+        res = threefold_check(p, d, node_budget=budget)
+        assert res.witnesses == [((0, 5), (0, 1), (0, 1, 2))]
+        assert res.violations == ("three-summand decomposition ((0, 5), (0, 1), (0, 1, 2)) of mu_4",)
+        assert res.verdicts == ()
+
     def test_two_summand_decomposition_finds_plant(self, rng):
         p = 53
         A = sorted(rng.sample(range(p), 3))
@@ -631,9 +675,34 @@ class TestThreefold:
         target = FpSet(p, [(a + b) % p for a in A for b in B])
         found = decompose_two_summands(target)
         assert found
-        for FA, FB in found:
-            got = sorted({(x + y) % p for x in FA for y in FB})
-            assert got == list(target.elems)
+        FA, FB = found
+        got = sorted({(x + y) % p for x in FA for y in FB})
+        assert got == list(target.elems)
+
+    def test_two_summand_split_matches_brute_force(self, rng):
+        targets = _random_split_targets(rng)
+        wants = [_splits_by_brute_force(p, T) for p, T in targets]
+        assert 100 <= sum(wants) <= 200
+        for (p, T), want in zip(targets, wants):
+            found = decompose_two_summands(FpSet(p, T))
+            assert (found is not None) == want, (p, T)
+            if found:
+                Y, Z = found
+                assert min(len(Y), len(Z)) >= 2
+                assert sorted({(y + z) % p for y in Y for z in Z}) == T
+
+    def test_negative_control_partner_minus_largest(self):
+        # completing A with its partners short of the largest misses the
+        # split {0, 1} + {0, 10} = {0, 1, 10, 11} at p = 13
+        src = inspect.getsource(search.decompose_two_summands)
+        test = "for b in cand}"
+        assert src.count(test) == 1
+        namespace = dict(vars(search))
+        exec(src.replace(test, "for b in sorted(cand)[:-1]}"), namespace)
+        mutant = namespace["decompose_two_summands"]
+        assert _splits_by_brute_force(13, [0, 1, 10, 11])
+        assert mutant(FpSet(13, [0, 1, 10, 11])) is None
+        assert decompose_two_summands(FpSet(13, [0, 1, 10, 11])) == ((0, 1), (0, 10))
 
 
 def _assert_no_child_left():
@@ -1120,6 +1189,30 @@ def test_diffset_at_a_large_prime_fits_in_one_gib(d, witnesses):
     out = _run_capped("-m", "mucrit.cli", *argv)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["report"]["witnesses"] == witnesses
+
+
+@pytest.mark.parametrize("kind", ["sumset", "threefold"])
+def test_sumset_out_of_memory_exits_2(kind):
+    # --max-p lets p = 10^12 + 39 through, and its p-bit candidate masks do
+    # not fit in 1 GiB: one error line, and the exit code of bad input
+    argv = ["search", kind, "--p", str(_LARGE_P), "--d", "6", "--max-p", "2000000000000"]
+    out = _run_capped("-m", "mucrit.cli", *argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "error: out of memory\n"
+    assert out.stdout == ""
+
+
+def test_two_summand_split_at_a_large_prime_fits_in_one_gib():
+    code = (
+        "from mucrit.fp import FpSet\n"
+        "from mucrit.search import decompose_two_summands\n"
+        f"p = {_LARGE_P}\n"
+        "print(decompose_two_summands(FpSet(p, [0, 1, 2, 3])))\n"
+        "print(decompose_two_summands(FpSet(p, [0, 1, 3])))\n"
+    )
+    out = _run_capped("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "((0, 1), (0, 1, 2))\nNone\n"
 
 
 def test_criticality_at_a_large_prime_fits_in_one_gib():
