@@ -15,6 +15,10 @@ may use and the amount of work (``search._fan_out``); every other command
 runs in one process and only checks the value.  Without ``--threads``, N is
 the number of CPUs this process may use, read when the command runs.
 
+Importing this module loads only the search layers; ``_dispatch`` imports
+``checks`` (and with it the residue, Stepanov and rational-algebra layers)
+for the ``verify-*`` and ``check`` commands alone, so no search pays for it.
+
 Every option is declared once, as data: ``_COMMON`` holds the options of
 every command and ``_LEAVES`` those of each command, under its words.  Each
 command line is parsed by ``_parse``.  A plain line, exact ``--option
@@ -37,9 +41,7 @@ import sys
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from . import checks
 from .fp import MAX_MODULUS_BITS, is_prime
-from .residues import FORM_NAMES
 from .search import SearchBudgetExceeded, SearchJob, _usable_cpus, run_job
 
 SCHEMA = "mucrit/1"
@@ -274,11 +276,29 @@ def _dispatch(ns: SimpleNamespace) -> int:
         raise ValueError(f"--threads must be at least 1, got {ns.threads}")
     if ns.out:
         _check_out(ns.out)
+    if ns.command == "search":
+        if getattr(ns, "node_budget", 1) < 1:
+            raise ValueError(f"--node-budget must be at least 1, got {ns.node_budget}")
+        if ns.kind == "levson":
+            a = ns.alpha_max  # the scan's largest p is 2a(a-1)+1
+            if (2 * a * (a - 1) + 1).bit_length() > MAX_MODULUS_BITS:
+                raise ValueError(f"--alpha-max {a} gives p = 2a(a-1)+1 over {MAX_MODULUS_BITS} bits")
+        params = {k: v for k, v in vars(ns).items() if k in _JOB_FIELDS}
+        res = run_job(SearchJob(ns.kind, **params), workers=ns.threads)
+        # the report is the result's fields as they are: _asdict() is a shallow
+        # dict of them, and json.dumps renders each tuple in it as a list
+        return _emit(ns, f"search-{ns.kind}", params, not res.violations, res._asdict())
+    # the verification layers (checks, residues, stepanov, qalg and fractions)
+    # load only here, so that no search pays for importing them
+    from . import checks
+
     if ns.command == "verify-f41":
         return _emit(ns, "verify-f41", {}, *checks.run_verify_f41())
     if ns.command == "verify-identities":
         return _emit(ns, "verify-identities", {}, *checks.run_verify_identities())
     if ns.command == "verify-residues":
+        from .residues import FORM_NAMES
+
         primes = []
         for x in filter(None, ns.primes.split(",")):
             if not _numeral(x.removeprefix("-")):  # "-5" is read, and named not prime
@@ -302,18 +322,6 @@ def _dispatch(ns: SimpleNamespace) -> int:
             ns.seed, primes, ns.instances, ns.form_instances, workers=ns.threads
         )
         return _emit(ns, "verify-residues", params, ok, report)
-    if ns.command == "search":
-        if getattr(ns, "node_budget", 1) < 1:
-            raise ValueError(f"--node-budget must be at least 1, got {ns.node_budget}")
-        if ns.kind == "levson":
-            a = ns.alpha_max  # the scan's largest p is 2a(a-1)+1
-            if (2 * a * (a - 1) + 1).bit_length() > MAX_MODULUS_BITS:
-                raise ValueError(f"--alpha-max {a} gives p = 2a(a-1)+1 over {MAX_MODULUS_BITS} bits")
-        params = {k: v for k, v in vars(ns).items() if k in _JOB_FIELDS}
-        res = run_job(SearchJob(ns.kind, **params), workers=ns.threads)
-        # the report is the result's fields as they are: _asdict() is a shallow
-        # dict of them, and json.dumps renders each tuple in it as a list
-        return _emit(ns, f"search-{ns.kind}", params, not res.violations, res._asdict())
     if ns.command == "check":
         digits = ns.target[5:]
         if ns.target[:5] != "lemma" or not _numeral(digits):

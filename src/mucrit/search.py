@@ -43,7 +43,6 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from .fp import FpSet, is_prime, roots_of_unity, sqrt_mod, subgroup_index
 from .hp import criticality
-from .stepanov import rat2_check
 from .symm import minimal_indices, recentering_shift
 
 
@@ -779,10 +778,17 @@ def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
     return SearchResult("problem2", p, d, witnesses, {"sets_checked": checked}, verdicts, ())
 
 
-def _rat2_everywhere(A: Sequence[int], p: int) -> bool:
-    """The quadratic reciprocal relation (``rat2_check``) at every a in A."""
-    S = FpSet(p, A)
-    return all(rat2_check(S, a) for a in S)
+def _rat2_everywhere() -> Callable[[Sequence[int], int], bool]:
+    """The test that A satisfies the quadratic reciprocal relation
+    (``stepanov.rat2_check``) at every a in A.  Stepanov's layer, with its
+    rational algebra, is imported here, so no other search loads it."""
+    from .stepanov import rat2_check
+
+    def holds(A: Sequence[int], p: int) -> bool:
+        S = FpSet(p, A)
+        return all(rat2_check(S, a) for a in S)
+
+    return holds
 
 
 def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
@@ -798,7 +804,7 @@ def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
     witnesses, checked = _pinned_classes(
-        p, roots_of_unity(p, p - 1), range(2, alpha_max + 1), _rat2_everywhere
+        p, roots_of_unity(p, p - 1), range(2, alpha_max + 1), _rat2_everywhere()
     )
     verdicts = ("no set satisfies the relation",) if not witnesses else ()
     return SearchResult("problem1", p, None, witnesses, {"sets_checked": checked}, verdicts, ())

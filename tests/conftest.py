@@ -44,3 +44,21 @@ def count_forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return forks
+
+
+# one valid command line per leaf parser
+LEAF_ARGVS = {
+    ("verify-f41",): ["verify-f41"],
+    ("verify-identities",): ["verify-identities", "--format", "json"],
+    ("verify-residues",): [
+        "verify-residues", "--primes", "2,3", "--instances", "2", "--form-instances", "1",
+        "--threads", "1",
+    ],
+    ("check",): ["check", "lemma3", "--format", "csv"],
+    ("search", "diffset"): ["search", "diffset", "--p", "13", "--d", "6"],
+    ("search", "sumset"): ["search", "sumset", "--p", "13", "--d", "4", "--format", "json"],
+    ("search", "threefold"): ["search", "threefold", "--p", "13", "--d", "4"],
+    ("search", "levson"): ["search", "levson", "--alpha-max", "20", "--threads", "1"],
+    ("search", "problem1"): ["search", "problem1", "--p", "7", "--alpha-max", "3"],
+    ("search", "problem2"): ["search", "problem2", "--p", "13", "--d", "6"],
+}

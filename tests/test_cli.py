@@ -19,7 +19,7 @@ from mucrit.fp import FieldElem, FpSet
 from mucrit.poly import FpPoly, from_roots
 from mucrit.residues import RationalForm
 
-from conftest import allow_cpus, count_forks, random_subset
+from conftest import LEAF_ARGVS, allow_cpus, count_forks, random_subset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -634,23 +634,6 @@ class TestRandomSplitForm:
             assert (a.num, a.den) == (b.num, b.den)
             assert fast.getstate() == ref.getstate()
 
-
-# one valid command line per leaf parser
-LEAF_ARGVS = {
-    ("verify-f41",): ["verify-f41"],
-    ("verify-identities",): ["verify-identities", "--format", "json"],
-    ("verify-residues",): [
-        "verify-residues", "--primes", "2,3", "--instances", "2", "--form-instances", "1",
-        "--threads", "1",
-    ],
-    ("check",): ["check", "lemma3", "--format", "csv"],
-    ("search", "diffset"): ["search", "diffset", "--p", "13", "--d", "6"],
-    ("search", "sumset"): ["search", "sumset", "--p", "13", "--d", "4", "--format", "json"],
-    ("search", "threefold"): ["search", "threefold", "--p", "13", "--d", "4"],
-    ("search", "levson"): ["search", "levson", "--alpha-max", "20", "--threads", "1"],
-    ("search", "problem1"): ["search", "problem1", "--p", "7", "--alpha-max", "3"],
-    ("search", "problem2"): ["search", "problem2", "--p", "13", "--d", "6"],
-}
 
 # help at each level, parser and dispatch errors, abbreviations, and
 # command words out of place

@@ -1,19 +1,26 @@
 """The result records: their contract as NamedTuples, the JSON reports built
-from them, and what importing the CLI loads."""
+from them, what importing the package and the CLI loads, and what each
+command loads when it runs."""
 
 import hashlib
+import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
+from typing import List
 
 import pytest
 
+import mucrit
 from mucrit import cli
 from mucrit.fp import FpSet
 from mucrit.hp import criticality, factorization_check, hp_coeffs, lemma9_check
 from mucrit.residues import FormIdentityReport, lemma_form_identity, named_form, sum_residues_check
 from mucrit.search import SearchJob, sumset_search
 from mucrit.stepanov import alpha11_obstruction, lemma5_lemma6_numeric, lemma13_symbolic
+
+from conftest import LEAF_ARGVS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -155,26 +162,46 @@ def test_sumset_pin_differs_only_in_nodes(capsys):
 
 # the modules behind dataclasses that importing the CLI must not load
 FOOTPRINT = ("dataclasses", "inspect")
+# the verification layers, which only verify-*, check and search problem1 run
+VERIFY_LAYERS = (
+    "fractions", "decimal", "mucrit.qalg", "mucrit.stepanov", "mucrit.residues", "mucrit.checks",
+)
+SEARCH_ARGVS = [
+    argv for words, argv in LEAF_ARGVS.items() if words[0] == "search" and words[1] != "problem1"
+]
+
+# the head of every probe: ``run`` runs one command line quietly and requires
+# exit 0, ``loaded`` prints which of the names in argv[2] are imported
+PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+def run(argv):
+    from mucrit import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+def loaded():
+    print(" ".join(m for m in json.loads(sys.argv[2]) if m in sys.modules))
+"""
 
 
-def _loaded_after_cli_import(prelude: str = "") -> set:
-    """The modules of FOOTPRINT that a fresh isolated interpreter holds after
-    running ``prelude`` and then ``import mucrit.cli``."""
-    code = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        f"{prelude}\n"
-        "import mucrit.cli\n"
-        "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))\n"
-    )
+def _probe(body: str, watch=()) -> List[set]:
+    """Run ``body`` after ``PROBE`` in a fresh isolated interpreter; return
+    the words of each line it prints, as sets."""
     out = subprocess.run(
-        [sys.executable, "-I", "-c", code, str(SRC), *FOOTPRINT],
+        [sys.executable, "-I", "-c", PROBE + body, str(SRC), json.dumps(list(watch))],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    return set(out.stdout.split())
+    return [set(line.split()) for line in out.stdout.splitlines()]
+
+
+def _loaded_after_cli_import(prelude: str = "", watch=FOOTPRINT, then: str = "") -> set:
+    """The modules of ``watch`` that a fresh isolated interpreter holds after
+    running ``prelude``, ``import mucrit.cli`` and then ``then``."""
+    (loaded,) = _probe(f"{prelude}\nimport mucrit.cli\n{then}\nloaded()\n", watch)
+    return loaded
 
 
 class TestImportFootprint:
@@ -186,3 +213,112 @@ class TestImportFootprint:
     def test_probe_sees_a_module_loaded_first(self):
         # negative control: the probe reports a module when it is present
         assert "dataclasses" in _loaded_after_cli_import("import dataclasses")
+
+    def test_cli_import_loads_no_verification_layer(self):
+        assert _loaded_after_cli_import(watch=VERIFY_LAYERS) == set()
+
+    def test_searches_load_no_verification_layer(self):
+        # the searches drop the cost of these imports rather than move it
+        runs = "".join(f"run({argv!r})\n" for argv in SEARCH_ARGVS)
+        assert len(SEARCH_ARGVS) == 5
+        assert _loaded_after_cli_import(watch=VERIFY_LAYERS, then=runs) == set()
+
+    def test_probe_sees_the_layers_a_check_loads(self):
+        # negative control: a lemma check imports Stepanov's layer on dispatch
+        loaded = _loaded_after_cli_import(
+            watch=VERIFY_LAYERS, then="run(['check', 'lemma13'])"
+        )
+        assert {"fractions", "mucrit.stepanov"} <= loaded
+
+
+# every name the package exported when it still imported all its modules,
+# with the module that defines it
+EXPORTED = {
+    "FieldElem": "fp", "FpSet": "fp", "binom_mod": "fp", "is_prime": "fp",
+    "roots_of_unity": "fp",
+    "AT_INFINITY": "poly", "FpPoly": "poly", "TruncatedSeries": "poly", "from_roots": "poly",
+    "log_derivative_series": "poly", "taylor_at": "poly",
+    "complete_homogeneous": "symm", "minimal_indices": "symm", "power_sums": "symm",
+    "criticality": "hp", "factorization_check": "hp", "fractional_transform": "hp",
+    "hp_coeffs": "hp", "hp_polynomial": "hp", "lemma9_check": "hp",
+    "power_sum_vanishing": "hp", "reciprocal_set": "hp", "relation_x": "hp",
+    "relation_y": "hp",
+    "RationalForm": "residues", "lemma_form_identity": "residues", "named_form": "residues",
+    "residue_at": "residues", "residue_at_infinity": "residues",
+    "sum_residues_check": "residues",
+    "QPoly": "qalg", "falling": "qalg",
+    "alpha11_obstruction": "stepanov", "d_operator": "stepanov",
+    "identity_catalog_check": "stepanov", "lemma5_lemma6_numeric": "stepanov",
+    "lemma13_symbolic": "stepanov", "rat2_check": "stepanov", "rat3_check": "stepanov",
+    "verify_G_zero": "stepanov",
+    "diffset_search": "search", "levson_scan": "search", "problem1_scan": "search",
+    "problem2_scan": "search", "sumset_search": "search", "threefold_check": "search",
+}
+
+
+class TestPackageNamespace:
+    def test_all_is_the_forty_six_names(self):
+        assert len(EXPORTED) == 46
+        assert sorted(mucrit.__all__) == sorted(EXPORTED)
+
+    @pytest.mark.parametrize("name", list(EXPORTED))
+    def test_name_is_its_modules_object(self, name):
+        ns = {}
+        exec(f"from mucrit import {name}", ns)
+        assert ns[name] is getattr(importlib.import_module(f"mucrit.{EXPORTED[name]}"), name)
+
+    def test_dir_and_star_import_list_every_name(self):
+        ns = {}
+        exec("from mucrit import *", ns)
+        assert set(EXPORTED) <= set(ns)
+        assert set(EXPORTED) <= set(dir(mucrit))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mucrit.no_such_name
+
+    def test_package_import_loads_no_submodule(self):
+        # then a name loads its own module, and a submodule still imports
+        body = """
+import mucrit
+print(*(m for m in sys.modules if m.startswith("mucrit.")))
+mucrit.FpSet
+print(*(m for m in sys.modules if m.startswith("mucrit.")))
+from mucrit import cli
+print(cli is sys.modules["mucrit.cli"])
+"""
+        assert _probe(body) == [set(), {"mucrit.fp"}, {"True"}]
+
+
+class TestForkSafety:
+    """A forked ``_fan_out`` child must not take the import lock, so every
+    module its share function needs is imported before the fork."""
+
+    @staticmethod
+    def _new_modules(work: str) -> set:
+        """The modules that ``work`` imports first, after the imports that
+        ``cli._dispatch`` does for ``verify-residues`` and ``search levson``."""
+        body = f"""
+import mucrit.cli
+from mucrit import checks, search
+from mucrit.residues import FORM_NAMES
+before = set(sys.modules)
+{work}
+print(*(set(sys.modules) - before))
+"""
+        (new,) = _probe(body)
+        return new
+
+    def test_share_functions_import_nothing(self):
+        work = """
+primes, instances, form_instances = [13], 1, 1
+share = range(len(primes) * (instances + len(FORM_NAMES) * form_instances))
+part = checks._check_residue_share(share, 0, primes, instances, form_instances)
+assert part == [1, len(FORM_NAMES), []], part
+assert search._levson_hits([3, 5]) == [(13, 3, 3), (41, 5, 4)]
+"""
+        assert self._new_modules(work) == set()
+
+    def test_probe_sees_a_first_import(self):
+        # negative control: a module imported for the first time is reported
+        assert self._new_modules("import colorsys") == {"colorsys"}

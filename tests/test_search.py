@@ -1033,7 +1033,7 @@ class TestProblemScans:
         # scalings by mu_((p-1)/2) alone leave affine classes split, so the
         # shared enumeration over that smaller group must list more classes
         half = roots_of_unity(p, (p - 1) // 2)
-        got, _ = search._pinned_classes(p, half, range(2, 6), search._rat2_everywhere)
+        got, _ = search._pinned_classes(p, half, range(2, 6), search._rat2_everywhere())
         want = _problem1_classes_unquotiented(p, 5)
         assert len(got) > len(want)
 
