@@ -1,6 +1,7 @@
 """Command-line front end: the option table, the parse, input checks,
 dispatch to the verification bundles and lemma checks (``checks``) and to
-the searches (``search.run_job``), and the text/json/csv reports.
+the searches (``search.run_job``, given the command's ``_LEAVES`` options as
+parsed), and the text/json/csv reports.
 
 Exit codes: 0 all checks passed or search completed clean; 1 a verification
 failed or an unexpected witness appeared (the counterexample is serialized in
@@ -36,18 +37,14 @@ import errno
 import functools
 import json
 import os
-import random
 import sys
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from .fp import MAX_MODULUS_BITS, is_prime
-from .search import SearchBudgetExceeded, SearchJob, _usable_cpus, run_job
+from .search import SearchBudgetExceeded, _usable_cpus, run_job
 
 SCHEMA = "mucrit/1"
-
-# the search options a subparser may define; each one set becomes a job field
-_JOB_FIELDS = tuple(f for f in SearchJob._fields if f != "kind")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +156,11 @@ _LEAVES: Dict[Tuple[str, ...], Tuple[Tuple[str, Dict[str, object]], ...]] = {
 }
 
 
+def _dest(flag: str) -> str:
+    """The namespace name argparse gives ``flag``: ``--max-p`` is ``max_p``."""
+    return flag.lstrip("-").replace("-", "_")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser():
     """The argparse tree of ``_COMMON`` and ``_LEAVES``, built on first use
@@ -230,7 +232,7 @@ def _parse_plain(argv: List[str]) -> Optional[SimpleNamespace]:
     for flag, kwargs in table:
         if flag not in given and (kwargs.get("required") or flag[0] != "-"):
             return None
-        ns[flag.lstrip("-").replace("-", "_")] = given.get(flag, kwargs.get("default"))
+        ns[_dest(flag)] = given.get(flag, kwargs.get("default"))
     return SimpleNamespace(**ns)
 
 
@@ -283,8 +285,10 @@ def _dispatch(ns: SimpleNamespace) -> int:
             a = ns.alpha_max  # the scan's largest p is 2a(a-1)+1
             if (2 * a * (a - 1) + 1).bit_length() > MAX_MODULUS_BITS:
                 raise ValueError(f"--alpha-max {a} gives p = 2a(a-1)+1 over {MAX_MODULUS_BITS} bits")
-        params = {k: v for k, v in vars(ns).items() if k in _JOB_FIELDS}
-        res = run_job(SearchJob(ns.kind, **params), workers=ns.threads)
+        # the command's own options, as parsed, are the search's keywords
+        names = [_dest(flag) for flag, _ in _LEAVES[("search", ns.kind)]]
+        params = {name: getattr(ns, name) for name in names}
+        res = run_job(ns.kind, params, workers=ns.threads)
         # the report is the result's fields as they are: _asdict() is a shallow
         # dict of them, and json.dumps renders each tuple in it as a list
         return _emit(ns, f"search-{ns.kind}", params, not res.violations, res._asdict())
@@ -323,6 +327,8 @@ def _dispatch(ns: SimpleNamespace) -> int:
         )
         return _emit(ns, "verify-residues", params, ok, report)
     if ns.command == "check":
+        import random  # checks has loaded it already
+
         digits = ns.target[5:]
         if ns.target[:5] != "lemma" or not _numeral(digits):
             raise ValueError(f"unknown check target {ns.target!r}")

@@ -84,8 +84,8 @@ def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> Fie
     v - 1 after it are u_0..u_(v-1), the start of U with den = (x-b)^v U, and
     the residue is the (x-b)^(v-1) coefficient of num/U, read off the first
     v Taylor coefficients of num at b and of U (``_series_ratio``).  A
-    ``multiplicity`` given by the caller (``residue_table`` knows it) must
-    equal v.
+    ``multiplicity`` given by the caller (``sum_residues_check`` knows it)
+    must equal v.
     """
     p = form.p
     bv = b.v if isinstance(b, FieldElem) else int(b) % p
@@ -320,32 +320,22 @@ class ResidueCheck(NamedTuple):
         return self.status == "zero"
 
 
-def residue_table(form: RationalForm) -> Tuple[ResidueTable, bool]:
-    """(table, split): residues at every rational pole plus infinity.
+def sum_residues_check(form: RationalForm) -> ResidueCheck:
+    """Check that residues over P^1 sum to zero: the table holds the residue
+    at every rational pole plus infinity, and their total.
 
-    ``split`` is False when the reduced denominator keeps a factor with no
-    rational root, in which case the total omits those poles.
+    Inconclusive when the reduced denominator keeps a factor with no rational
+    root, in which case the total omits those poles.
     """
     p = form.p
     roots, cofactor = rational_root_part(form.den)
     finite = {r: residue_at(form, r, m) for r, m in sorted(roots.items())}
     inf = residue_at_infinity(form)
     total = (sum(v.v for v in finite.values()) + inf.v) % p
-    return (
-        ResidueTable(form, finite, inf, FieldElem(total, p)),
-        cofactor.degree == 0,
-    )
-
-
-def sum_residues_check(form: RationalForm) -> ResidueCheck:
-    """Check that residues over P^1 sum to zero.
-
-    Inconclusive when the denominator does not split completely over F_p.
-    """
-    table, split = residue_table(form)
-    if not split:
+    table = ResidueTable(form, finite, inf, FieldElem(total, p))
+    if cofactor.degree != 0:
         return ResidueCheck("inconclusive", table)
-    return ResidueCheck("zero" if table.total.v == 0 else "nonzero", table)
+    return ResidueCheck("nonzero" if total else "zero", table)
 
 
 # ---------------------------------------------------------------------------

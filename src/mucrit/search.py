@@ -50,17 +50,6 @@ class SearchBudgetExceeded(Exception):
     """Raised when a scan exceeds its node budget; distinct from 'none exists'."""
 
 
-class SearchJob(NamedTuple):
-    """One search request; ``run_job`` dispatches on ``kind``."""
-
-    kind: str
-    p: Optional[int] = None
-    d: Optional[int] = None
-    alpha_max: Optional[int] = None
-    max_p: Optional[int] = None
-    node_budget: Optional[int] = None
-
-
 class SearchResult(NamedTuple):
     kind: str
     p: Optional[int]
@@ -810,10 +799,10 @@ def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
     return SearchResult("problem1", p, None, witnesses, {"sets_checked": checked}, verdicts, ())
 
 
-def run_job(job: SearchJob, workers: int = 1) -> SearchResult:
-    """Run the search that ``job.kind`` names with the job's fields that are
-    set; every other argument takes the search's own default.  ``workers``
-    goes to the levson scan, the one search that runs in several processes."""
+def run_job(kind: str, params: Dict[str, object], workers: int = 1) -> SearchResult:
+    """Run the search that ``kind`` names with ``params`` as its keywords;
+    every other argument takes the search's own default.  ``workers`` goes
+    to the levson scan, the one search that runs in several processes."""
     # built per call, so a search rebound in this module is the one that runs
     search = {
         "diffset": diffset_search,
@@ -822,10 +811,9 @@ def run_job(job: SearchJob, workers: int = 1) -> SearchResult:
         "levson": levson_scan,
         "problem1": problem1_scan,
         "problem2": problem2_scan,
-    }.get(job.kind)
+    }.get(kind)
     if search is None:
-        raise ValueError(f"unknown job kind {job.kind!r}")
-    kwargs = {k: v for k, v in job._asdict().items() if k != "kind" and v is not None}
-    if job.kind == "levson":
-        kwargs["workers"] = workers
-    return search(**kwargs)
+        raise ValueError(f"unknown job kind {kind!r}")
+    if kind == "levson":
+        return search(**params, workers=workers)
+    return search(**params)

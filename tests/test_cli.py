@@ -186,8 +186,8 @@ class TestExitCodes:
         class Reached(Exception):
             pass
 
-        def reached(job, workers):
-            raise Reached(job.alpha_max)
+        def reached(kind, params, workers):
+            raise Reached(params["alpha_max"])
 
         monkeypatch.setattr(cli, "run_job", reached)
         top = _levson_alpha_cap()
@@ -221,7 +221,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("budget", ["0", "-1", "-50000000"])
     def test_node_budget_below_one_runs_no_search(self, capsys, monkeypatch, budget):
-        def no_search(job):
+        def no_search(kind, params, workers):
             raise AssertionError("a search ran with a rejected node budget")
 
         monkeypatch.setattr(cli, "run_job", no_search)
@@ -319,6 +319,68 @@ class TestJsonOutput:
         doc = json.loads(out)
         assert doc["report"]["counts"]["primes_scanned"] == 35
         assert doc["report"]["witnesses"] == [[13, 3, 3], [41, 5, 4]]
+
+
+# the function that runs each search kind, by its name in mucrit.search
+SEARCHES = {
+    "diffset": "diffset_search", "sumset": "sumset_search", "threefold": "threefold_check",
+    "levson": "levson_scan", "problem1": "problem1_scan", "problem2": "problem2_scan",
+}
+
+
+class TestSearchOptions:
+    """A search command's options reach its search as parsed: the command's
+    ``_LEAVES`` entry is their one declaration."""
+
+    @staticmethod
+    def _spy(monkeypatch, kind):
+        """Replace the search of ``kind`` by a spy that returns an empty
+        result; return the list of the keywords of each call."""
+        calls = []
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return search.SearchResult(kind, None, None, [], {}, (), ())
+
+        monkeypatch.setattr(search, SEARCHES[kind], spy)
+        return calls
+
+    @pytest.mark.parametrize("args, probe", [((), 7), (("--probe", "9"), 9)])
+    def test_option_declared_once_reaches_the_search(self, capsys, monkeypatch, args, probe):
+        words = ("search", "sumset")
+        probe_option = ("--probe", {"type": int, "default": 7})
+        monkeypatch.setitem(cli._LEAVES, words, cli._LEAVES[words] + (probe_option,))
+        calls = self._spy(monkeypatch, "sumset")
+        code, out, _ = run_cli(
+            capsys, *words, "--p", "13", "--d", "4", *args, "--format", "json"
+        )
+        assert code == 0
+        assert [kw["probe"] for kw in calls] == [probe]
+        assert json.loads(out)["params"]["probe"] == probe
+
+    @pytest.mark.parametrize(
+        "words", [w for w in LEAF_ARGVS if w[0] == "search"], ids=" ".join
+    )
+    def test_search_gets_exactly_its_leaf_options(self, capsys, monkeypatch, words):
+        calls = self._spy(monkeypatch, words[1])
+        argv = LEAF_ARGVS[words]
+        code, _, _ = run_cli(capsys, *argv)
+        ns = vars(cli._parse(argv))
+        want = {cli._dest(flag): ns[cli._dest(flag)] for flag, _ in cli._LEAVES[words]}
+        if words[1] == "levson":
+            want["workers"] = ns["threads"]
+        assert code == 0
+        assert calls == [want]
+
+    def test_negative_control_option_left_out(self, capsys, monkeypatch):
+        words = ("search", "sumset")
+        leaf = tuple(spec for spec in cli._LEAVES[words] if spec[0] != "--node-budget")
+        monkeypatch.setitem(cli._LEAVES, words, leaf)
+        calls = self._spy(monkeypatch, "sumset")
+        code, out, _ = run_cli(capsys, *words, "--p", "13", "--d", "4", "--format", "json")
+        assert code == 0
+        assert calls == [{"p": 13, "d": 4, "max_p": 128}]
+        assert "node_budget" not in json.loads(out)["params"]
 
 
 class TestSmallPrimes:

@@ -17,7 +17,7 @@ from mucrit import cli
 from mucrit.fp import FpSet
 from mucrit.hp import criticality, factorization_check, hp_coeffs, lemma9_check
 from mucrit.residues import FormIdentityReport, lemma_form_identity, named_form, sum_residues_check
-from mucrit.search import SearchJob, sumset_search
+from mucrit.search import sumset_search
 from mucrit.stepanov import alpha11_obstruction, lemma5_lemma6_numeric, lemma13_symbolic
 
 from conftest import LEAF_ARGVS
@@ -62,10 +62,6 @@ RECORDS = {
             "which", "k", "mode", "ok", "residues_match_series", "total_zero", "lhs", "rhs",
             "hypothesis_failures",
         ),
-    ),
-    "SearchJob": (
-        lambda: SearchJob(kind="levson", alpha_max=50),
-        ("kind", "p", "d", "alpha_max", "max_p", "node_budget"),
     ),
     "SearchResult": (
         lambda: sumset_search(13, 4),
@@ -115,8 +111,6 @@ class TestRecordContract:
         assert changed[-1] == "x" and changed[:-1] == rec[:-1] and rec[-1] != "x"
 
     def test_keyword_defaults(self):
-        job = SearchJob(kind="levson", alpha_max=50)
-        assert (job.p, job.d, job.max_p, job.node_budget) == (None,) * 4
         rep = FormIdentityReport(
             which="omega20", k=2, mode="general", ok=True, residues_match_series=True,
             total_zero=True, lhs=0, rhs=0,
@@ -229,6 +223,26 @@ class TestImportFootprint:
             watch=VERIFY_LAYERS, then="run(['check', 'lemma13'])"
         )
         assert {"fractions", "mucrit.stepanov"} <= loaded
+
+    @staticmethod
+    def _random_loaded(then: List[str]) -> List[set]:
+        """``{"random"}`` or the empty set for each point of a fresh isolated
+        interpreter: after ``import mucrit.cli`` and after each line of
+        ``then``.  Skips where its start-up has loaded ``random`` already."""
+        runs = "".join(f"{line}\nloaded()\n" for line in then)
+        lines = _probe(f"loaded()\nimport mucrit.cli\nloaded()\n{runs}", ["random"])
+        if lines[0]:
+            pytest.skip("this interpreter's -I start-up loads random")
+        return lines[1:]
+
+    def test_searches_load_no_random(self):
+        # only check seeds a random.Random
+        runs = [f"run({argv!r})" for argv in SEARCH_ARGVS]
+        assert self._random_loaded(runs) == [set()] * (1 + len(runs))
+
+    def test_probe_sees_random_a_check_loads(self):
+        # negative control: check imports random on dispatch
+        assert self._random_loaded(["run(['check', 'lemma1'])"]) == [set(), {"random"}]
 
 
 # every name the package exported when it still imported all its modules,

@@ -1074,48 +1074,48 @@ class TestProblemScans:
 
 class TestRunJob:
     def test_dispatch(self):
-        from mucrit.search import SearchJob, run_job
+        from mucrit.search import run_job
 
-        res = run_job(SearchJob(kind="levson", alpha_max=50))
+        res = run_job("levson", {"alpha_max": 50})
         assert res.kind == "levson"
-        res = run_job(SearchJob(kind="sumset", p=13, d=4))
+        res = run_job("sumset", {"p": 13, "d": 4})
         assert res.witnesses
-        with pytest.raises(ValueError):
-            run_job(SearchJob(kind="nope"))
+        with pytest.raises(ValueError, match="unknown job kind 'nope'"):
+            run_job("nope", {})
 
     def test_node_budget_reaches_the_search(self):
-        from mucrit.search import SearchJob, run_job
+        from mucrit.search import run_job
 
-        full = run_job(SearchJob(kind="sumset", p=13, d=4))
+        full = run_job("sumset", {"p": 13, "d": 4})
         n = full.counts["nodes"]
-        short = run_job(SearchJob(kind="sumset", p=13, d=4, node_budget=n - 1))
+        short = run_job("sumset", {"p": 13, "d": 4, "node_budget": n - 1})
         assert any("budget" in v for v in short.verdicts)
-        exact = run_job(SearchJob(kind="sumset", p=13, d=4, node_budget=n))
+        exact = run_job("sumset", {"p": 13, "d": 4, "node_budget": n})
         assert not any("budget" in v for v in exact.verdicts)
         assert (exact.witnesses, exact.verdicts) == (full.witnesses, full.verdicts)
-        tight = run_job(SearchJob(kind="threefold", p=13, d=4, node_budget=1))
+        tight = run_job("threefold", {"p": 13, "d": 4, "node_budget": 1})
         assert any("budget" in v for v in tight.verdicts)
         assert "no three-summand decomposition exists" not in tight.verdicts
 
     @pytest.mark.parametrize("kind", ["sumset", "threefold"])
     def test_node_budget_below_one_raises(self, kind):
-        from mucrit.search import SearchJob, run_job
+        from mucrit.search import run_job
 
         with pytest.raises(ValueError, match="node_budget must be at least 1, got 0$"):
-            run_job(SearchJob(kind=kind, p=13, d=4, node_budget=0))
+            run_job(kind, {"p": 13, "d": 4, "node_budget": 0})
 
     @pytest.mark.parametrize(
         "job",
         [
-            dict(kind="sumset", p=13, d=4, max_p=0),
-            dict(kind="problem2", p=13, d=6, max_p=0),
+            ("sumset", dict(p=13, d=4, max_p=0)),
+            ("problem2", dict(p=13, d=6, max_p=0)),
         ],
     )
     def test_max_p_zero_is_a_bound(self, job):
-        from mucrit.search import SearchJob, run_job
+        from mucrit.search import run_job
 
         with pytest.raises(ValueError, match="feasibility bound 0"):
-            run_job(SearchJob(**job))
+            run_job(*job)
 
 
 # each search with its witnesses made to fail re-verification: a listed

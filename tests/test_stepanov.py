@@ -238,6 +238,13 @@ class TestLemma13:
         assert rep.alpha7_expansion_ok and rep.alpha7_collapse_ok
         assert rep.inv_gamma0_ok and rep.inv_two_over_gamma0_minus_one_ok
 
+    def test_ok_counts_every_field(self):
+        # negative controls: any one failed step fails the report
+        rep = lemma13_symbolic()
+        assert rep.ok and len(rep._fields) == 7
+        for field in rep._fields:
+            assert not rep._replace(**{field: False}).ok, field
+
     def test_wrong_w_relation_fails(self, monkeypatch):
         # negative control: in Q[k][w]/(2w^2 - 1) the chain must break; only
         # the expansion in plain Q[a] does not use the relation
