@@ -21,8 +21,8 @@ print(f"critical: {rep.critical}; overlap |(-A) cap B| = {rep.overlap}; "
       f"5*5 = {d} + {rep.overlap}")
 
 fact = factorization_check(A, -A, d)
-print(f"factorization exact: {fact.ok}; C = {fact.C.v} = C(24,20) mod 41 "
-      f"= {binom_mod(24, 20, p).v}")
+print(f"factorization exact: {fact.ok}; C = {fact.C} = C(24,20) mod 41 "
+      f"= {binom_mod(24, 20, p)}")
 
 ps = power_sums_int(A, 4)
 print(f"power sums p_1..p_4 = {ps[1:]};  minimal indices (n, m) = {minimal_indices(A)}")

@@ -12,12 +12,12 @@ import importlib
 
 # module -> the public names the package takes from it
 _EXPORTS = {
-    "fp": ("FieldElem", "FpSet", "binom_mod", "is_prime", "roots_of_unity"),
+    "fp": ("FpSet", "binom_mod", "is_prime", "roots_of_unity"),
     "poly": (
         "AT_INFINITY", "FpPoly", "TruncatedSeries", "from_roots", "log_derivative_series",
         "taylor_at",
     ),
-    "symm": ("complete_homogeneous", "minimal_indices", "power_sums"),
+    "symm": ("complete_homogeneous", "minimal_indices"),
     "hp": (
         "criticality", "factorization_check", "fractional_transform", "hp_coeffs",
         "hp_polynomial", "lemma9_check", "power_sum_vanishing", "reciprocal_set",

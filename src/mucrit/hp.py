@@ -13,8 +13,8 @@ import math
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .fp import (
-    FieldElem,
     FpSet,
+    _index,
     batch_inverse_ints,
     binom_mod,
     inverse_mod,
@@ -26,31 +26,9 @@ from .poly import FpPoly, from_roots
 from .symm import power_sums_int
 
 
-class HPCoeffs:
-    """Coefficients c_a(A), keyed by the set element."""
-
-    __slots__ = ("set", "c")
-
-    def __init__(self, set: FpSet, c: Dict[int, FieldElem]):
-        object.__setattr__(self, "set", set)
-        object.__setattr__(self, "c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HPCoeffs is immutable")
-
-    def __getitem__(self, a: int) -> FieldElem:
-        return self.c[int(a) % self.set.p]
-
-    def moment(self, m: int) -> FieldElem:
-        p = self.set.p
-        acc = 0
-        for a in self.set:
-            acc = (acc + self.c[a].v * pow(a, m, p)) % p
-        return FieldElem(acc, p)
-
-
-def hp_coeffs(A: FpSet) -> HPCoeffs:
-    """c_a(A) = 1 / prod_{a' != a} (a - a'), via one batched inversion."""
+def hp_coeffs(A: FpSet) -> Dict[int, int]:
+    """c_a(A) = 1 / prod_{a' != a} (a - a'), keyed by the set element a, via
+    one batched inversion."""
     p = A.p
     alpha = len(A)
     if alpha < 2:
@@ -66,10 +44,10 @@ def hp_coeffs(A: FpSet) -> HPCoeffs:
                 acc = acc * (a - b) % p
         prods.append(acc)
     invs = batch_inverse_ints(prods, p)
-    return HPCoeffs(A, {a: FieldElem(v, p) for a, v in zip(elems, invs)})
+    return dict(zip(elems, invs))
 
 
-def vandermonde_solve(A: FpSet) -> Dict[int, FieldElem]:
+def vandermonde_solve(A: FpSet) -> Dict[int, int]:
     """Independent route to the same coefficients: Gaussian elimination on the
     moment system.  Kept as a cross-check; the product formula is the fast path."""
     p = A.p
@@ -85,12 +63,12 @@ def vandermonde_solve(A: FpSet) -> Dict[int, FieldElem]:
             if r != col and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
-    return {a: FieldElem(rows[i][alpha], p) for i, a in enumerate(A.elems)}
+    return {a: rows[i][alpha] for i, a in enumerate(A.elems)}
 
 
 def _shifted_power_sum(terms: Iterable[Tuple[int, int]], n: int, p: int) -> List[int]:
     """Coefficients of sum_i w_i (x + z_i)^n over the pairs (w_i, z_i)."""
-    row = [binom_mod(n, j, p).v for j in range(n + 1)]
+    row = [binom_mod(n, j, p) for j in range(n + 1)]
     out = [0] * (n + 1)
     for w, z in terms:
         zpow = 1
@@ -110,7 +88,7 @@ def hp_polynomial(A: FpSet, d: int) -> FpPoly:
         raise ValueError(f"need alpha + d - 1 < p, got {alpha + d - 1} >= {p}")
     n = d + alpha - 1
     cs = hp_coeffs(A)
-    out = _shifted_power_sum(((cs.c[a].v, a) for a in A.elems), n, p)
+    out = _shifted_power_sum(((cs[a], a) for a in A.elems), n, p)
     out[0] = (out[0] - 1) % p
     f = FpPoly(p, out)
     if f.degree != d:
@@ -181,7 +159,7 @@ def power_sum_vanishing(A: FpSet, B: FpSet, d: int) -> bool:
 
 
 class FactorizationResult(NamedTuple):
-    C: FieldElem
+    C: int
     ok: bool
     hp: FpPoly
     product: FpPoly
@@ -201,14 +179,14 @@ def factorization_check(A: FpSet, B: FpSet, d: int) -> FactorizationResult:
     for b in B.elems:
         prod = prod * from_roots(FpSet(p, [b]), alpha - rep.epsilon[b])
     prod = prod * C
-    return FactorizationResult(FieldElem(C, p), prod == f, f, prod)
+    return FactorizationResult(C, prod == f, f, prod)
 
 
 def fractional_transform(A: FpSet, a: int) -> FpSet:
     """A^a = {0} u {1/(a - a') : a' in A, a' != a}; preserves d-criticality
     of (A, -A) with d = alpha(alpha-1), which is re-checked here."""
     p = A.p
-    a = int(a) % p
+    a = _index(a) % p
     if a not in A:
         raise ValueError(f"{a} is not in the set")
     alpha = len(A)
@@ -230,7 +208,7 @@ def fractional_transform(A: FpSet, a: int) -> FpSet:
 def reciprocal_set(A: FpSet, b: int) -> FpSet:
     """A_b = {1/(a+b) : a in A}; rejects any vanishing a + b."""
     p = A.p
-    b = int(b) % p
+    b = _index(b) % p
     vals = [(a + b) % p for a in A.elems]
     if any(v == 0 for v in vals):
         raise ValueError("a + b = 0 for some a in A")
@@ -255,10 +233,10 @@ class Lemma9Report(NamedTuple):
     sign: int
     identity_ok: bool
     coeff_relation_ok: bool
-    c0: FieldElem
+    c0: int
     c0_binomial_ok: bool
     c0_product_ok: bool
-    c_inf: FieldElem
+    c_inf: int
 
 
 def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
@@ -270,7 +248,7 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
     rep = criticality(A, B, d)
     if not (rep.critical and rep.overlap == 0 and rep.exact == "mu_d"):
         raise ValueError("need a critical pair with A + B = mu_d")
-    b = int(b) % p
+    b = _index(b) % p
     if b not in B:
         raise ValueError(f"{b} not in B")
     n = alpha + d - 1
@@ -286,15 +264,15 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
     z = {a: inverse_mod((a + b) % p, p) for a in A.elems}
     coeff_ok = True
     for a in A.elems:
-        want = sign * c_inf % p * cA.c[a].v % p * pow((a + b) % p, alpha - 2, p) % p
-        if cAb.c[z[a]].v != want:
+        want = sign * c_inf % p * cA[a] % p * pow((a + b) % p, alpha - 2, p) % p
+        if cAb[z[a]] != want:
             coeff_ok = False
 
     # left side of the identity
     lhs = FpPoly(
         p,
         _shifted_power_sum(
-            ((cAb.c[z[a]].v * ((a + b) % p) % p, z[a]) for a in A.elems), n, p
+            ((cAb[z[a]] * ((a + b) % p) % p, z[a]) for a in A.elems), n, p
         ),
     )
 
@@ -306,15 +284,14 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
             continue
         w = inverse_mod((b - bp) % p, p)
         prod = prod * from_roots(FpSet(p, [(-w) % p]), alpha)
-    rhs = rhs + FpPoly.monomial(p, c0.v, alpha - 1) * prod
+    rhs = rhs + FpPoly.monomial(p, c0, alpha - 1) * prod
 
     # C0 must also match sign * C * prod_{b' != b} (b - b')^alpha * C_inf
-    cc = binom_mod(n, d, p).v
-    c1 = cc
+    c1 = binom_mod(n, d, p)
     for bp in B.elems:
         if bp != b:
             c1 = c1 * pow((b - bp) % p, alpha, p) % p
-    c0_prod_ok = c0.v == sign * c1 % p * c_inf % p
+    c0_prod_ok = c0 == sign * c1 % p * c_inf % p
 
     return Lemma9Report(
         b=b,
@@ -322,9 +299,9 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
         identity_ok=lhs == rhs,
         coeff_relation_ok=coeff_ok,
         c0=c0,
-        c0_binomial_ok=c0.v == math.comb(n, alpha) % p,
+        c0_binomial_ok=c0 == math.comb(n, alpha) % p,
         c0_product_ok=c0_prod_ok,
-        c_inf=FieldElem(c_inf, p),
+        c_inf=c_inf,
     )
 
 
@@ -343,24 +320,24 @@ def _relation_guards(A: FpSet, B: FpSet, b: int) -> int:
     return d
 
 
-def relation_x(A: FpSet, B: FpSet, b: int) -> Tuple[FieldElem, FieldElem, bool]:
+def relation_x(A: FpSet, B: FpSet, b: int) -> Tuple[int, int, bool]:
     """sum_a 1/(a+b) versus alpha(alpha+1)/(d-1) * sum_{b' != b} 1/(b-b'),
     with d = |A||B|; an identity when (A, B) is critical with A + B = mu_d."""
     p = A.p
-    b = int(b) % p
+    b = _index(b) % p
     d = _relation_guards(A, B, b)
     alpha = len(A)
     lhs = inverse_power_sums([a + b for a in A.elems], p, 1)[0]
     factor = alpha * (alpha + 1) % p * inverse_mod(d - 1, p) % p
     rhs = factor * inverse_power_sums([b - bp for bp in B.elems if bp != b], p, 1)[0] % p
-    return FieldElem(lhs, p), FieldElem(rhs, p), lhs == rhs
+    return lhs, rhs, lhs == rhs
 
 
-def relation_y(A: FpSet, B: FpSet, b: int) -> Tuple[FieldElem, FieldElem, bool]:
+def relation_y(A: FpSet, B: FpSet, b: int) -> Tuple[int, int, bool]:
     """(sum_a 1/(a+b))^2 + sum_a 1/(a+b)^2 versus
     alpha(alpha+1)(alpha+2)/((d-1)(d-2)) * (alpha S1^2 - S2) over B-differences."""
     p = A.p
-    b = int(b) % p
+    b = _index(b) % p
     d = _relation_guards(A, B, b)
     alpha = len(A)
     t1, t2 = inverse_power_sums([a + b for a in A.elems], p, 2)
@@ -371,4 +348,4 @@ def relation_y(A: FpSet, B: FpSet, b: int) -> Tuple[FieldElem, FieldElem, bool]:
         * inverse_mod((d - 1) * (d - 2) % p, p) % p
     )
     rhs = factor * ((alpha * s1 % p * s1 - s2) % p) % p
-    return FieldElem(lhs, p), FieldElem(rhs, p), lhs == rhs
+    return lhs, rhs, lhs == rhs

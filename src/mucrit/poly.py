@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
-from .fp import FieldElem, FpSet, _require_prime, inverse_mod
+from .fp import FpSet, _index, _require_prime, inverse_mod
 
 
 class _Infinity:
@@ -50,7 +50,7 @@ class FpPoly:
 
     def __init__(self, p: int, coeffs: Iterable[int] = ()):
         _require_prime(p)
-        _fill_poly(self, p, [int(c) % p for c in coeffs])
+        _fill_poly(self, p, [_index(c) % p for c in coeffs])
 
     @classmethod
     def _make(cls, p: int, cs: List[int]) -> "FpPoly":
@@ -330,8 +330,8 @@ class TruncatedSeries:
     def __init__(self, p: int, center: Center, start: int, coeffs: Sequence[int], order: int):
         _require_prime(p)
         if not isinstance(center, _Infinity):
-            center = int(center) % p
-        _fill_series(self, p, center, start, [int(c) % p for c in coeffs], order)
+            center = _index(center) % p
+        _fill_series(self, p, center, start, [_index(c) % p for c in coeffs], order)
 
     @classmethod
     def _make(
@@ -353,13 +353,13 @@ class TruncatedSeries:
         if self.center != other.center:
             raise ValueError("series have different centers")
 
-    def coefficient(self, j: int) -> FieldElem:
+    def coefficient(self, j: int) -> int:
         """Coefficient of u^j; raises if j is beyond the truncation order."""
         if j >= self.order:
             raise ValueError(f"exponent {j} at or beyond truncation order {self.order}")
         if j < self.start or j >= self.start + len(self.coeffs):
-            return FieldElem(0, self.p)
-        return FieldElem(self.coeffs[j - self.start], self.p)
+            return 0
+        return self.coeffs[j - self.start]
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -441,7 +441,7 @@ def _fill_series(
     _set(obj, "order", order)
 
 
-def taylor_at(f: FpPoly, a, order: int) -> List[int]:
+def taylor_at(f: FpPoly, a: int, order: int) -> List[int]:
     """The coefficients of f in powers of (x - a) below the given exclusive
     order, padded with zeros to ``order`` entries.
 
@@ -450,8 +450,7 @@ def taylor_at(f: FpPoly, a, order: int) -> List[int]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    av = a.v if isinstance(a, FieldElem) else int(a) % f.p
-    cs = list(islice(_taylor_coefficients(f, av), order))
+    cs = list(islice(_taylor_coefficients(f, _index(a) % f.p), order))
     cs += [0] * (order - len(cs))
     return cs
 
@@ -514,7 +513,7 @@ def log_derivative_series(g: FpPoly, center, order: int) -> TruncatedSeries:
         num = [gp[dg - e] for e in range(order)]
         den = g.coeffs[::-1]
         return TruncatedSeries._make(p, AT_INFINITY, 0, _series_ratio(num, den, order, p), order)
-    cv = center.v if isinstance(center, FieldElem) else int(center) % p
+    cv = _index(center) % p
     # every non-zero Taylor coefficient, so m is exact, and order + 1 past m <= 1
     t = taylor_at(g, cv, g.degree + order + 2)
     mult = next(j for j, c in enumerate(t) if c)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fp import FieldElem, FpSet, batch_inverse_ints, inverse_mod, sqrt_mod
+from .fp import FpSet, _index, batch_inverse_ints, inverse_mod, sqrt_mod
 from .poly import (
     AT_INFINITY,
     FpPoly,
@@ -76,7 +76,7 @@ def _fill_form(obj: RationalForm, num: FpPoly, den: FpPoly) -> None:
     object.__setattr__(obj, "den", den)
 
 
-def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> FieldElem:
+def residue_at(form: RationalForm, b: int, multiplicity: Optional[int] = None) -> int:
     """Coefficient of 1/(x-b); zero at a non-pole.
 
     The order v to which the denominator vanishes at b is read off its Taylor
@@ -88,7 +88,7 @@ def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> Fie
     must equal v.
     """
     p = form.p
-    bv = b.v if isinstance(b, FieldElem) else int(b) % p
+    bv = _index(b) % p
     passes = _taylor_coefficients(form.den, bv)
     v = 0
     for lead in passes:  # breaks: the denominator is not 0
@@ -98,27 +98,26 @@ def residue_at(form: RationalForm, b, multiplicity: Optional[int] = None) -> Fie
     if multiplicity is not None and multiplicity != v:
         raise ValueError(f"denominator vanishes to order {v} at {bv}, not {multiplicity}")
     if v == 0:
-        return FieldElem(0, p)
+        return 0
     u = [lead, *islice(passes, v - 1)]  # short if the passes end after deg den
-    return FieldElem(_series_ratio(taylor_at(form.num, bv, v), u, v, p)[-1], p)
+    return _series_ratio(taylor_at(form.num, bv, v), u, v, p)[-1]
 
 
-def residue_at_infinity(form: RationalForm) -> FieldElem:
+def residue_at_infinity(form: RationalForm) -> int:
     """Minus the x^(-1) coefficient of the expansion at infinity."""
     p = form.p
     if form.num.is_zero():
-        return FieldElem(0, p)
+        return 0
     dn, dd = form.num.degree, form.den.degree
     m = 1 - dd + dn  # exponent of t = 1/x carrying x^(-1) in num_rev/den_rev
     if m < 0:
-        return FieldElem(0, p)
+        return 0
     length = m + 1
     nrev = list(reversed(form.num.coeffs)) + [0] * length
     drev = list(reversed(form.den.coeffs)) + [0] * length
     ns = TruncatedSeries(p, AT_INFINITY, 0, nrev[:length], length)
     ds = TruncatedSeries(p, AT_INFINITY, 0, drev[:length], length)
-    coeff = (ns * ds.inverse()).coefficient(m)
-    return FieldElem((-coeff.v) % p, p)
+    return -(ns * ds.inverse()).coefficient(m) % p
 
 
 def _power_rows(m: Sequence[int], count: int, p: int) -> List[List[int]]:
@@ -306,9 +305,9 @@ def rational_root_part(f: FpPoly) -> Tuple[Dict[int, int], FpPoly]:
 
 class ResidueTable(NamedTuple):
     form: RationalForm
-    finite: Dict[int, FieldElem]
-    at_infinity: FieldElem
-    total: FieldElem
+    finite: Dict[int, int]
+    at_infinity: int
+    total: int
 
 
 class ResidueCheck(NamedTuple):
@@ -331,8 +330,8 @@ def sum_residues_check(form: RationalForm) -> ResidueCheck:
     roots, cofactor = rational_root_part(form.den)
     finite = {r: residue_at(form, r, m) for r, m in sorted(roots.items())}
     inf = residue_at_infinity(form)
-    total = (sum(v.v for v in finite.values()) + inf.v) % p
-    table = ResidueTable(form, finite, inf, FieldElem(total, p))
+    total = (sum(finite.values()) + inf) % p
+    table = ResidueTable(form, finite, inf, total)
     if cofactor.degree != 0:
         return ResidueCheck("inconclusive", table)
     return ResidueCheck("nonzero" if total else "zero", table)
@@ -423,8 +422,8 @@ class FormIdentityReport(NamedTuple):
     ok: bool
     residues_match_series: bool
     total_zero: bool
-    lhs: FieldElem
-    rhs: FieldElem
+    lhs: int
+    rhs: int
     hypothesis_failures: Tuple[str, ...] = ()
 
 
@@ -684,28 +683,16 @@ def lemma_form_identity(
     fin, inf = _closed_residues(which, A, B, k, sums)
     match = True
     for pole, val in fin.items():
-        if residue_at(form, pole).v != val:
+        if residue_at(form, pole) != val:
             match = False
-    if residue_at_infinity(form).v != inf:
+    if residue_at_infinity(form) != inf:
         match = False
     total = (sum(fin.values()) + inf) % p
     lhs = sum(fin.values()) % p
     rhs = (-inf) % p
     if mode == "general":
         ok = match and total == 0 and lhs == rhs
-        return FormIdentityReport(
-            which, k, mode, ok, match, total == 0, FieldElem(lhs, p), FieldElem(rhs, p)
-        )
+        return FormIdentityReport(which, k, mode, ok, match, total == 0, lhs, rhs)
     failures, sl, sr = _specialized_check(which, A, B, k, sums)
     ok = match and total == 0 and not failures and sl == sr
-    return FormIdentityReport(
-        which,
-        k,
-        mode,
-        ok,
-        match,
-        total == 0,
-        FieldElem(sl, p),
-        FieldElem(sr, p),
-        tuple(failures),
-    )
+    return FormIdentityReport(which, k, mode, ok, match, total == 0, sl, sr, tuple(failures))

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .fp import FpSet, _factorize, inverse_mod, inverse_power_sums, is_prime
+from .fp import FpSet, _factorize, _index, inverse_mod, inverse_power_sums, is_prime
 from .hp import criticality
 from .poly import FpPoly
 from .qalg import QPoly, falling
@@ -26,7 +26,7 @@ from .symm import power_sums_int, recenter
 def rat2_check(A: FpSet, a: int) -> bool:
     """sum 1/(a-a')^2 == (1/alpha) (sum 1/(a-a'))^2 at this a."""
     p = A.p
-    a = int(a) % p
+    a = _index(a) % p
     alpha = len(A)
     if alpha < 2 or a not in A:
         raise ValueError("need a in A and |A| >= 2")
@@ -37,7 +37,7 @@ def rat2_check(A: FpSet, a: int) -> bool:
 def rat3_check(A: FpSet, a: int) -> bool:
     """sum 1/(a-a')^3 == (1/alpha^2) (sum 1/(a-a'))^3 at this a."""
     p = A.p
-    a = int(a) % p
+    a = _index(a) % p
     alpha = len(A)
     if alpha < 2 or a not in A:
         raise ValueError("need a in A and |A| >= 2")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .fp import FieldElem, FpSet, inverse_mod
+from .fp import FpSet, inverse_mod
 from .poly import _series_inverse
 
 
@@ -24,12 +24,7 @@ def power_sums_int(A: FpSet, K: int) -> List[int]:
     return out
 
 
-def power_sums(A: FpSet, K: int) -> List[FieldElem]:
-    """``power_sums_int`` as field elements."""
-    return [FieldElem(v, A.p) for v in power_sums_int(A, K)]
-
-
-def complete_homogeneous(A: FpSet, m: int) -> FieldElem:
+def complete_homogeneous(A: FpSet, m: int) -> int:
     """h_m(A), the u^m coefficient of 1 / prod_a (1 - a u)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -43,7 +38,7 @@ def complete_homogeneous(A: FpSet, m: int) -> FieldElem:
             if i + 1 < len(nxt):
                 nxt[i + 1] = (nxt[i + 1] - c * a) % p
         denom = nxt
-    return FieldElem(_series_inverse(denom, m + 1, p)[m], p)
+    return _series_inverse(denom, m + 1, p)[m]
 
 
 def minimal_indices(A: FpSet) -> Tuple[int, Optional[int]]:

@@ -75,10 +75,6 @@ class TestIsPrime:
 
 
 class TestFieldElem:
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ValueError):
-            FieldElem(1, 11) in FpSet(7, [1])
-
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
             FieldElem(1, 10)
@@ -127,9 +123,6 @@ class TestFpSet:
                 probes += rng.sample(range(-2 * p, 2 * p), 2000)
             for x in probes:
                 assert (x in S) == (x % p in members)
-                assert (FieldElem(x, p) in S) == (x % p in members)
-            with pytest.raises(ValueError):
-                FieldElem(1, 3) in S  # another modulus
 
 
 class TestRootsOfUnity:

@@ -1,7 +1,9 @@
-"""The result records: their contract as NamedTuples, the JSON reports built
-from them, what importing the package and the CLI loads, and what each
-command loads when it runs."""
+"""The result records: their contract as NamedTuples, the plain ints in
+[0, p) that every API edge returns and the integers it accepts, the JSON
+reports built from them, what importing the package and the CLI loads, and
+what each command loads when it runs."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -14,11 +16,21 @@ import pytest
 
 import mucrit
 from mucrit import cli
-from mucrit.fp import FpSet
-from mucrit.hp import criticality, factorization_check, hp_coeffs, lemma9_check
-from mucrit.residues import FormIdentityReport, lemma_form_identity, named_form, sum_residues_check
+from mucrit.fp import FpSet, binom_mod
+from mucrit.hp import (
+    criticality, factorization_check, fractional_transform, hp_coeffs, lemma9_check,
+    reciprocal_set, relation_x, relation_y, vandermonde_solve,
+)
+from mucrit.poly import FpPoly, TruncatedSeries, log_derivative_series, taylor_at
+from mucrit.residues import (
+    FormIdentityReport, RationalForm, lemma_form_identity, named_form, residue_at,
+    residue_at_infinity, sum_residues_check,
+)
 from mucrit.search import sumset_search
-from mucrit.stepanov import alpha11_obstruction, lemma5_lemma6_numeric, lemma13_symbolic
+from mucrit.stepanov import (
+    alpha11_obstruction, lemma5_lemma6_numeric, lemma13_symbolic, rat2_check, rat3_check,
+)
+from mucrit.symm import complete_homogeneous
 
 from conftest import LEAF_ARGVS
 
@@ -37,7 +49,6 @@ def _residue_check():
 
 # record name -> (a function that makes one instance, its fields in declaration order)
 RECORDS = {
-    "HPCoeffs": (lambda: hp_coeffs(F41), ("set", "c")),
     "CriticalityReport": (
         lambda: criticality(F41, -F41, 20),
         ("A", "B", "d", "sumset_ok", "overlap", "critical", "epsilon", "exact"),
@@ -100,11 +111,6 @@ class TestRecordContract:
         for f in fields + ("extra",):
             with pytest.raises(AttributeError):
                 setattr(rec, f, None)
-        if name == "HPCoeffs":
-            # indexed by set element, so it is no tuple
-            assert type(rec).__slots__ == fields
-            assert rec[9] == rec.c[9]
-            return
         assert tuple(rec._asdict()) == fields
         assert rec == build()
         changed = rec._replace(**{fields[-1]: "x"})
@@ -116,6 +122,147 @@ class TestRecordContract:
             total_zero=True, lhs=0, rhs=0,
         )
         assert rep.hypothesis_failures == ()
+
+
+# the F_13 pair above translated by 1: A + B = mu_4 still, and 1 is in B, so
+# every element argument below can be given as True
+EDGE_A = FpSet(13, [4, 11])
+EDGE_B = FpSet(13, [1, 10])
+# dx / (x (x - 1)) over F_13: simple poles at 0 and 1
+TWO_POLES = RationalForm(FpPoly.one(13), FpPoly(13, [0, 12, 1]))
+
+
+def _series_coefficients():
+    s = TruncatedSeries(13, 0, -1, [5, 0, 12], 4)
+    return [s.coefficient(j) for j in range(-3, 4)]
+
+
+def _residue_table_values():
+    table = _residue_check().table
+    return [(v, 97) for v in (*table.finite.values(), table.at_infinity, table.total)]
+
+
+def _form_identity_values():
+    reps = [lemma_form_identity(w, PAIR_A, PAIR_B, 1) for w in ("omega11", "psi", "omega21")]
+    reps += [lemma_form_identity(w, PAIR_A, PAIR_B, 1, "specialized") for w in ("psi", "omega21")]
+    return [(v, 13) for rep in reps for v in (rep.lhs, rep.rhs)]
+
+
+# value -> a function that returns some of its values, each with its modulus
+INT_VALUES = {
+    # C(13, 1) = 0 mod 13 by a zero base-13 digit; C(60, 17) by Lucas
+    "binom_mod": lambda: [(binom_mod(n, k, 13), 13) for n, k in ((8, 6), (13, 1), (60, 17))],
+    "complete_homogeneous": lambda: [(complete_homogeneous(F41, m), 41) for m in range(6)],
+    "TruncatedSeries.coefficient": lambda: [(c, 13) for c in _series_coefficients()],
+    # at the poles and at a non-pole
+    "residue_at": lambda: [(residue_at(TWO_POLES, b), 13) for b in (0, 1, 2)]
+    + [(residue_at(named_form("omega20", None, B97, 2), b), 97) for b in (0, 5, 13)],
+    "residue_at_infinity": lambda: [
+        (residue_at_infinity(RationalForm(num, den)), 13)
+        for num, den in (
+            (TWO_POLES.num, TWO_POLES.den),
+            (FpPoly.zero(13), FpPoly.one(13)),  # the zero form
+            (FpPoly.one(13), FpPoly.monomial(13, 1, 3)),  # no x^-1 term
+            (FpPoly.one(13), FpPoly.x(13)),
+        )
+    ],
+    "hp_coeffs": lambda: [(c, 41) for c in hp_coeffs(F41).values()],
+    "vandermonde_solve": lambda: [(c, 41) for c in vandermonde_solve(F41).values()],
+    "FactorizationResult.C": lambda: [(factorization_check(F41, -F41, 20).C, 41)],
+    "Lemma9Report.c0_c_inf": lambda: [
+        (v, 13) for b in PAIR_B for rep in [lemma9_check(PAIR_A, PAIR_B, b)]
+        for v in (rep.c0, rep.c_inf)
+    ],
+    # at the critical pair and at a perturbed one, where lhs != rhs
+    "relation_x_y": lambda: [
+        (v, 13) for B in (PAIR_B, FpSet(13, [2, 7])) for rel in (relation_x, relation_y)
+        for v in rel(PAIR_A, B, 2)[:2]
+    ],
+    "ResidueTable": _residue_table_values,
+    "FormIdentityReport.lhs_rhs": _form_identity_values,
+}
+
+
+class TestIntValues:
+    @pytest.mark.parametrize("name", sorted(INT_VALUES))
+    def test_plain_int_in_range(self, name):
+        pairs = INT_VALUES[name]()
+        assert pairs
+        assert [(type(v), 0 <= v < p) for v, p in pairs] == [(int, True)] * len(pairs), pairs
+
+    def test_series_coefficients_are_the_stored_ones(self):
+        # 0 outside the stored span, below the truncation order
+        assert _series_coefficients() == [0, 0, 5, 0, 12, 0, 0]
+
+
+# edge -> a function of one integer argument, which the edge reads with
+# operator.index
+INTEGER_EDGES = {
+    "FpSet": lambda x: FpSet(13, [x]),
+    "FpSet.__contains__": lambda x: x in FpSet(13, [1]),
+    "FpSet.translate": lambda x: FpSet(13, [0, 5]).translate(x),
+    "FpPoly": lambda x: FpPoly(13, [3, x]),
+    "TruncatedSeries.center": lambda x: TruncatedSeries(13, x, 0, [1, 2], 3),
+    "TruncatedSeries.coeffs": lambda x: TruncatedSeries(13, 0, 0, [1, x], 3),
+    "taylor_at": lambda x: taylor_at(FpPoly(13, [2, 3, 1]), x, 3),
+    "log_derivative_series": lambda x: log_derivative_series(FpPoly(13, [2, 3, 1]), x, 2),
+    "residue_at": lambda x: residue_at(TWO_POLES, x),
+    "fractional_transform": lambda x: fractional_transform(F41, x),
+    "reciprocal_set": lambda x: reciprocal_set(EDGE_A, x),
+    "lemma9_check": lambda x: lemma9_check(EDGE_A, EDGE_B, x),
+    "relation_x": lambda x: relation_x(EDGE_A, EDGE_B, x),
+    "relation_y": lambda x: relation_y(EDGE_A, EDGE_B, x),
+    "rat2_check": lambda x: rat2_check(F41, x),
+    "rat3_check": lambda x: rat3_check(F41, x),
+}
+
+
+class TestIntegerEdges:
+    @pytest.mark.parametrize("value", [3.7, "3", 3.0], ids=repr)
+    @pytest.mark.parametrize("edge", sorted(INTEGER_EDGES))
+    def test_rejects_a_non_integer(self, edge, value):
+        with pytest.raises(TypeError):
+            INTEGER_EDGES[edge](value)
+
+    @pytest.mark.parametrize("edge", sorted(INTEGER_EDGES))
+    def test_accepts_a_bool_as_its_int(self, edge):
+        assert INTEGER_EDGES[edge](True) == INTEGER_EDGES[edge](1)
+
+
+PACKAGE = SRC / "mucrit"
+
+
+def _field_elem_lines(source: str) -> List[int]:
+    """The lines of ``source`` whose code names ``FieldElem``: as a name, an
+    attribute or an imported name, not in a string or a comment."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        named = (
+            getattr(node, "id", None) == "FieldElem"
+            or (isinstance(node, ast.Attribute) and node.attr == "FieldElem")
+            or (isinstance(node, ast.alias) and "FieldElem" in (node.name, node.asname))
+        )
+        if named:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "fp.py"), ids=lambda p: p.name
+)
+def test_no_module_but_fp_names_field_elem(path):
+    assert _field_elem_lines(path.read_text()) == []
+
+
+def test_negative_control_planted_field_elem_is_flagged():
+    planted = (
+        "from .fp import FieldElem\n"
+        "from . import fp\n"
+        'def f(v):\n    """FieldElem in a docstring is text"""  # and in a comment\n'
+        "    return fp.FieldElem(v, 7), FieldElem(v, 7)\n"
+    )
+    assert _field_elem_lines(planted) == [1, 5, 5]
+    assert _field_elem_lines((PACKAGE / "fp.py").read_text())  # the class itself
 
 
 # SHA-256 of each command's `--format json` report, recorded at commit
@@ -245,14 +392,12 @@ class TestImportFootprint:
         assert self._random_loaded(["run(['check', 'lemma1'])"]) == [set(), {"random"}]
 
 
-# every name the package exported when it still imported all its modules,
-# with the module that defines it
+# every name the package exports, with the module that defines it
 EXPORTED = {
-    "FieldElem": "fp", "FpSet": "fp", "binom_mod": "fp", "is_prime": "fp",
-    "roots_of_unity": "fp",
+    "FpSet": "fp", "binom_mod": "fp", "is_prime": "fp", "roots_of_unity": "fp",
     "AT_INFINITY": "poly", "FpPoly": "poly", "TruncatedSeries": "poly", "from_roots": "poly",
     "log_derivative_series": "poly", "taylor_at": "poly",
-    "complete_homogeneous": "symm", "minimal_indices": "symm", "power_sums": "symm",
+    "complete_homogeneous": "symm", "minimal_indices": "symm",
     "criticality": "hp", "factorization_check": "hp", "fractional_transform": "hp",
     "hp_coeffs": "hp", "hp_polynomial": "hp", "lemma9_check": "hp",
     "power_sum_vanishing": "hp", "reciprocal_set": "hp", "relation_x": "hp",
@@ -271,8 +416,8 @@ EXPORTED = {
 
 
 class TestPackageNamespace:
-    def test_all_is_the_forty_six_names(self):
-        assert len(EXPORTED) == 46
+    def test_all_is_the_forty_four_names(self):
+        assert len(EXPORTED) == 44
         assert sorted(mucrit.__all__) == sorted(EXPORTED)
 
     @pytest.mark.parametrize("name", list(EXPORTED))
