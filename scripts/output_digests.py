@@ -102,6 +102,7 @@ USAGE_ARGVS = (
     ["verify-residues", "--primes", "1,x"],
     ["verify-residues", "--primes", "4_1, 97"],
     ["verify-residues", "--primes", "\u0664\u0661"],
+    ["verify-residues", "--primes", "9223372036854775837"],
 )
 
 

@@ -21,7 +21,9 @@ from .hp import (
     power_sum_vanishing, relation_x, relation_y, vandermonde_solve,
 )
 from .poly import FpPoly, from_roots
-from .residues import FORM_NAMES, RationalForm, lemma_form_identity, sum_residues_check
+from .residues import (
+    FORM_NAMES, MIXED_FORMS, RationalForm, lemma_form_identity, sum_residues_check,
+)
 from .search import _fan_out, product_condition
 from .stepanov import (
     alpha11_obstruction, gamma_cross_check, identity_catalog_check, identity_catalog_run_all,
@@ -81,16 +83,21 @@ def run_verify_f41() -> Tuple[bool, Dict[str, object]]:
 
 
 def run_verify_identities() -> Tuple[bool, Dict[str, object]]:
-    catalog = identity_catalog_run_all()
+    # lemma13_chain and alpha11_coefficient_display come from the one run of
+    # each symbolic bundle that the other lemma 13 and alpha = 11 keys read
+    checks = identity_catalog_run_all()
     l13 = lemma13_symbolic()
     a11 = alpha11_obstruction()
-    checks = dict(catalog)
     checks.update(
         {
+            "lemma13_chain": l13.ok,
             "lemma13_display1": l13.display1_ok,
             "lemma13_display2": l13.display2_ok,
             "lemma13_final_congruence_poly": l13.final_ok,
             "lemma13_alpha7_collapse": l13.alpha7_collapse_ok,
+            "alpha11_coefficient_display": (
+                a11.coefficient_display_ok and a11.coefficient_factorizations_ok
+            ),
             "alpha11_reduction_chain": (
                 a11.fpp_square_identity_ok
                 and a11.fpf3_identity_ok
@@ -164,7 +171,7 @@ def _residue_draws(
                 k = rng.randint(0, 6)
                 B = _random_picks(rng, p, min(rng.randint(2, 6), p))
                 A = None
-                if which in ("omega11", "psi", "omega21"):
+                if which in MIXED_FORMS:
                     # the poles -A of h'/h must miss B; F_p may have no room left
                     room = p - len(B)
                     if room == 0:

@@ -41,7 +41,7 @@ import sys
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from .fp import MAX_MODULUS_BITS, is_prime
+from .fp import MAX_MODULUS_BITS, _require_prime, is_prime
 from .search import SearchBudgetExceeded, _usable_cpus, run_job
 
 SCHEMA = "mucrit/1"
@@ -317,6 +317,7 @@ def _dispatch(ns: SimpleNamespace) -> int:
         for p in primes:
             if p < 2 or not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+            _require_prime(p)  # the 63-bit cap, before any draw from range(p)
         params = {
             "primes": primes,
             "instances": ns.instances,

@@ -81,43 +81,12 @@ def inverse_mod(x: int, p: int) -> int:
     return pow(x, -1, p)
 
 
-# Unused: kept only because perfbench/tracer.py counts FieldElem.init by name.
 class FieldElem:
-    """A residue mod a prime p, kept canonical in [0, p).
+    """Built by nothing: field elements are plain ints.  The class stays only
+    because ``perfbench/tracer.py`` counts ``FieldElem.init`` by name."""
 
-    It carries no arithmetic: callers compute on ``.v`` and wrap the result.
-    It compares equal to a ``FieldElem`` of the same modulus or to a plain int
-    congruent to it.
-    """
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, value: int, p: int):
-        _require_prime(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v", value % p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __int__(self):
-        return self.v
-
-    def __repr__(self):
-        return f"FieldElem({self.v} mod {self.p})"
-
-    def is_zero(self) -> bool:
-        return self.v == 0
+    def __init__(self, *args):
+        raise TypeError("FieldElem is retired: field elements are plain ints")
 
 
 class FpSet:

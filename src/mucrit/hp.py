@@ -278,12 +278,9 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
 
     c0 = binom_mod(n, alpha, p)
     rhs = FpPoly.monomial(p, sign * c_inf % p, n)
-    prod = FpPoly.one(p)
-    for bp in B.elems:
-        if bp == b:
-            continue
-        w = inverse_mod((b - bp) % p, p)
-        prod = prod * from_roots(FpSet(p, [(-w) % p]), alpha)
+    # prod_{b' != b} (x + 1/(b - b'))^alpha; |B| > 1, as criticality required
+    ws = batch_inverse_ints([b - bp for bp in B.elems if bp != b], p)
+    prod = from_roots(FpSet(p, [-w for w in ws]), alpha)
     rhs = rhs + FpPoly.monomial(p, c0, alpha - 1) * prod
 
     # C0 must also match sign * C * prod_{b' != b} (b - b')^alpha * C_inf

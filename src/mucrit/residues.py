@@ -342,6 +342,8 @@ def sum_residues_check(form: RationalForm) -> ResidueCheck:
 # h(x) = prod_{a in A} (x + a).
 
 FORM_NAMES = ("omega20", "omega11", "omega30", "psi", "omega21")
+# the forms with a factor h'/h, and so a set A
+MIXED_FORMS = ("omega11", "psi", "omega21")
 
 
 def _times_x(f: FpPoly, e: int) -> FpPoly:
@@ -461,18 +463,28 @@ def _pole_sums(A: Optional[FpSet], B: FpSet):
     return sB, tB, uA
 
 
-def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int, sums):
-    """Closed-form residues: ({finite pole: value}, value at infinity)."""
+def _convolution(k: int, p: int, a, b, c=None) -> int:
+    """sum a[r] b[k-r] over 0 <= r <= k, or, given c, sum a[r] b[s] c[k-r-s]
+    over r + s <= k; mod p."""
+    if c is None:
+        return sum(a[r] * b[k - r] for r in range(k + 1)) % p
+    return sum(
+        a[r] * b[s] % p * c[k - r - s] for r in range(k + 1) for s in range(k + 1 - r)
+    ) % p
+
+
+def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int, sums, pB, pA):
+    """Closed-form residues: ({finite pole: value}, value at infinity).
+    ``pB`` and ``pA`` are the power sums p_0..p_k of B and A (pA None for a
+    form without A).  Each residue at infinity is a convolution of them."""
     p = B.p
     sB, tB, uA = sums
-    pB = power_sums_int(B, k + 2)
     if which == "omega20":
         fin = {
             b: ((k + 1) * pow(b, k, p) + 2 * pow(b, k + 1, p) * sB[b][0]) % p
             for b in B.elems
         }
-        inf = (-sum(pB[r] * pB[k - r] % p for r in range(k + 1))) % p
-        return fin, inf
+        return fin, -_convolution(k, p, pB, pB) % p
     if which == "omega30":
         fin = {}
         for b in B.elems:
@@ -482,17 +494,11 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int, sums):
                 + 3 * (k + 2) % p * pow(b, k + 1, p) % p * s1
                 + 3 * pow(b, k + 2, p) % p * ((s1 * s1 - s2) % p)
             ) % p
-        inf = (
-            -sum(
-                pB[r] * pB[s] % p * pB[k - r - s] % p
-                for r in range(k + 1)
-                for s in range(k + 1 - r)
-            )
-        ) % p
-        return fin, inf
+        return fin, -_convolution(k, p, pB, pB, pB) % p
     if A is None:
         raise AssertionError(f"{which} needs the set A")
-    pA = power_sums_int(A, k + 2)
+    # (-1)^r p_r(A), the power sums of -A
+    sA = [x if r % 2 == 0 else -x for r, x in enumerate(pA)]
     sgnk = 1 if k % 2 == 0 else p - 1
     fin = {}
     if which == "omega11":
@@ -500,25 +506,15 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int, sums):
             fin[b] = pow(b, k + 1, p) * tB[b][0] % p
         for a in A.elems:
             fin[(-a) % p] = sgnk * pow(a, k + 1, p) % p * uA[a][0] % p
-        inf = (
-            -sum(
-                (pA[r] if r % 2 == 0 else -pA[r]) * pB[k - r] for r in range(k + 1)
-            )
-        ) % p
-        return fin, inf
+        return fin, -_convolution(k, p, sA, pB) % p
     if which == "psi":
         for b in B.elems:
             t1, t2 = tB[b]
             fin[b] = (-(k + 2) * pow(b, k + 1, p) % p * t1 + pow(b, k + 2, p) * t2) % p
         for a in A.elems:
             fin[(-a) % p] = (-sgnk * pow(a, k + 2, p) % p * uA[a][1]) % p
-        inf = (
-            sum(
-                (pA[r] if r % 2 == 0 else -pA[r]) * (k - r + 1) % p * pB[k - r]
-                for r in range(k + 1)
-            )
-        ) % p
-        return fin, inf
+        wB = [(j + 1) * x % p for j, x in enumerate(pB)]
+        return fin, _convolution(k, p, sA, wB)
     # omega21
     for b in B.elems:
         t1, t2 = tB[b]
@@ -529,15 +525,7 @@ def _closed_residues(which: str, A: Optional[FpSet], B: FpSet, k: int, sums):
         ) % p
     for a in A.elems:
         fin[(-a) % p] = sgnk * pow(a, k + 2, p) % p * uA[a][0] % p * uA[a][0] % p
-    inf = (
-        -sum(
-            pB[r] * pB[s] % p * (pA[t] if t % 2 == 0 else -pA[t]) % p
-            for r in range(k + 1)
-            for s in range(k + 1 - r)
-            for t in [k - r - s]
-        )
-    ) % p
-    return fin, inf
+    return fin, -_convolution(k, p, pB, pB, sA) % p
 
 
 def _surviving_term_failures(k: int, *factors) -> List[str]:
@@ -567,9 +555,10 @@ def _surviving_term_failures(k: int, *factors) -> List[str]:
     return failures
 
 
-def _specialized_check(which, A, B, k, sums):
+def _specialized_check(which, A, B, k, sums, pB, pA):
     """The final displayed identities under the vanishing-power-sum and
-    critical-pair hypotheses; returns (failures, lhs, rhs).
+    critical-pair hypotheses; returns (failures, lhs, rhs).  ``pB`` and
+    ``pA`` are as for ``_closed_residues``.
 
     The hypothesis set depends on which products appear in the residue at
     infinity: B-pair terms for omega20/omega30/omega21, B-triples for
@@ -578,7 +567,6 @@ def _specialized_check(which, A, B, k, sums):
     p = B.p
     sB, tB, uA = sums
     beta = len(B)
-    pB = power_sums_int(B, k)
     failures = []
     if pB[k] == 0:
         failures.append(f"p_{k}(B) = 0")
@@ -608,7 +596,6 @@ def _specialized_check(which, A, B, k, sums):
         rhs = gamma2 * pkB % p
         return failures, lhs, rhs
     alpha = len(A)
-    pA = power_sums_int(A, k)
     failures += _surviving_term_failures(k, ("A", pA), ("B", pB))
     if which == "omega21":
         failures += _surviving_term_failures(k, ("B", pB), ("B", pB), ("A", pA))
@@ -679,8 +666,12 @@ def lemma_form_identity(
     if k < 0:
         raise ValueError("k must be nonnegative")
     form = named_form(which, A, B, k)
-    sums = _pole_sums(None if which in ("omega20", "omega30") else A, B)
-    fin, inf = _closed_residues(which, A, B, k, sums)
+    if which not in MIXED_FORMS:
+        A = None
+    sums = _pole_sums(A, B)
+    pB = power_sums_int(B, k)
+    pA = None if A is None else power_sums_int(A, k)
+    fin, inf = _closed_residues(which, A, B, k, sums, pB, pA)
     match = True
     for pole, val in fin.items():
         if residue_at(form, pole) != val:
@@ -693,6 +684,6 @@ def lemma_form_identity(
     if mode == "general":
         ok = match and total == 0 and lhs == rhs
         return FormIdentityReport(which, k, mode, ok, match, total == 0, lhs, rhs)
-    failures, sl, sr = _specialized_check(which, A, B, k, sums)
+    failures, sl, sr = _specialized_check(which, A, B, k, sums, pB, pA)
     ok = match and total == 0 and not failures and sl == sr
     return FormIdentityReport(which, k, mode, ok, match, total == 0, sl, sr, tuple(failures))

@@ -611,20 +611,10 @@ def _cat_d_integer_solutions() -> bool:
     return sols == [(0, 2), (0, 3), (1, 5), (6, 11)] and sols == brute
 
 
-def _cat_lemma13_chain() -> bool:
-    return lemma13_symbolic().ok
-
-
-def _cat_alpha11_display() -> bool:
-    rep = alpha11_obstruction()
-    return rep.coefficient_display_ok and rep.coefficient_factorizations_ok
-
-
 IDENTITY_CATALOG = {
     "g_operator_zero": _cat_g_zero,
     "d_alpha_l_factorization": _cat_d_alpha_l,
     "d_alpha_l_integer_solutions": _cat_d_integer_solutions,
-    "lemma13_chain": _cat_lemma13_chain,
     "lemma5_sextic_factorization": _cat_lemma5_sextic,
     "lemma5_sextic_derivation": _cat_lemma5_sextic_derivation,
     "lemma5_quadratic_branch": _cat_lemma5_quadratic_branch,
@@ -640,7 +630,6 @@ IDENTITY_CATALOG = {
     "s5_p19_endgame": _cat_s5_p19_endgame,
     "lemma17_two_congruence_difference": _cat_lemma17_difference,
     "lemma17_nm_sum_formula": _cat_lemma17_nm_sum,
-    "alpha11_coefficient_display": _cat_alpha11_display,
 }
 
 

@@ -3,6 +3,7 @@ import contextlib
 import errno
 import hashlib
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -200,6 +201,30 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "verify-residues", "--primes", "7,-5")
         assert (code, out, err) == (2, "", "error: -5 is not prime\n")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_residue_prime_past_modulus_cap_rejected(self, capsys, monkeypatch, threads):
+        # the least prime above 2^63: prime, but past the cap of every modulus
+        def no_sampling(*_, **__):
+            raise AssertionError("instances were drawn for a prime past the cap")
+
+        monkeypatch.setattr(checks, "run_verify_residues", no_sampling)
+        p = 9223372036854775837
+        code, out, err = run_cli(
+            capsys, "verify-residues", "--primes", f"7,{p}", "--threads", threads
+        )
+        assert (code, out, err) == (2, "", f"error: modulus {p} exceeds 63 bits\n")
+
+    def test_residue_prime_at_modulus_cap_runs(self, capsys):
+        # negative control: the largest 63-bit prime is checked as any other
+        p = 9223372036854775783
+        assert p.bit_length() == 63
+        code, out, err = run_cli(
+            capsys, "verify-residues", "--primes", str(p), "--instances", "3",
+            "--form-instances", "1", "--threads", "1", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["primes"] == [p]
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -381,6 +406,37 @@ class TestSearchOptions:
         assert code == 0
         assert calls == [{"p": 13, "d": 4, "max_p": 128}]
         assert "node_budget" not in json.loads(out)["params"]
+
+    @staticmethod
+    def _default_pairs():
+        """(words, flag, table default, search default) for every search-leaf
+        option whose search function declares a default for it."""
+        pairs = []
+        for words, options in cli._LEAVES.items():
+            if words[0] != "search":
+                continue
+            params = inspect.signature(getattr(search, SEARCHES[words[1]])).parameters
+            for flag, kwargs in options:
+                param = params.get(cli._dest(flag))
+                if param is not None and param.default is not param.empty:
+                    pairs.append((words, flag, kwargs.get("default"), param.default))
+        return pairs
+
+    def test_leaf_defaults_equal_the_searches_own(self):
+        pairs = self._default_pairs()
+        # --max-p of sumset, threefold, problem1 and problem2; sumset's --node-budget
+        assert len(pairs) == 5
+        assert [pair for pair in pairs if pair[2] != pair[3]] == []
+
+    def test_negative_control_patched_default(self, monkeypatch):
+        words = ("search", "problem2")
+        leaf = tuple(
+            (flag, {**kwargs, "default": 65}) if flag == "--max-p" else (flag, kwargs)
+            for flag, kwargs in cli._LEAVES[words]
+        )
+        monkeypatch.setitem(cli._LEAVES, words, leaf)
+        pairs = self._default_pairs()
+        assert [pair for pair in pairs if pair[2] != pair[3]] == [(words, "--max-p", 65, 64)]
 
 
 class TestSmallPrimes:
@@ -646,6 +702,45 @@ class TestChecksModule:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout == f"{loads_cli}\n"
+
+    def test_verify_identities_runs_each_symbolic_bundle_once(self, capsys, monkeypatch):
+        # every lemma 13 and alpha = 11 key comes from one run of its bundle:
+        # a spied run whose overall verdict is flipped flips the chain keys
+        from mucrit import stepanov
+
+        calls = []
+        for name in ("lemma13_symbolic", "alpha11_obstruction"):
+            def spy(*args, _name=name, _orig=getattr(stepanov, name), **kwargs):
+                calls.append(_name)
+                rep = _orig(*args, **kwargs)
+                if _name == "lemma13_symbolic":
+                    return rep._replace(inv_gamma0_ok=False)  # read by .ok alone
+                return rep._replace(coefficient_factorizations_ok=False)
+
+            for module in (stepanov, checks):
+                monkeypatch.setattr(module, name, spy)
+        code, out, _ = run_cli(capsys, "verify-identities", "--format", "json")
+        assert sorted(calls) == ["alpha11_obstruction", "lemma13_symbolic"]
+        failing = [k for k, v in json.loads(out)["report"]["checks"].items() if not v]
+        assert (code, failing) == (1, ["alpha11_coefficient_display", "lemma13_chain"])
+
+    def test_verify_identities_report_keys(self):
+        ok, report = checks.run_verify_identities()
+        assert ok
+        assert sorted(report) == ["checks", "xi5_value"]
+        assert sorted(report["checks"]) == [
+            "alpha11_coefficient_display", "alpha11_reduction_chain",
+            "d_alpha_l_factorization", "d_alpha_l_integer_solutions",
+            "g_operator_zero", "gamma_cross_check_p19", "gauss_unit_power",
+            "lemma13_alpha7_collapse", "lemma13_chain", "lemma13_display1",
+            "lemma13_display2", "lemma13_final_congruence_poly",
+            "lemma17_nm_sum_formula", "lemma17_two_congruence_difference",
+            "lemma5_quadratic_branch", "lemma5_sextic_derivation",
+            "lemma5_sextic_factorization", "resultant_216",
+            "s5_discriminant_values", "s5_least_root_61_mod_163",
+            "s5_multiplier_identity", "s5_no_roots_mod_73", "s5_p19_endgame",
+            "s5_root_3_mod_19", "theorem2_even_coefficient", "theorem2_odd_coefficient",
+        ]
 
 
 class TestRandomSubset:

@@ -234,13 +234,15 @@ PACKAGE = SRC / "mucrit"
 
 def _field_elem_lines(source: str) -> List[int]:
     """The lines of ``source`` whose code names ``FieldElem``: as a name, an
-    attribute or an imported name, not in a string or a comment."""
+    attribute, an imported name or a class it defines, not in a string or a
+    comment."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         named = (
             getattr(node, "id", None) == "FieldElem"
             or (isinstance(node, ast.Attribute) and node.attr == "FieldElem")
             or (isinstance(node, ast.alias) and "FieldElem" in (node.name, node.asname))
+            or (isinstance(node, ast.ClassDef) and node.name == "FieldElem")
         )
         if named:
             lines.append(node.lineno)
@@ -260,8 +262,9 @@ def test_negative_control_planted_field_elem_is_flagged():
         "from . import fp\n"
         'def f(v):\n    """FieldElem in a docstring is text"""  # and in a comment\n'
         "    return fp.FieldElem(v, 7), FieldElem(v, 7)\n"
+        "class FieldElem:\n    pass\n"
     )
-    assert _field_elem_lines(planted) == [1, 5, 5]
+    assert _field_elem_lines(planted) == [1, 5, 5, 6]
     assert _field_elem_lines((PACKAGE / "fp.py").read_text())  # the class itself
 
 
