@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .fp import FpSet, binom_mod, roots_of_unity
+from .fp import FpSet, _require_prime, binom_mod, is_prime, roots_of_unity
 from .hp import (
     criticality, factorization_check, fractional_transform, hp_coeffs, lemma9_check,
     power_sum_vanishing, relation_x, relation_y, vandermonde_solve,
@@ -225,8 +226,21 @@ def run_verify_residues(
     instances per prime, checked in up to ``workers`` processes: the
     instance indices are dealt round-robin to them (``_fan_out``), and the
     failures merged in index order, so the report is the same for every
-    ``workers``."""
+    ``workers``.
+
+    No prime, a negative count, over ``sys.maxsize`` instances or a non-prime
+    or over-63-bit entry raises ``ValueError`` before anything is drawn."""
+    if not primes:
+        raise ValueError("--primes names no prime")
+    if instances < 0 or form_instances < 0:
+        raise ValueError("--instances and --form-instances must be >= 0")
     slots = len(primes) * (instances + len(FORM_NAMES) * form_instances)
+    if slots > sys.maxsize:  # past it, len(range(slots)) overflows in _fan_out
+        raise ValueError(f"--instances and --form-instances make over {sys.maxsize} instances")
+    for p in primes:
+        if p < 2 or not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        _require_prime(p)  # the 63-bit cap, before any draw from range(p)
     parts = _fan_out(
         functools.partial(
             _check_residue_share, seed=seed, primes=primes, instances=instances,

@@ -41,7 +41,6 @@ import sys
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from .fp import MAX_MODULUS_BITS, _require_prime, is_prime
 from .search import SearchBudgetExceeded, _usable_cpus, run_job
 
 SCHEMA = "mucrit/1"
@@ -281,10 +280,6 @@ def _dispatch(ns: SimpleNamespace) -> int:
     if ns.command == "search":
         if getattr(ns, "node_budget", 1) < 1:
             raise ValueError(f"--node-budget must be at least 1, got {ns.node_budget}")
-        if ns.kind == "levson":
-            a = ns.alpha_max  # the scan's largest p is 2a(a-1)+1
-            if (2 * a * (a - 1) + 1).bit_length() > MAX_MODULUS_BITS:
-                raise ValueError(f"--alpha-max {a} gives p = 2a(a-1)+1 over {MAX_MODULUS_BITS} bits")
         # the command's own options, as parsed, are the search's keywords
         names = [_dest(flag) for flag, _ in _LEAVES[("search", ns.kind)]]
         params = {name: getattr(ns, name) for name in names}
@@ -301,23 +296,12 @@ def _dispatch(ns: SimpleNamespace) -> int:
     if ns.command == "verify-identities":
         return _emit(ns, "verify-identities", {}, *checks.run_verify_identities())
     if ns.command == "verify-residues":
-        from .residues import FORM_NAMES
-
+        # run_verify_residues checks the primes and the counts
         primes = []
         for x in filter(None, ns.primes.split(",")):
             if not _numeral(x.removeprefix("-")):  # "-5" is read, and named not prime
                 raise ValueError(f"--primes entry {x!r} is not an integer")
             primes.append(int(x))
-        if not primes:
-            raise ValueError("--primes names no prime")
-        if ns.instances < 0 or ns.form_instances < 0:
-            raise ValueError("--instances and --form-instances must be >= 0")
-        if len(primes) * (ns.instances + len(FORM_NAMES) * ns.form_instances) > sys.maxsize:
-            raise ValueError(f"--instances and --form-instances make over {sys.maxsize} instances")
-        for p in primes:
-            if p < 2 or not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            _require_prime(p)  # the 63-bit cap, before any draw from range(p)
         params = {
             "primes": primes,
             "instances": ns.instances,

@@ -302,19 +302,26 @@ def lemma9_check(A: FpSet, B: FpSet, b: int) -> Lemma9Report:
     )
 
 
-def _relation_guards(A: FpSet, B: FpSet, b: int) -> int:
+def _gamma01(p: int, alpha: int, d: int) -> Tuple[int, int]:
+    """(gamma0, gamma1) = (alpha(alpha+1)/(d-1), alpha(alpha+1)(alpha+2)/((d-1)(d-2)))
+    mod p, the factors of Relations X and Y (Hanson-Petridis, Proc. LMS 2021);
+    ``ZeroDivisionError`` unless d - 1 and d - 2 are invertible mod p."""
+    if (d - 1) % p == 0 or (d - 2) % p == 0:
+        raise ZeroDivisionError("d - 1 and d - 2 must be invertible mod p")
+    g0 = alpha * (alpha + 1) % p * inverse_mod(d - 1, p) % p
+    return g0, g0 * (alpha + 2) % p * inverse_mod(d - 2, p) % p
+
+
+def _relation_guards(A: FpSet, B: FpSet, b: int) -> Tuple[int, int]:
     # the relations are theorems only for a critical pair with A + B = mu_d
     # (so d = |A||B|); evaluation is still meaningful on perturbed input,
     # where a False verdict is the expected negative control
-    p = A.p
     if A.p != B.p:
         raise ValueError("A and B live in different fields")
-    d = len(A) * len(B)
-    if (d - 1) % p == 0 or (d - 2) % p == 0:
-        raise ZeroDivisionError("d - 1 and d - 2 must be invertible mod p")
+    factors = _gamma01(A.p, len(A), len(A) * len(B))
     if b not in B:
         raise ValueError(f"{b} not in B")
-    return d
+    return factors
 
 
 def relation_x(A: FpSet, B: FpSet, b: int) -> Tuple[int, int, bool]:
@@ -322,10 +329,8 @@ def relation_x(A: FpSet, B: FpSet, b: int) -> Tuple[int, int, bool]:
     with d = |A||B|; an identity when (A, B) is critical with A + B = mu_d."""
     p = A.p
     b = _index(b) % p
-    d = _relation_guards(A, B, b)
-    alpha = len(A)
+    factor = _relation_guards(A, B, b)[0]
     lhs = inverse_power_sums([a + b for a in A.elems], p, 1)[0]
-    factor = alpha * (alpha + 1) % p * inverse_mod(d - 1, p) % p
     rhs = factor * inverse_power_sums([b - bp for bp in B.elems if bp != b], p, 1)[0] % p
     return lhs, rhs, lhs == rhs
 
@@ -335,14 +340,10 @@ def relation_y(A: FpSet, B: FpSet, b: int) -> Tuple[int, int, bool]:
     alpha(alpha+1)(alpha+2)/((d-1)(d-2)) * (alpha S1^2 - S2) over B-differences."""
     p = A.p
     b = _index(b) % p
-    d = _relation_guards(A, B, b)
+    factor = _relation_guards(A, B, b)[1]
     alpha = len(A)
     t1, t2 = inverse_power_sums([a + b for a in A.elems], p, 2)
     lhs = (t1 * t1 + t2) % p
     s1, s2 = inverse_power_sums([b - bp for bp in B.elems if bp != b], p, 2)
-    factor = (
-        alpha * (alpha + 1) % p * (alpha + 2) % p
-        * inverse_mod((d - 1) * (d - 2) % p, p) % p
-    )
     rhs = factor * ((alpha * s1 % p * s1 - s2) % p) % p
     return lhs, rhs, lhs == rhs

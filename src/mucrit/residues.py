@@ -28,7 +28,7 @@ from .poly import (
     taylor_at,
 )
 from .hp import criticality
-from .stepanov import gamma_numeric
+from .stepanov import _gamma2, _gamma3, gamma_numeric
 from .symm import power_sums_int
 
 
@@ -576,25 +576,21 @@ def _specialized_check(which, A, B, k, sums, pB, pA):
         failures += _surviving_term_failures(k, ("B", pB), ("B", pB), ("B", pB))
     pkB = pB[k]
     # omega20 and omega30 have no admissible d: their constants are gamma3
-    # and gamma2 at alpha = beta, written out here
+    # and gamma2 at alpha = beta
     if which == "omega20":
         if p == 2:
             failures.append("2 is not invertible mod p")
             return failures, 0, 0
         lhs = sum(pow(b, k + 1, p) * sB[b][0] for b in B.elems) % p
-        rhs = pkB * ((beta - (k + 1) * inverse_mod(2, p)) % p) % p
-        return failures, lhs, rhs
+        return failures, lhs, pkB * _gamma3(p, beta, k) % p
     if which == "omega30":
         if p == 3:
             failures.append("3 is not invertible mod p")
             return failures, 0, 0
-        third = inverse_mod(3, p)
-        gamma2 = (beta * beta - (k + 2) * beta + (k + 1) * (k + 2) % p * third) % p
         lhs = sum(
             pow(b, k + 2, p) * ((sB[b][0] * sB[b][0] - sB[b][1]) % p) for b in B.elems
         ) % p
-        rhs = gamma2 * pkB % p
-        return failures, lhs, rhs
+        return failures, lhs, _gamma2(p, beta, k) * pkB % p
     alpha = len(A)
     failures += _surviving_term_failures(k, ("A", pA), ("B", pB))
     if which == "omega21":
@@ -623,13 +619,15 @@ def _specialized_check(which, A, B, k, sums, pB, pA):
         rep = criticality(A, B, d) if (p - 1) % d == 0 else None
         if rep is None or not (rep.critical and rep.exact == "mu_d"):
             failures.append("A + B != mu_d")
-    # gamma_numeric inverts 2 and 3, but is never reached at p = 2 or 3: there
+    # gamma_numeric raises ZeroDivisionError when d - 1 or d - 2 vanishes mod
+    # p.  It also inverts 2 and 3, but gets no further at p = 2 or 3: there
     # d - 1 or d - 2 vanishes unless p = 3 divides d = |A||B|, which needs A
     # or B to be all of F_3, and then -A meets B
-    if (d - 1) % p == 0 or (d - 2) % p == 0:
+    try:
+        gamma = gamma_numeric(p, alpha, k, d)
+    except ZeroDivisionError:
         failures.append("d-1 or d-2 vanishes mod p")
         return failures, 0, 0
-    gamma = gamma_numeric(p, alpha, k, d)
     cross = sum(pow(b, k + 2, p) * tB[b][1] for b in B.elems) % p
     if which == "psi":
         lhs = (cross - sum(pow(a, k + 2, p) * uA[a][1] for a in A.elems)) % p

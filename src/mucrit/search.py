@@ -41,7 +41,7 @@ from bisect import bisect_left
 from itertools import combinations, compress
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .fp import FpSet, is_prime, roots_of_unity, sqrt_mod, subgroup_index
+from .fp import MAX_MODULUS_BITS, FpSet, is_prime, roots_of_unity, sqrt_mod, subgroup_index
 from .hp import criticality
 from .symm import minimal_indices, recentering_shift
 
@@ -60,15 +60,20 @@ class SearchResult(NamedTuple):
     violations: Tuple[str, ...]
 
 
-def _validate_prime(p: int) -> None:
+def _validate_prime(p: int, max_p: Optional[int] = None) -> None:
+    """Raise ``ValueError`` unless p is prime and at most ``max_p``, if given."""
     # is_prime rejects negative input with its own message; name p instead
     if p < 2 or not is_prime(p):
         raise ValueError(f"p={p} is not prime")
+    if max_p is not None and p > max_p:
+        raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
 
 
-def _validate_subgroup_order(p: int, d: int) -> None:
-    _validate_prime(p)
-    if d <= 1 or d >= p - 1 or (p - 1) % d != 0:
+def _validate_subgroup_order(p: int, d: int, max_p: Optional[int] = None) -> None:
+    """``_validate_prime``, with d checked after primality and before the bound."""
+    divides = 1 < d < p - 1 and (p - 1) % d == 0
+    _validate_prime(p, max_p if divides else None)
+    if not divides:
         raise ValueError(f"need d | p-1 with 1 < d < p-1, got p={p}, d={d}")
 
 
@@ -322,9 +327,7 @@ def sumset_search(
     a budget below 1 raises ``ValueError``, since it would search nothing."""
     if node_budget < 1:
         raise ValueError(f"node_budget must be at least 1, got {node_budget}")
-    _validate_subgroup_order(p, d)
-    if p > max_p:
-        raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
+    _validate_subgroup_order(p, d, max_p)
     _, powers, _ = subgroup_index(p, d)
     mu = roots_of_unity(p, d)
     diff = _difference_masks(powers, p)  # indexed by exponent
@@ -667,7 +670,11 @@ def levson_scan(alpha_max: int, workers: int = 1) -> SearchResult:
     only on a hit (``_levson_hits``).  The alpha with p prime come from
     ``_levson_alphas``, and up to ``workers`` processes scan them
     (``_fan_out``).  The merged hits are sorted, so the result is the same
-    for every ``workers``."""
+    for every ``workers``.  The largest p must fit the modulus cap."""
+    if (2 * alpha_max * (alpha_max - 1) + 1).bit_length() > MAX_MODULUS_BITS:
+        raise ValueError(
+            f"--alpha-max {alpha_max} gives p = 2a(a-1)+1 over {MAX_MODULUS_BITS} bits"
+        )
     if alpha_max < 2:
         raise ValueError("alpha_max must be >= 2")
     if workers < 1:
@@ -753,9 +760,7 @@ def problem2_scan(p: int, d: int, max_p: int = 64) -> SearchResult:
     Both symmetries preserve the condition: a translation leaves every
     difference alone, and a scaling by u in mu_d multiplies each product by
     u^(alpha(alpha-1)) = u^d = 1 (``_pinned_classes``)."""
-    _validate_subgroup_order(p, d)
-    if p > max_p:
-        raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
+    _validate_subgroup_order(p, d, max_p)
     alpha = _alpha_for(d)
     if alpha is None:
         return SearchResult(
@@ -784,9 +789,7 @@ def problem1_scan(p: int, alpha_max: int, max_p: int = 64) -> SearchResult:
     """All affine classes of A, 2 <= |A| <= alpha_max, satisfying the
     quadratic reciprocal relation at every element; the affine group is
     translations with scalings by F_p* = mu_(p-1) (``_pinned_classes``)."""
-    _validate_prime(p)
-    if p > max_p:
-        raise ValueError(f"p={p} above the feasibility bound {max_p}; raise max_p to override")
+    _validate_prime(p, max_p)
     if alpha_max >= p:
         # the only set of size p is F_p, where the relation divides by |A| = 0
         raise ValueError(f"alpha_max={alpha_max} must be below p={p}")

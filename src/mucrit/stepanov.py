@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .fp import FpSet, _factorize, _index, inverse_mod, inverse_power_sums, is_prime
-from .hp import criticality
+from .hp import _gamma01, criticality
 from .poly import FpPoly
 from .qalg import QPoly, falling
 from .symm import power_sums_int, recenter
@@ -23,26 +23,31 @@ from .symm import power_sums_int, recenter
 # ---------------------------------------------------------------------------
 # rat2 / rat3
 
-def rat2_check(A: FpSet, a: int) -> bool:
-    """sum 1/(a-a')^2 == (1/alpha) (sum 1/(a-a'))^2 at this a."""
+def _power_mean_ok(s1: int, sj: int, j: int, alpha: int, p: int) -> bool:
+    """s_j == s_1^j / alpha^(j-1) mod p: the power-mean relation behind
+    rat2/rat3 and the power-sum identities of Lemmas 5 and 6."""
+    return sj == pow(s1, j, p) * inverse_mod(pow(alpha, j - 1, p), p) % p
+
+
+def _rat_check(A: FpSet, a: int, j: int) -> bool:
+    """The power-mean relation at this a for the sums of 1/(a-a')^i."""
     p = A.p
     a = _index(a) % p
     alpha = len(A)
     if alpha < 2 or a not in A:
         raise ValueError("need a in A and |A| >= 2")
-    s1, s2 = inverse_power_sums([a - x for x in A.elems if x != a], p, 2)
-    return s2 == s1 * s1 % p * inverse_mod(alpha % p, p) % p
+    sums = inverse_power_sums([a - x for x in A.elems if x != a], p, j)
+    return _power_mean_ok(sums[0], sums[-1], j, alpha, p)
+
+
+def rat2_check(A: FpSet, a: int) -> bool:
+    """sum 1/(a-a')^2 == (1/alpha) (sum 1/(a-a'))^2 at this a."""
+    return _rat_check(A, a, 2)
 
 
 def rat3_check(A: FpSet, a: int) -> bool:
     """sum 1/(a-a')^3 == (1/alpha^2) (sum 1/(a-a'))^3 at this a."""
-    p = A.p
-    a = _index(a) % p
-    alpha = len(A)
-    if alpha < 2 or a not in A:
-        raise ValueError("need a in A and |A| >= 2")
-    s1, _, s3 = inverse_power_sums([a - x for x in A.elems if x != a], p, 3)
-    return s3 == pow(s1, 3, p) * inverse_mod(alpha * alpha % p, p) % p
+    return _rat_check(A, a, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +287,23 @@ def alpha11_obstruction(p: Optional[int] = None) -> Alpha11Report:
 GAMMA_NAMES = ("gamma0", "gamma1", "gamma2", "gamma3", "gamma4", "gamma5")
 
 
+def _gamma2(p: int, alpha: int, k: int) -> int:
+    """gamma2 = alpha^2 - (k+2) alpha + (k+1)(k+2)/3 mod p."""
+    return (alpha * alpha - (k + 2) * alpha + (k + 1) * (k + 2) % p * inverse_mod(3, p)) % p
+
+
+def _gamma3(p: int, alpha: int, k: int) -> int:
+    """gamma3 = alpha - (k+1)/2 mod p."""
+    return (alpha - (k + 1) * inverse_mod(2, p)) % p
+
+
 def gamma_numeric(p: int, alpha: int, k: int, d: int) -> Dict[str, int]:
     """The six constants mod p for arbitrary d with d-1, d-2 invertible."""
-    if (d - 1) % p == 0 or (d - 2) % p == 0:
-        raise ZeroDivisionError("d-1 and d-2 must be invertible mod p")
-    half = inverse_mod(2, p)
-    third = inverse_mod(3, p)
-    g0 = alpha * (alpha + 1) % p * inverse_mod((d - 1) % p, p) % p
-    g1 = (
-        alpha * (alpha + 1) % p * (alpha + 2) % p
-        * inverse_mod((d - 1) * (d - 2) % p, p) % p
-    )
-    g2 = (alpha * alpha - (k + 2) * alpha + (k + 1) * (k + 2) % p * third) % p
-    g3 = (alpha - (k + 1) * half) % p
+    g0, g1 = _gamma01(p, alpha, d)
+    g2, g3 = _gamma2(p, alpha, k), _gamma3(p, alpha, k)
     g4 = ((k + 2) * g0 % p * g3 - k * alpha) % p
     g5 = (alpha * alpha - (k + 2) * g0 % p * g3) % p
-    return {
-        "gamma0": g0,
-        "gamma1": g1,
-        "gamma2": g2,
-        "gamma3": g3,
-        "gamma4": g4,
-        "gamma5": g5,
-    }
+    return dict(zip(GAMMA_NAMES, (g0, g1, g2, g3, g4, g5)))
 
 
 # the ring Q[k][w]/(2w^2 + 1) of the half-group case d == -1/2
@@ -663,11 +662,9 @@ def lemma5_lemma6_numeric(A: FpSet, d: int) -> Lemma56Report:
         raise ValueError("(A, -A) is not d-critical")
     if d in (2, 6):
         return Lemma56Report(True, True, None, None, None)
-    alpha = len(A) % p
     ps = power_sums_int(A, 3)
-    inv_a = inverse_mod(alpha, p)
-    p2_ok = ps[2] == ps[1] * ps[1] % p * inv_a % p
-    p3_ok = ps[3] == pow(ps[1], 3, p) * inv_a % p * inv_a % p
+    p2_ok = _power_mean_ok(ps[1], ps[2], 2, len(A), p)
+    p3_ok = _power_mean_ok(ps[1], ps[3], 3, len(A), p)
     ps0 = power_sums_int(recenter(A), 3)
     recent_ok = ps0[1] == 0 and ps0[2] == 0 and ps0[3] == 0
     return Lemma56Report(True, False, p2_ok, p3_ok, recent_ok)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .fp import FpSet, inverse_mod
-from .poly import _series_inverse
+from .poly import _series_inverse, from_roots
 
 
 def power_sums_int(A: FpSet, K: int) -> List[int]:
@@ -25,20 +25,12 @@ def power_sums_int(A: FpSet, K: int) -> List[int]:
 
 
 def complete_homogeneous(A: FpSet, m: int) -> int:
-    """h_m(A), the u^m coefficient of 1 / prod_a (1 - a u)."""
+    """h_m(A), the u^m coefficient of 1 / prod_a (1 - a u); that product is
+    the monic polynomial with root set A, its coefficients reversed."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    p = A.p
-    denom = [1]
-    for a in A:
-        nxt = [0] * min(len(denom) + 1, m + 1)
-        for i, c in enumerate(denom):
-            if i < len(nxt):
-                nxt[i] = (nxt[i] + c) % p
-            if i + 1 < len(nxt):
-                nxt[i + 1] = (nxt[i + 1] - c * a) % p
-        denom = nxt
-    return _series_inverse(denom, m + 1, p)[m]
+    denom = from_roots(A).coeffs[::-1] if len(A) else [1]
+    return _series_inverse(denom, m + 1, A.p)[m]
 
 
 def minimal_indices(A: FpSet) -> Tuple[int, Optional[int]]:

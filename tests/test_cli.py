@@ -155,20 +155,20 @@ class TestExitCodes:
         def no_sampling(*_, **__):
             raise AssertionError("instances were sampled past sys.maxsize")
 
-        monkeypatch.setattr(checks, "run_verify_residues", no_sampling)
+        monkeypatch.setattr(checks, "_fan_out", no_sampling)
         code, out, err = run_cli(capsys, "verify-residues", *args)
         message = f"error: --instances and --form-instances make over {sys.maxsize} instances\n"
         assert (code, out, err) == (2, "", message)
 
     def test_residue_instances_at_maxsize_pass_the_bound(self, capsys, monkeypatch):
-        # negative control, with the run replaced: the bound is not one too low
+        # negative control, with the fan-out replaced: the bound is not one too low
         seen = []
         monkeypatch.setattr(
-            checks, "run_verify_residues", lambda *args, **_: seen.append(args) or (True, {})
+            checks, "_fan_out", lambda fn, items, workers: seen.append(len(items)) or []
         )
         argv = ["--primes", "2", "--instances", str(sys.maxsize), "--form-instances", "0"]
         assert run_cli(capsys, "verify-residues", *argv)[0] == 0
-        assert seen == [(0, [2], sys.maxsize, 0)]
+        assert seen == [sys.maxsize]
 
     def test_levson_alpha_max_past_modulus_cap_builds_no_sieve(self, capsys, monkeypatch):
         # p = 2 alpha(alpha-1) + 1 for the largest alpha must fit the modulus cap
@@ -183,14 +183,14 @@ class TestExitCodes:
             assert (code, out, err) == (2, "", message)
 
     def test_levson_alpha_max_at_modulus_cap_passes_the_bound(self, capsys, monkeypatch):
-        # negative control, with the scan replaced: the bound is not one too low
+        # negative control, with the sieve replaced: the bound is not one too low
         class Reached(Exception):
             pass
 
-        def reached(kind, params, workers):
-            raise Reached(params["alpha_max"])
+        def reached(alpha_max):
+            raise Reached(alpha_max)
 
-        monkeypatch.setattr(cli, "run_job", reached)
+        monkeypatch.setattr(search, "_levson_alphas", reached)
         top = _levson_alpha_cap()
         assert (2 * top * (top - 1) + 1).bit_length() == 63
         with pytest.raises(Reached) as exc:
@@ -207,7 +207,7 @@ class TestExitCodes:
         def no_sampling(*_, **__):
             raise AssertionError("instances were drawn for a prime past the cap")
 
-        monkeypatch.setattr(checks, "run_verify_residues", no_sampling)
+        monkeypatch.setattr(checks, "_fan_out", no_sampling)
         p = 9223372036854775837
         code, out, err = run_cli(
             capsys, "verify-residues", "--primes", f"7,{p}", "--threads", threads
@@ -238,7 +238,7 @@ class TestExitCodes:
         def no_sampling(*_):
             raise AssertionError("instances were sampled for a rejected configuration")
 
-        monkeypatch.setattr(checks, "run_verify_residues", no_sampling)
+        monkeypatch.setattr(checks, "_fan_out", no_sampling)
         code, out, err = run_cli(capsys, "verify-residues", *args)
         assert code == 2
         assert out == ""

@@ -332,7 +332,7 @@ def _probe(body: str, watch=()) -> List[set]:
     """Run ``body`` after ``PROBE`` in a fresh isolated interpreter; return
     the words of each line it prints, as sets."""
     out = subprocess.run(
-        [sys.executable, "-I", "-c", PROBE + body, str(SRC), json.dumps(list(watch))],
+        [sys.executable, "-I", "-B", "-c", PROBE + body, str(SRC), json.dumps(list(watch))],
         capture_output=True,
         text=True,
         timeout=60,

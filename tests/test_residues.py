@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from mucrit import poly, residues
+from mucrit import checks, poly, residues
 from mucrit.fp import FpSet, batch_inverse_ints, inverse_mod
 from mucrit.poly import FpPoly, TruncatedSeries, from_roots, taylor_at
 from mucrit.residues import (
@@ -559,3 +560,49 @@ class TestRationalForm:
         a = RationalForm(FpPoly(p, [1]), FpPoly.x(p))
         b = RationalForm(FpPoly(p, [2]), FpPoly(p, [0, 2]))
         assert a == b
+
+
+class TestVerifyResiduesInput:
+    """``checks.run_verify_residues`` refuses what ``mucrit verify-residues``
+    refuses, with the same message, before it draws an instance."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def no_sampling(*_, **__):
+            raise AssertionError("instances were drawn for a rejected configuration")
+
+        monkeypatch.setattr(checks, "_residue_draws", no_sampling)
+        monkeypatch.setattr(checks, "_fan_out", no_sampling)
+
+    @pytest.mark.parametrize(
+        "primes, instances, form_instances, message",
+        [
+            ([], 1, 1, "--primes names no prime"),
+            ([41], -3, 0, "--instances and --form-instances must be >= 0"),
+            ([41], 1, -1, "--instances and --form-instances must be >= 0"),
+            ([15], 0, 0, "15 is not prime"),
+            ([7, -5], 1, 1, "-5 is not prime"),
+            (
+                [9223372036854775837], 1, 1,
+                "modulus 9223372036854775837 exceeds 63 bits",
+            ),
+            (
+                [2], sys.maxsize + 1, 0,
+                f"--instances and --form-instances make over {sys.maxsize} instances",
+            ),
+        ],
+        ids=[
+            "no-prime", "negative-instances", "negative-form-instances", "composite",
+            "negative-prime", "past-modulus-cap", "past-maxsize",
+        ],
+    )
+    def test_rejected_before_any_draw(self, no_draws, primes, instances, form_instances, message):
+        with pytest.raises(ValueError) as exc:
+            checks.run_verify_residues(0, primes, instances, form_instances)
+        assert str(exc.value) == message
+
+    def test_zero_instances_of_a_prime_check_nothing_and_pass(self):
+        # negative control: a valid configuration is not refused, even one
+        # that checks no instance of a valid prime
+        ok, report = checks.run_verify_residues(0, [41], 0, 0)
+        assert ok and report["random_forms_checked"] == report["named_form_instances"] == 0

@@ -724,6 +724,23 @@ class TestLevson:
         res = levson_scan(3)
         assert (13, 3, 3) in res.witnesses
 
+    def test_alpha_max_past_modulus_cap_builds_no_sieve(self, monkeypatch):
+        # the library refuses what the CLI refuses, with its message, before
+        # the sieve: p = 2 alpha(alpha-1) + 1 must fit in 63 bits
+        def no_sieve(alpha_max):
+            raise AssertionError("the sieve was built past the modulus cap")
+
+        monkeypatch.setattr(search, "_levson_alphas", no_sieve)
+        top = 2**31 + 1
+        while (2 * top * (top - 1) + 1).bit_length() > 63:
+            top -= 1
+        with pytest.raises(ValueError) as exc:
+            levson_scan(top + 1)
+        assert str(exc.value) == f"--alpha-max {top + 1} gives p = 2a(a-1)+1 over 63 bits"
+        # negative control: the largest alpha within the cap reaches the sieve
+        with pytest.raises(AssertionError, match="sieve was built"):
+            levson_scan(top)
+
     def test_composite_p_skipped(self):
         # alpha = 4 gives p = 25, not prime
         assert not is_prime(2 * 4 * 3 + 1)

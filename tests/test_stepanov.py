@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mucrit import stepanov
 from mucrit.fp import FpSet
+from mucrit.hp import relation_x, relation_y
 from mucrit.poly import FpPoly
 from mucrit.qalg import QPoly
 from mucrit.stepanov import (
@@ -223,10 +224,35 @@ class TestGammas:
             gamma_numeric(13, 2, 2, 1)
 
     def test_gamma_numeric_matches_definition(self):
-        p, alpha, k, d = 13, 2, 2, 4
-        g = gamma_numeric(p, alpha, k, d)
-        assert g["gamma0"] == alpha * (alpha + 1) * pow(d - 1, p - 2, p) % p
-        assert g["gamma3"] == (alpha - (k + 1) * pow(2, p - 2, p)) % p
+        # every constant against its closed form, evaluated over Q and then
+        # reduced mod p
+        cases = [(13, 2, 2, 4), (19, 3, 3, 9), (41, 5, 0, 20), (97, 7, 6, 42), (101, 40, 11, 1000)]
+        for p, alpha, k, d in cases:
+            g0 = Fraction(alpha * (alpha + 1), d - 1)
+            g1 = Fraction(alpha * (alpha + 1) * (alpha + 2), (d - 1) * (d - 2))
+            g2 = alpha * alpha - (k + 2) * alpha + Fraction((k + 1) * (k + 2), 3)
+            g3 = alpha - Fraction(k + 1, 2)
+            g4 = (k + 2) * g0 * g3 - k * alpha
+            g5 = alpha * alpha - (k + 2) * g0 * g3
+            want = [x.numerator * pow(x.denominator, -1, p) % p for x in (g0, g1, g2, g3, g4, g5)]
+            g = gamma_numeric(p, alpha, k, d)
+            assert [g[f"gamma{i}"] for i in range(6)] == want, (p, alpha, k, d)
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [((3, 10), (2, 11)), ((2, 11), (3, 10)), ((1, 4, 6), (0, 2, 3, 5))],
+    )
+    def test_relation_factors_are_gamma0_and_gamma1(self, A, B):
+        # Relations X and Y scale their B-difference sums by gamma0 and
+        # gamma1 at d = |A||B|; the last pair is not critical
+        A, B = FpSet(13, A), FpSet(13, B)
+        p, alpha, d = 13, len(A), len(A) * len(B)
+        g = gamma_numeric(p, alpha, 0, d)
+        for b in B:
+            s1 = sum(pow(b - x, -1, p) for x in B if x != b) % p
+            s2 = sum(pow(b - x, -2, p) for x in B if x != b) % p
+            assert relation_x(A, B, b)[1] == g["gamma0"] * s1 % p
+            assert relation_y(A, B, b)[1] == g["gamma1"] * (alpha * s1 * s1 - s2) % p
 
 
 class TestLemma13:
