@@ -103,6 +103,8 @@ USAGE_ARGVS = (
     ["verify-residues", "--primes", "4_1, 97"],
     ["verify-residues", "--primes", "\u0664\u0661"],
     ["verify-residues", "--primes", "9223372036854775837"],
+    ["verify-residues", "--instances", "0", "--form-instances", "0"],
+    ["search", "sumset", "--p", "13", "--d", "4", "--node-budget", "0"],
 )
 
 

@@ -228,8 +228,9 @@ def run_verify_residues(
     failures merged in index order, so the report is the same for every
     ``workers``.
 
-    No prime, a negative count, over ``sys.maxsize`` instances or a non-prime
-    or over-63-bit entry raises ``ValueError`` before anything is drawn."""
+    No prime, a negative count, over ``sys.maxsize`` instances, a non-prime
+    or over-63-bit entry, or no instance at all raises ``ValueError`` before
+    anything is drawn."""
     if not primes:
         raise ValueError("--primes names no prime")
     if instances < 0 or form_instances < 0:
@@ -241,6 +242,8 @@ def run_verify_residues(
         if p < 2 or not is_prime(p):
             raise ValueError(f"{p} is not prime")
         _require_prime(p)  # the 63-bit cap, before any draw from range(p)
+    if not slots:
+        raise ValueError("--instances and --form-instances check no instance")
     parts = _fan_out(
         functools.partial(
             _check_residue_share, seed=seed, primes=primes, instances=instances,

@@ -278,8 +278,6 @@ def _dispatch(ns: SimpleNamespace) -> int:
     if ns.out:
         _check_out(ns.out)
     if ns.command == "search":
-        if getattr(ns, "node_budget", 1) < 1:
-            raise ValueError(f"--node-budget must be at least 1, got {ns.node_budget}")
         # the command's own options, as parsed, are the search's keywords
         names = [_dest(flag) for flag, _ in _LEAVES[("search", ns.kind)]]
         params = {name: getattr(ns, name) for name in names}

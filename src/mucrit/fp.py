@@ -33,6 +33,7 @@ _TRIAL_BOUND = 41 * 41
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 64-bit integers."""
+    n = _index(n)
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
     if n >= 1 << 64:
@@ -64,8 +65,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
+# typed: 13.0 hashes as 13, and must not find 13's entry
+@functools.lru_cache(maxsize=None, typed=True)
 def _require_prime(p: int) -> int:
+    p = _index(p)
     if p.bit_length() > MAX_MODULUS_BITS:
         raise ValueError(f"modulus {p} exceeds {MAX_MODULUS_BITS} bits")
     if not is_prime(p):
@@ -266,6 +269,7 @@ def binom_mod(n: int, k: int, p: int) -> int:
     for n >= p the base-p digit product rule (Lucas) applies.
     """
     _require_prime(p)
+    n, k = _index(n), _index(k)
     if k < 0 or k > n:
         raise ValueError(f"binom_mod requires 0 <= k <= n, got n={n}, k={k}")
     result = 1

@@ -1,23 +1,31 @@
 """Exact multivariate polynomials over Q and their quotient rings.
 
 ``QPoly`` holds arbitrary-precision rational coefficients keyed by exponent
-tuples over a named variable list; binary operations align variable sets
-automatically.  A quotient ring Q[..][x]/(x^n - tail) needs no class of its
-own: its elements are ``QPoly``s, and ``QPoly.rewrite`` reduces a product to
-the remainder of degree below n in x.
+tuples over a named variable list.  The two operands of a binary operation,
+a comparison or a rewrite share one variable list, which the result keeps;
+a polynomial over another list raises ``ValueError``.  Numbers are read as
+``fp`` reads them: a coefficient is an int or a ``Fraction``, an exponent an
+integer read through ``operator.index`` and at least 0.  A quotient ring
+Q[..][x]/(x^n - tail) needs no class of its own: its elements are
+``QPoly``s, and ``QPoly.rewrite`` reduces a product to the remainder of
+degree below n in x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, index
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
 
 def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"a coefficient is an int or a Fraction, not {type(x).__name__}")
 
 
 _new = object.__new__
@@ -36,9 +44,11 @@ class QPoly:
             c = _frac(c)
             if c == 0:
                 continue
-            e = tuple(int(x) for x in exps)
+            e = tuple(map(index, exps))
             if len(e) != len(vs):
                 raise ValueError("exponent tuple length mismatch")
+            if any(x < 0 for x in e):
+                raise ValueError(f"negative exponent in {e}")
             cleaned[e] = cleaned[e] + c if e in cleaned else c
         _fill_qpoly(self, vs, cleaned)
 
@@ -73,29 +83,10 @@ class QPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def _aligned(self, other: "QPoly") -> Tuple["QPoly", "QPoly"]:
-        if self.vars == other.vars:
-            return self, other
-        vs = tuple(sorted(set(self.vars) | set(other.vars)))
-        return self.with_vars(vs), other.with_vars(vs)
-
-    def with_vars(self, vs: Sequence[str]) -> "QPoly":
-        vs = tuple(vs)
-        if vs == self.vars:
-            return self
-        if any(v not in vs for v in self.vars):
-            raise ValueError("cannot drop variables")
-        idx = [vs.index(v) for v in self.vars]
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = [0] * len(vs)
-            for i, x in zip(idx, exps):
-                e[i] = x
-            out[tuple(e)] = c
-        return QPoly._make(vs, out)
-
     def _coerce(self, other) -> "QPoly":
         if isinstance(other, QPoly):
+            if other.vars != self.vars:
+                raise ValueError(f"operands over {self.vars} and {other.vars}")
             return other
         if isinstance(other, (int, Fraction)):
             return QPoly.const(other, self.vars)
@@ -111,11 +102,10 @@ class QPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self._aligned(o)
-        out = dict(a.terms)
-        for e, c in b.terms.items():
+        out = dict(self.terms)
+        for e, c in o.terms.items():
             out[e] = out[e] + c if e in out else c
-        return QPoly._make(a.vars, out)
+        return QPoly._make(self.vars, out)
 
     __radd__ = __add__
 
@@ -138,14 +128,13 @@ class QPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self._aligned(o)
         out: Dict[Tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in o.terms.items():
                 e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 out[e] = out[e] + c if e in out else c
-        return QPoly._make(a.vars, out)
+        return QPoly._make(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -173,8 +162,7 @@ class QPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self._aligned(o)
-        return a.terms == b.terms
+        return self.terms == o.terms
 
     def degree(self, name: str) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
@@ -207,14 +195,14 @@ class QPoly:
     def rewrite(self, name: str, n: int, tail) -> "QPoly":
         """Remainder modulo name^n - tail: each name^e with e >= n becomes
         name^(e-n) * tail, repeated until no such term is left.  The tail (a
-        QPoly or a scalar) must have degree below n in ``name``, which makes
-        the rewriting terminate."""
-        f, t = self._aligned(self._coerce(tail))
-        i = f.vars.index(name)
+        QPoly over this one's variables, or a scalar) must have degree below n
+        in ``name``, which makes the rewriting terminate."""
+        t = self._coerce(tail) if isinstance(tail, QPoly) else QPoly.const(tail, self.vars)
+        i = self.vars.index(name)
         if n < 1 or t.degree(name) >= n:
             raise ValueError(f"cannot rewrite {name}^{n} as {t!r}")
         tail_terms = t.terms.items()
-        terms = f.terms
+        terms = self.terms
         while any(e[i] >= n for e in terms):
             out: Dict[Tuple[int, ...], Fraction] = {}
             for e, c in terms.items():
@@ -226,7 +214,7 @@ class QPoly:
                     ne = tuple(map(add, low, te))
                     out[ne] = out[ne] + c * tc if ne in out else c * tc
             terms = {e: c for e, c in out.items() if c}
-        return QPoly._make(f.vars, terms)
+        return QPoly._make(self.vars, terms)
 
     def eval_scalar(self, **assignments: Scalar) -> Fraction:
         acc = Fraction(0)

@@ -41,7 +41,9 @@ from bisect import bisect_left
 from itertools import combinations, compress
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .fp import MAX_MODULUS_BITS, FpSet, is_prime, roots_of_unity, sqrt_mod, subgroup_index
+from .fp import (
+    MAX_MODULUS_BITS, FpSet, _index, is_prime, roots_of_unity, sqrt_mod, subgroup_index,
+)
 from .hp import criticality
 from .symm import minimal_indices, recentering_shift
 
@@ -326,7 +328,7 @@ def sumset_search(
     (a verdict) nor a violation is conflated with "no decomposition exists";
     a budget below 1 raises ``ValueError``, since it would search nothing."""
     if node_budget < 1:
-        raise ValueError(f"node_budget must be at least 1, got {node_budget}")
+        raise ValueError(f"--node-budget must be at least 1, got {node_budget}")
     _validate_subgroup_order(p, d, max_p)
     _, powers, _ = subgroup_index(p, d)
     mu = roots_of_unity(p, d)
@@ -671,6 +673,7 @@ def levson_scan(alpha_max: int, workers: int = 1) -> SearchResult:
     ``_levson_alphas``, and up to ``workers`` processes scan them
     (``_fan_out``).  The merged hits are sorted, so the result is the same
     for every ``workers``.  The largest p must fit the modulus cap."""
+    alpha_max = _index(alpha_max)
     if (2 * alpha_max * (alpha_max - 1) + 1).bit_length() > MAX_MODULUS_BITS:
         raise ValueError(
             f"--alpha-max {alpha_max} gives p = 2a(a-1)+1 over {MAX_MODULUS_BITS} bits"

@@ -53,13 +53,14 @@ def rat3_check(A: FpSet, a: int) -> bool:
 # ---------------------------------------------------------------------------
 # the operator D
 
-def d_operator(g, alpha: int, var: str = "x"):
-    """4a(a-2) g'g''' - 3(a-1)(a-2) g''^2 - a(a+1) g g'''', same kind as g."""
+def d_operator(g, alpha: int):
+    """4a(a-2) g'g''' - 3(a-1)(a-2) g''^2 - a(a+1) g g'''', same kind as g;
+    a ``QPoly`` is differentiated in x."""
     if isinstance(g, FpPoly):
         deriv = FpPoly.derivative
     elif isinstance(g, QPoly):
         def deriv(f: QPoly) -> QPoly:
-            return f.derivative(var)
+            return f.derivative("x")
     else:
         raise TypeError(f"unsupported operand {type(g)!r}")
     g1 = deriv(g)
@@ -233,7 +234,6 @@ def alpha11_obstruction(p: Optional[int] = None) -> Alpha11Report:
     )
 
     # the printed reduction chain, as identities in Q[xi]/(xi^10+11xi^5+1)
-    xi = QPoly.var("xi")
     fpp = _xi(9, 110) + _xi(4, 330)
     fp = _xi(10, 11) + _xi(5, 66) + _xi(0, 1)
     f3 = _xi(8, 990) + _xi(3, 1320)
@@ -320,9 +320,8 @@ def _w_reduce(f: QPoly) -> QPoly:
 
 def _w_inverse(x: QPoly) -> QPoly:
     """1/(u w + v) = (v - u w) / (v^2 + u^2/2) for rational u and v, not both
-    zero; an element with k in it raises ``ValueError``."""
-    x = x.with_vars(_KW)
-    if set(x.terms) - {(0, 0), (0, 1)}:
+    zero; an element with k in it, or not over (k, w), raises ``ValueError``."""
+    if x.vars != _KW or set(x.terms) - {(0, 0), (0, 1)}:
         raise ValueError(f"{x!r} is not u w + v with rational u and v")
     u = x.terms.get((0, 1), Fraction(0))
     v = x.terms.get((0, 0), Fraction(0))
@@ -472,7 +471,7 @@ def _cat_theorem2_odd() -> bool:
 
 
 def _sylvester_resultant(f: List[Fraction], g: List[Fraction]) -> Fraction:
-    """Resultant via exact fraction-free elimination of the Sylvester matrix.
+    """Resultant via exact Gaussian elimination over Q of the Sylvester matrix.
     Coefficient lists are low-degree first."""
     m = len(f) - 1
     n = len(g) - 1

@@ -246,16 +246,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("budget", ["0", "-1", "-50000000"])
     def test_node_budget_below_one_runs_no_search(self, capsys, monkeypatch, budget):
-        def no_search(kind, params, workers):
+        # the exponent index is the first thing the sumset search builds
+        def no_search(p, d):
             raise AssertionError("a search ran with a rejected node budget")
 
-        monkeypatch.setattr(cli, "run_job", no_search)
+        monkeypatch.setattr(search, "subgroup_index", no_search)
         code, out, err = run_cli(
             capsys, "search", "sumset", "--p", "13", "--d", "4", "--node-budget", budget
         )
         assert code == 2
         assert out == ""
         assert "--node-budget must be at least 1" in err
+        # negative control: a budget of 1 reaches the search
+        with pytest.raises(AssertionError, match="a search ran"):
+            run_cli(capsys, "search", "sumset", "--p", "13", "--d", "4", "--node-budget", "1")
 
     def test_node_budget_of_one_still_runs(self, capsys):
         code, out, _ = run_cli(

@@ -73,6 +73,12 @@ class TestIsPrime:
         with pytest.raises(ValueError):
             is_prime(1 << 64)
 
+    def test_reads_n_through_index(self):
+        # 13.0 is not read as 13; the int is the negative control
+        with pytest.raises(TypeError):
+            is_prime(13.0)
+        assert is_prime(13) and is_prime(True) is False
+
 
 class TestFieldElem:
     def test_construction_raises(self):
@@ -93,6 +99,15 @@ class TestFpSet:
         assert A.translate(3).elems == (0, 3, 4)
         assert A.diffset(A).elems == (0, 1, 3, 4, 9, 10, 12)
         assert 10 in A and 2 not in A
+
+    def test_modulus_read_through_index(self):
+        # FpSet(13, ...) first, so a cache keyed by value alone would answer 13.0
+        assert FpSet(13, [1]).p == 13
+        with pytest.raises(TypeError):
+            FpSet(13.0, [1])
+        with pytest.raises(TypeError):
+            fp._require_prime(13.0)
+        assert fp._require_prime(13) == 13
 
     def test_mixed_moduli(self):
         with pytest.raises(ValueError):
@@ -222,6 +237,13 @@ class TestBinomMod:
             n = rnd.randrange(10**4)
             k = rnd.randrange(n + 1)
             assert binom_mod(n, k, 13) == math.comb(n, k) % 13
+
+    @pytest.mark.parametrize("args", [(5.0, 2, 7), (5, 2.0, 7), (5, 2, 7.0), ("5", 2, 7)])
+    def test_reads_arguments_through_index(self, args):
+        with pytest.raises(TypeError):
+            binom_mod(*args)
+        # negative control: the same values as ints
+        assert binom_mod(5, 2, 7) == 10 % 7
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):

@@ -581,6 +581,7 @@ class TestVerifyResiduesInput:
             ([41], -3, 0, "--instances and --form-instances must be >= 0"),
             ([41], 1, -1, "--instances and --form-instances must be >= 0"),
             ([15], 0, 0, "15 is not prime"),
+            ([41], 0, 0, "--instances and --form-instances check no instance"),
             ([7, -5], 1, 1, "-5 is not prime"),
             (
                 [9223372036854775837], 1, 1,
@@ -593,7 +594,7 @@ class TestVerifyResiduesInput:
         ],
         ids=[
             "no-prime", "negative-instances", "negative-form-instances", "composite",
-            "negative-prime", "past-modulus-cap", "past-maxsize",
+            "no-instance", "negative-prime", "past-modulus-cap", "past-maxsize",
         ],
     )
     def test_rejected_before_any_draw(self, no_draws, primes, instances, form_instances, message):
@@ -601,8 +602,9 @@ class TestVerifyResiduesInput:
             checks.run_verify_residues(0, primes, instances, form_instances)
         assert str(exc.value) == message
 
-    def test_zero_instances_of_a_prime_check_nothing_and_pass(self):
-        # negative control: a valid configuration is not refused, even one
-        # that checks no instance of a valid prime
-        ok, report = checks.run_verify_residues(0, [41], 0, 0)
-        assert ok and report["random_forms_checked"] == report["named_form_instances"] == 0
+    def test_one_instance_of_a_prime_passes(self):
+        # negative control: one slot is enough; omega20 and omega30 are never
+        # skipped, so a positive slot count checks at least one instance
+        ok, report = checks.run_verify_residues(0, [41], 1, 0)
+        assert ok and report["random_forms_checked"] == 1
+        assert report["named_form_instances"] == 0

@@ -283,6 +283,12 @@ class TestSumsetSearch:
             assert any("budget" in v for v in short.verdicts), (p, d)
             assert "no decomposition exists" not in short.verdicts
 
+    def test_prime_read_through_index(self):
+        with pytest.raises(TypeError):
+            sumset_search(13.0, 4)
+        # negative control: the int searches
+        assert sumset_search(13, 4).witnesses
+
     def test_budget_exhaustion_distinct_from_none(self):
         res = sumset_search(61, 30, node_budget=1)
         assert any("budget" in v for v in res.verdicts)
@@ -292,7 +298,7 @@ class TestSumsetSearch:
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, check, budget):
         # a budget that admits no node would return a vacuous pass
-        with pytest.raises(ValueError, match=f"node_budget must be at least 1, got {budget}$"):
+        with pytest.raises(ValueError, match=f"^--node-budget must be at least 1, got {budget}$"):
             check(13, 4, node_budget=budget)
 
     def test_negative_control_non_witness_fails_reverification(self, monkeypatch):
@@ -724,6 +730,13 @@ class TestLevson:
         res = levson_scan(3)
         assert (13, 3, 3) in res.witnesses
 
+    def test_alpha_max_read_through_index(self):
+        for bad in (10.5, 10.0, "10"):
+            with pytest.raises(TypeError):
+                levson_scan(bad)
+        # negative control: the int scans
+        assert levson_scan(10).witnesses == [(13, 3, 3), (41, 5, 4)]
+
     def test_alpha_max_past_modulus_cap_builds_no_sieve(self, monkeypatch):
         # the library refuses what the CLI refuses, with its message, before
         # the sieve: p = 2 alpha(alpha-1) + 1 must fit in 63 bits
@@ -1118,7 +1131,7 @@ class TestRunJob:
     def test_node_budget_below_one_raises(self, kind):
         from mucrit.search import run_job
 
-        with pytest.raises(ValueError, match="node_budget must be at least 1, got 0$"):
+        with pytest.raises(ValueError, match="^--node-budget must be at least 1, got 0$"):
             run_job(kind, {"p": 13, "d": 4, "node_budget": 0})
 
     @pytest.mark.parametrize(

@@ -203,7 +203,7 @@ class TestAlpha11:
 class TestGammas:
     def test_symbolic_gamma0_inverse(self):
         g = gamma_symbolic()
-        w = QPoly.var("w")
+        w = QPoly.var("w", ("k", "w"))
         assert _w_inverse(g["gamma0"]) == 2 * w + 1
         assert _w_inverse(2 * _w_inverse(g["gamma0"]) - 1) == w * Fraction(-4, 9) + Fraction(1, 9)
 
@@ -286,8 +286,8 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 def _conjugate(x):
-    """v - u w for x = u w + v."""
-    return x.coefficient("w", 0).with_vars(("k", "w")) - W * x.coefficient("w", 1)
+    """v - u w for x = u w + v over (k, w): w goes to -w."""
+    return QPoly(x.vars, {(a, b): c * (-1) ** b for (a, b), c in x.terms.items()})
 
 
 class TestWRing:
@@ -315,6 +315,14 @@ class TestWRing:
         for x in (W + K, K, W * K):
             with pytest.raises(ValueError):
                 _w_inverse(x)
+
+    def test_element_over_another_list_rejected(self):
+        # 4w + 1 over (w,) or (w, k) is no element of the ring
+        for vs in (("w",), ("w", "k")):
+            with pytest.raises(ValueError):
+                _w_inverse(4 * QPoly.var("w", vs) + 1)
+        # negative control: the same element over (k, w) inverts
+        assert _w_inverse(4 * W + 1) == W * Fraction(-4, 9) + Fraction(1, 9)
 
     @pytest.mark.parametrize("c", [0, 3, Fraction(1, 2)])
     def test_inverse_coefficients_are_fractions(self, c):

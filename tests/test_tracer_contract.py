@@ -59,10 +59,10 @@ def predicted_nonzero():
     raise AssertionError("perfbench/run.py defines no PREDICTED_NONZERO")
 
 
-def residues_metrics_at_zero(*args):
+def residues_metrics_at_zero(*args, exit_code=0):
     """The metrics under ``PREDICTED_NONZERO["residues"]`` that read 0 when
-    ``verify-residues`` runs with ``args`` under the tracer, as run.py's
-    coverage check names them."""
+    ``verify-residues`` runs with ``args`` under the tracer and exits with
+    ``exit_code``, as run.py's coverage check names them."""
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
@@ -70,7 +70,7 @@ def residues_metrics_at_zero(*args):
             code = cli.run(["verify-residues", *args, "--format", "json"])
     finally:
         tracer.restore()
-    assert code == 0
+    assert code == exit_code
     prefixes = predicted_nonzero()["residues"]
     return [
         name
@@ -87,7 +87,8 @@ def test_reduced_verify_residues_reaches_every_predicted_metric():
     assert residues_metrics_at_zero(
         "--instances", "20", "--form-instances", "2", "--threads", "1"
     ) == []
-    # negative control: with nothing sampled the series constructor goes unreached
+    # negative control: with nothing sampled (a line refused at exit 2) the
+    # series constructor goes unreached
     assert "poly.TruncatedSeries.init.calls" in residues_metrics_at_zero(
-        "--instances", "0", "--form-instances", "0", "--threads", "1"
+        "--instances", "0", "--form-instances", "0", "--threads", "1", exit_code=2
     )
