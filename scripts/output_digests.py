@@ -17,9 +17,11 @@ effort field; a changed witness, verdict or message changes a digest.
 After the jobs, one more line of the same form follows for each command line
 of ``USAGE_ARGVS``: help at every level of the command tree, usage errors,
 and valid lines that only argparse parses (an abbreviation, ``--p=13``, a
-repeated option, a value that starts with ``-``, ``--``), so the parse and
-error paths, and where the plain parse hands a line to argparse, are
-compared too.
+repeated option, a value that starts with ``-``, ``--``), and ``--out``
+paths that cannot be written, so the parse and error paths, and where the
+plain parse hands a line to argparse, are compared too.  The ``--out``
+paths are relative (one names ``README.md``), so run the script from the
+root of a checkout.
 
 Run it in two checkouts and ``diff`` the output: no difference means the two
 versions print byte-identical reports, errors and exit codes for every job
@@ -59,8 +61,8 @@ _EFFORT_LINE = re.compile(
     rf'^(?:  |report\.)counts\.({"|".join(EFFORT)})(?: = |,")(\d+)"?\n', re.M
 )
 
-# help at every level, the usage errors of the parser and of dispatch, and
-# valid lines that cli._parse_plain leaves to argparse
+# help at every level, the usage errors of the parser and of dispatch,
+# valid lines that cli._parse_plain leaves to argparse, and unwritable --out
 USAGE_ARGVS = (
     [],
     ["--help"],
@@ -105,6 +107,11 @@ USAGE_ARGVS = (
     ["verify-residues", "--primes", "9223372036854775837"],
     ["verify-residues", "--instances", "0", "--form-instances", "0"],
     ["search", "sumset", "--p", "13", "--d", "4", "--node-budget", "0"],
+    # an --out that cannot be written (cli._check_out): no such directory,
+    # a directory, a parent that is a file
+    ["search", "sumset", "--p", "13", "--d", "4", "--out", "no-such-dir/r.json"],
+    ["search", "sumset", "--p", "13", "--d", "4", "--out", "."],
+    ["search", "sumset", "--p", "13", "--d", "4", "--out", "README.md/x"],
 )
 
 

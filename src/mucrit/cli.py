@@ -29,6 +29,11 @@ from the same table by ``_build_parser``, parses the rest: help, usage
 errors, and unusual but valid lines (an abbreviation, ``--p=13``, a repeated
 option, a value that starts with ``-``, ``--``), so every message is
 argparse's own.
+
+Each command's table is compiled once, on the first line that names it,
+into a parse record (``_compile``) that ``_parse_plain`` and ``_dispatch``
+read every line against; ``_record`` compiles it again when
+``_LEAVES[words]`` or ``_COMMON`` has been replaced.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ from typing import Dict, List, Optional, Tuple
 from .search import SearchBudgetExceeded, _usable_cpus, run_job
 
 SCHEMA = "mucrit/1"
+
+# json.dumps(doc, sort_keys=True, separators=(",", ":")) without a new encoder per call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +74,7 @@ def _emit(
         "report": report,
     }
     if ns.format == "json":
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        text = _JSON.encode(doc) + "\n"
     elif ns.format == "csv":
         rows = ["key,value"]
         for key, val in sorted(_flatten(doc).items()):
@@ -186,9 +194,54 @@ def _build_parser():
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _compile(words: Tuple[str, ...]) -> SimpleNamespace:
+    """The parse record of the command ``words``, built from ``_COMMON`` and
+    ``_LEAVES[words]`` and kept with them (``leaf``, ``common``) for
+    ``_record``'s freshness test:
+
+    - ``options``: flag -> (namespace name, type, choices), for each option;
+    - ``positionals``: (name, type, choices) of each positional, in order;
+    - ``defaults``: the namespace of a line that gives nothing, in
+      argparse's order (command, kind, then each option);
+    - ``required``: the names that a line must give;
+    - ``keywords``: the names of the command's own options, which a search
+      command passes to ``run_job``."""
+    leaf = _LEAVES[words]
+    defaults: Dict[str, object] = dict(zip(("command", "kind"), words))
+    options, positionals, required = {}, [], set()
+    for flag, kwargs in _COMMON + leaf:
+        name = _dest(flag)
+        spec = (name, kwargs.get("type", str), kwargs.get("choices"))
+        if flag[0] == "-":
+            options[flag] = spec
+        else:
+            positionals.append(spec)
+        if kwargs.get("required") or flag[0] != "-":
+            required.add(name)
+        defaults[name] = kwargs.get("default")
+    return SimpleNamespace(
+        leaf=leaf, common=_COMMON, options=options, positionals=tuple(positionals),
+        defaults=defaults, required=frozenset(required),
+        keywords=tuple(_dest(flag) for flag, _ in leaf),
+    )
+
+
+def _record(words: Tuple[str, ...]) -> SimpleNamespace:
+    """The parse record of ``words``, compiled on the first line that names
+    the command and again whenever ``_LEAVES[words]`` or ``_COMMON`` is no
+    longer the object it was compiled from, so a patched table is read as
+    it stands."""
+    rec = _compile(words)
+    if rec.leaf is not _LEAVES[words] or rec.common is not _COMMON:
+        _compile.cache_clear()
+        rec = _compile(words)
+    return rec
+
+
 def _parse_plain(argv: List[str]) -> Optional[SimpleNamespace]:
-    """``argv`` parsed as argparse parses it, read straight from the table,
-    or None if the line is not plain.
+    """``argv`` parsed as argparse parses it, read against the command's
+    parse record (``_record``), or None if the line is not plain.
 
     A plain line is the words of a command in ``_LEAVES`` followed by exact
     ``--option value`` pairs and positionals, each given once, with every
@@ -202,36 +255,34 @@ def _parse_plain(argv: List[str]) -> Optional[SimpleNamespace]:
         words = tuple(argv[:2])
         if words not in _LEAVES:
             return None
-    table = _COMMON + _LEAVES[words]
-    options = {flag: kwargs for flag, kwargs in table if flag[0] == "-"}
-    positionals = [spec for spec in table if spec[0][0] != "-"]
-    given: Dict[str, object] = {}
+    rec = _record(words)
+    ns = dict(rec.defaults)
+    given = set()
+    positionals = iter(rec.positionals)
     tokens = iter(argv[len(words):])
     for token in tokens:
         if token[:1] == "-":
-            flag, token = token, next(tokens, "-")  # "-": no value follows
-            if flag not in options or token[:1] == "-":
+            spec = rec.options.get(token)
+            token = next(tokens, "-")  # "-": no value follows
+            if spec is None or token[:1] == "-":
                 return None
-            kwargs = options[flag]
-        elif positionals:
-            flag, kwargs = positionals.pop(0)
         else:
-            return None
-        if flag in given:
+            spec = next(positionals, None)
+            if spec is None:
+                return None
+        name, convert, choices = spec
+        if name in given:
             return None
         try:
-            value = kwargs["type"](token) if "type" in kwargs else token
+            value = convert(token)
         except ValueError:
             return None
-        if "choices" in kwargs and value not in kwargs["choices"]:
+        if choices is not None and value not in choices:
             return None
-        given[flag] = value
-    # the names and order argparse gives: command, kind, then each option
-    ns = dict(zip(("command", "kind"), words))
-    for flag, kwargs in table:
-        if flag not in given and (kwargs.get("required") or flag[0] != "-"):
-            return None
-        ns[_dest(flag)] = given.get(flag, kwargs.get("default"))
+        given.add(name)
+        ns[name] = value
+    if not rec.required <= given:
+        return None
     return SimpleNamespace(**ns)
 
 
@@ -279,8 +330,7 @@ def _dispatch(ns: SimpleNamespace) -> int:
         _check_out(ns.out)
     if ns.command == "search":
         # the command's own options, as parsed, are the search's keywords
-        names = [_dest(flag) for flag, _ in _LEAVES[("search", ns.kind)]]
-        params = {name: getattr(ns, name) for name in names}
+        params = {name: getattr(ns, name) for name in _record(("search", ns.kind)).keywords}
         res = run_job(ns.kind, params, workers=ns.threads)
         # the report is the result's fields as they are: _asdict() is a shallow
         # dict of them, and json.dumps renders each tuple in it as a list

@@ -1048,6 +1048,53 @@ class TestPlainParse:
         assert set(_plain_mismatches(plain_lines).values()) == {"missing required"}
 
 
+class TestParseRecord:
+    """Each command's parse record is compiled once, on its first line, and
+    compiled again when its table entries are replaced."""
+
+    @staticmethod
+    def _sumset_job():
+        """The benchmark's ``search sumset`` job at p = 13, d = 4."""
+        return next(
+            argv for argv in _load_jobs().jobs("sumset", 0)
+            if argv[:2] == ["search", "sumset"] and argv[3] == "13" and argv[5] == "4"
+        )
+
+    def test_second_line_compiles_nothing(self, capsys, monkeypatch):
+        argv = self._sumset_job()
+        assert cli.run(list(argv)) == 0
+        calls = []
+        real = cli._dest
+        monkeypatch.setattr(cli, "_dest", lambda flag: calls.append(flag) or real(flag))
+        assert cli.run(list(argv)) == 0
+        capsys.readouterr()
+        assert calls == []
+
+    def test_patched_leaf_reaches_run_job(self, monkeypatch):
+        words = ("search", "sumset")
+        argv = self._sumset_job()
+        probed = argv[:-2] + ["--probe", "9"] + argv[-2:]
+        assert cli._parse_plain(list(argv)) is not None
+        assert cli._parse_plain(list(probed)) is None  # no such option yet
+        calls = []
+
+        def spy(kind, params, workers=1):
+            calls.append((kind, params))
+            return search.SearchResult(kind, None, None, [], {}, (), ())
+
+        monkeypatch.setattr(cli, "run_job", spy)
+        probe_option = ("--probe", {"type": int, "default": 7})
+        monkeypatch.setitem(cli._LEAVES, words, cli._LEAVES[words] + (probe_option,))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(list(probed)) == 0
+        assert calls == [
+            ("sumset", {"p": 13, "d": 4, "max_p": 128, "node_budget": 50_000_000, "probe": 9})
+        ]
+        # the table restored, the option is gone again
+        monkeypatch.undo()
+        assert cli._parse_plain(list(probed)) is None
+
+
 def _load_jobs():
     spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
     mod = importlib.util.module_from_spec(spec)

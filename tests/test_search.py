@@ -598,6 +598,43 @@ class TestShiftClasses:
         assert sumset_search(89, 4) == res
         assert len(calls) == len(orbits) == 89 * found_counts[1]
 
+    D4_PRIMES = [p for p in range(13, 458) if p % 4 == 1 and is_prime(p)]
+
+    def test_d4_class_count_closed_form(self):
+        """At d = 4 the search lists (p + 3)/4 witness classes, by Burnside.
+
+        Let A = {a1, a2}, B = {b1, b2} and s_jk = a_j + b_k.  In mu_4 the
+        only 1 + u = v + w with four distinct elements has u = -1, so
+        s22 = -s11 and s21 = -s12: every witness has a1 + a2 + b1 + b2 = 0,
+        s11 = u in mu_4 and s12 = v in {iu, -iu}.  With a1 = t free, the
+        labelled witnesses (a1, a2, b1, b2) number 4 * 2 * p = 8p, and each
+        pair (A, B) has four labellings: 2p ordered pairs.  The classes are
+        their orbits under G = mu_4 x <swap> (order 8), and the fixed pairs
+        of each element of G are:
+
+        - the identity: all 2p;
+        - -1: A = {a, -a}, B = {b, -b} with a + b = u, a - b = v, two pairs;
+        - i or -i: none, as a 2-set closed under i holds only 0;
+        - the swap: none, as A + A has at most three elements;
+        - the swap with -1: none, as B = -A puts 0 in A + B;
+        - the swap with i (or -i): A = {a, -a} with a(1 + i) in mu_4 and
+          B = -iA (or iA), two pairs each.
+
+        So there are (2p + 2 + 2 + 2)/8 = (p + 3)/4 classes.  The count
+        shares no code with ``_shift_classes``."""
+        assert len(self.D4_PRIMES) == 42
+        for p in self.D4_PRIMES:
+            assert len(sumset_search(p, 4, max_p=p).witnesses) == (p + 3) // 4, p
+
+    def test_negative_control_d4_count_without_swap(self, monkeypatch):
+        # classes up to mu_4 alone: (2p + 2)/4 = (p + 1)/2 by the same count
+        orbit = search._pair_orbit
+        monkeypatch.setattr(
+            search, "_pair_orbit", lambda *args: orbit(*args)[: len(args[3].elems)]
+        )
+        for p in self.D4_PRIMES:
+            assert len(sumset_search(p, 4, max_p=p).witnesses) == (p + 1) // 2, p
+
 
 def _random_split_targets(rng):
     """300 targets T (p in {13, 29, 53}, 2-6 elements) as (p, sorted T);
